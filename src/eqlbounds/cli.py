@@ -25,38 +25,26 @@ from .datagen import (
 from .datamodel import (
     DatasetError,
     Dataset,
+    Direction,
     LinearConstraint,
     _display_number,
     constraint_text,
+    constraint_to_dict,
     load_constraint,
     load_dataset,
+    read_json_object,
     save_constraint,
     save_dataset,
 )
 from .extract import DegenerateConstraintError, violation_report
 from .trainer import (
+    CONFIG_KEYS,
     DivergenceError,
     NonFiniteGradientError,
     configs_from_mapping,
     export_history_csv,
     train_multi,
 )
-
-_OVERRIDE_FLAGS = (
-    ("alpha1", float),
-    ("alpha2", float),
-    ("alpha3", float),
-    ("gamma", float),
-    ("l1", float),
-    ("l2", float),
-    ("direction", str),
-    ("epochs", int),
-    ("learning_rate", float),
-    ("mask_threshold", float),
-    ("seed", int),
-    ("runs", int),
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, metavar="CSV")
     train.add_argument("--config", metavar="JSON", help="config file; flags override it")
     train.add_argument("--out-dir", required=True, metavar="DIR")
-    for name, cast in _OVERRIDE_FLAGS:
+    for name, (_, kind) in CONFIG_KEYS.items():
         flag = "--" + name.replace("_", "-")
-        if name == "direction":
-            train.add_argument(flag, choices=["lower", "upper"])
+        if kind == "direction":
+            train.add_argument(flag, choices=[d.value for d in Direction])
         else:
-            train.add_argument(flag, type=cast)
+            train.add_argument(flag, type=int if kind == "int" else float)
     train.add_argument(
         "--no-mask", action="store_true", help="disable magnitude masking during training"
     )
@@ -122,18 +110,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    payload: dict = {}
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        payload.update(loaded)
-    for name, _ in _OVERRIDE_FLAGS:
+    payload = read_json_object(args.config, "config") if args.config else {}
+    for name in CONFIG_KEYS:
         value = getattr(args, name)
         if value is not None:
             payload[name] = value
@@ -158,11 +136,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 "seed": report.seed,
                 "violation_percent": report.violation_rate,
                 "expression": constraint_text(report.constraint, dataset.feature_names),
-                "constraint": {
-                    "coeffs": [float(v) for v in report.constraint.coeffs],
-                    "bound": report.constraint.bound,
-                    "relation": report.constraint.relation.value,
-                },
+                "constraint": constraint_to_dict(report.constraint),
             }
         )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction
+from .datamodel import Dataset, Direction, read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -96,27 +96,8 @@ class RegionSpec:
     def n_features(self) -> int:
         return self.box.shape[0]
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Membership for a single point (box bounds inclusive, cuts strict)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.box[:, 0]) or np.any(x > self.box[:, 1]):
-            return False
-        for cut in self.linear_cuts:
-            value = float(cut.coeffs @ x)
-            if cut.direction is Direction.LOWER:
-                if not (cut.bound < value):
-                    return False
-            elif not (value < cut.bound):
-                return False
-        cap = self.quadratic_cap
-        if cap is not None:
-            delta = x - cap.center
-            if float(delta @ delta) > cap.radius**2:
-                return False
-        return True
-
     def membership_mask(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, F) array."""
+        """Membership of each row of an (N, F) array (box bounds inclusive, cuts strict)."""
         pts = np.asarray(points, dtype=float)
         ok = np.all(pts >= self.box[:, 0], axis=1) & np.all(pts <= self.box[:, 1], axis=1)
         for cut in self.linear_cuts:
@@ -136,13 +117,18 @@ class RegionSpec:
 # treated as effectively empty.
 REJECTION_BUDGET_PER_POINT = 10_000
 
+# Candidates drawn per call to the generator.  A block of B candidates
+# consumes the same random stream as B single draws, so the points do not
+# depend on the block size.
+CANDIDATE_BLOCK = 4096
+
 
 def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` uniform points from the region; targets are all zero.
 
-    Fully determined by (spec, n, seed).  Raises
-    :class:`RejectionBudgetExceededError` after ``10000 * n`` consecutive
-    rejections.
+    Fully determined by (spec, n, seed).  Candidates are tested in the
+    order drawn; raises :class:`RejectionBudgetExceededError` after
+    ``10000 * n`` consecutive rejections.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -156,17 +142,19 @@ def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
     accepted = 0
     consecutive = 0
     while accepted < n:
-        candidate = rng.uniform(lo, hi)
-        if spec.contains(candidate):
-            points[accepted] = candidate
-            accepted += 1
-            consecutive = 0
-        else:
-            consecutive += 1
-            if consecutive >= budget:
-                raise RejectionBudgetExceededError(
-                    f"{budget} consecutive rejections; the region appears empty"
-                )
+        block = rng.uniform(lo, hi, size=(CANDIDATE_BLOCK, f))
+        hits = np.flatnonzero(spec.membership_mask(block))[: n - accepted]
+        # Rejection runs in candidate order, counted across blocks: one run
+        # before each kept candidate, and the run still open at the block end.
+        start = -1 - consecutive
+        gaps = np.diff(hits, prepend=start) - 1
+        consecutive = CANDIDATE_BLOCK - 1 - (hits[-1] if hits.size else start)
+        points[accepted : accepted + hits.size] = block[hits]
+        accepted += hits.size
+        if np.any(gaps >= budget) or (accepted < n and consecutive >= budget):
+            raise RejectionBudgetExceededError(
+                f"{budget} consecutive rejections; the region appears empty"
+            )
     return Dataset(points)
 
 
@@ -254,13 +242,7 @@ def region_spec_from_dict(payload: dict) -> RegionSpec:
 
 def load_region_spec(path: str | Path) -> RegionSpec:
     """Read a region spec from JSON."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read region spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return region_spec_from_dict(payload)
+    return region_spec_from_dict(read_json_object(path, "region spec"))
 
 
 def save_region_spec(spec: RegionSpec, path: str | Path) -> None:

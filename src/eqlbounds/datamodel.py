@@ -278,17 +278,28 @@ def save_constraint(
     )
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Read a JSON file whose top-level value must be an object.
+
+    Every failure (unreadable file, invalid JSON, any other top-level
+    value) raises ValueError naming the path; ``what`` says which kind of
+    file was expected.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return payload
+
+
 def load_constraint(path: str | Path) -> LinearConstraint:
     """Read a constraint from the JSON half of a saved pair."""
-    base = _constraint_base(path)
-    target = base.with_suffix(".json")
-    try:
-        payload = json.loads(target.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read {target}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{target}: invalid JSON: {exc}") from exc
-    return constraint_from_dict(payload)
+    target = _constraint_base(path).with_suffix(".json")
+    return constraint_from_dict(read_json_object(target, "constraint"))
 
 
 @dataclass(frozen=True)
@@ -298,8 +309,7 @@ class LossConfig:
     alpha1 scales the signed error mean, alpha2 the quadratic penalty on
     the percentile subset, alpha3 the worst-error anchor.  gamma is the
     percentile width in percent.  l1/l2 regularize the output-layer
-    weights.  ``gamma_smallest_errors`` flips the percentile subset to the
-    smallest errors instead of the largest (off by default).
+    weights.
     """
 
     alpha1: float = 1.0
@@ -309,7 +319,6 @@ class LossConfig:
     direction: Direction = Direction.LOWER
     l1: float = 0.05
     l2: float = 0.05
-    gamma_smallest_errors: bool = False
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3"):

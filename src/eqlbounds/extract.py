@@ -1,11 +1,11 @@
 """Collapse a trained network into a linear inequality and score it.
 
-With identity/constant primitives the network is affine, ``f(x) = a.x + c``.
-The zero level set of ``f`` is the learned boundary, so the constraint reads
-``-c <= a.x`` when a lower bound was sought and ``a.x <= -c`` for an upper
-bound.  Canonicalization divides through by the highest-indexed coefficient
-of significant magnitude, flipping the relation when that divisor is
-negative, so equivalent networks print the same inequality.
+The network is affine, ``f(x) = a.x + c``, and its zero level set is the
+learned boundary, so the constraint reads ``-c <= a.x`` when a lower bound
+was sought and ``a.x <= -c`` for an upper bound.  Canonicalization divides
+through by the highest-indexed coefficient of significant magnitude,
+flipping the relation when that divisor is negative, so equivalent networks
+print the same inequality.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .datamodel import (
     constraint_to_dict,
     constraint_text,
 )
-from .network import EqlNetwork, Primitive, _identity_columns
+from .network import EqlNetwork
 
 
 class DegenerateConstraintError(ArithmeticError):
@@ -29,11 +29,10 @@ class DegenerateConstraintError(ArithmeticError):
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
-    """Return (a, c) with ``forward(net, x) == a.x + c`` for implemented primitives."""
-    is_identity = _identity_columns(net)
+    """Return (a, c) with ``forward(net, x) == a.x + c``."""
+    is_identity = net.is_identity
     coeffs = (net.w_out * is_identity) @ net.w_in
-    is_constant = np.array([p is Primitive.CONSTANT for p in net.primitives])
-    offset = net.b_out + float(net.w_out[is_constant].sum())
+    offset = net.b_out + float(net.w_out[~is_identity].sum())
     return coeffs, offset
 
 

@@ -11,7 +11,8 @@ Three data terms plus regularization:
                   surface from drifting off without limit,
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
-The total ``z`` is the plain sum of the four terms.
+The total ``z`` is the plain sum of the four terms.  :func:`loss_and_pred_grad`
+is the one place that composes them, together with ``dz/dpred``.
 """
 
 from __future__ import annotations
@@ -71,13 +72,11 @@ def term_e(e: np.ndarray, alpha1: float) -> float:
     return alpha1 * float(e_arr.sum()) / e_arr.size
 
 
-def p_gamma_subset(e: np.ndarray, gamma: float, smallest: bool = False) -> np.ndarray:
+def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     """Indices of the top gamma percent largest errors, sorted ascending.
 
     The subset holds ``k = max(1, ceil(gamma * n / 100))`` indices; ties on
-    the error value resolve toward the lower index.  ``smallest=True``
-    selects the opposite end of the sorted errors instead (an experimental
-    alternative reading of the percentile rule).
+    the error value resolve toward the lower index.
     """
     e_arr = np.asarray(e, dtype=float)
     n = e_arr.size
@@ -86,7 +85,7 @@ def p_gamma_subset(e: np.ndarray, gamma: float, smallest: bool = False) -> np.nd
     if not (0 < gamma <= 100):
         raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
-    order = np.argsort(e_arr if smallest else -e_arr, kind="stable")
+    order = np.argsort(-e_arr, kind="stable")
     return np.sort(order[:k])
 
 
@@ -122,12 +121,36 @@ def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
     return l1 * float(np.abs(w).sum()) + l2 * float(w @ w)
 
 
-def loss_total(y: np.ndarray, preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> LossBreakdown:
-    """Compose the full loss for one batch of predictions."""
+def loss_and_pred_grad(
+    y: np.ndarray, preds: np.ndarray, net: EqlNetwork, cfg: LossConfig
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Compose the full loss and its derivative with respect to each prediction.
+
+    The percentile subset and the worst-error index are computed once from
+    the current errors and held fixed while differentiating; at a tie the
+    lower index wins, which picks one member of the subgradient set.  The
+    regularization term does not depend on the predictions.
+    """
+    y = np.asarray(y, dtype=float)
+    preds = np.asarray(preds, dtype=float)
     e = directional_errors(y, preds, cfg.direction)
-    idx = p_gamma_subset(e, cfg.gamma, cfg.gamma_smallest_errors)
+    idx = p_gamma_subset(e, cfg.gamma)
     t_e = term_e(e, cfg.alpha1)
     t_p = term_p(y, preds, idx, cfg.alpha2)
     t_a = term_anchor(e, cfg.alpha3)
     t_r = term_reg(net, cfg.l1, cfg.l2)
-    return LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
+    breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
+
+    # d(error)/d(pred) is -s with s = +1 for LOWER, -1 for UPPER.
+    n = y.size
+    s = 1.0 if cfg.direction is Direction.LOWER else -1.0
+    dz_dpred = np.full(n, -cfg.alpha1 * s / n)
+    dz_dpred[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - y[idx])
+    worst = int(np.argmax(e))
+    dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+    return breakdown, dz_dpred
+
+
+def loss_total(y: np.ndarray, preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> LossBreakdown:
+    """Compose the full loss for one batch of predictions."""
+    return loss_and_pred_grad(y, preds, net, cfg)[0]

@@ -1,9 +1,9 @@
 """Small equation-learner network: one symbolic layer, one linear readout.
 
 The symbolic layer computes one weighted sum per unit (no bias) and pushes
-it through that unit's primitive.  With the implemented primitive set
-(identity and constant) the whole network is affine in its input, which is
-what lets a trained network collapse into a single linear inequality.
+it through that unit's primitive.  Both primitives (identity and constant)
+are affine, so the whole network is affine in its input, which is what lets
+a trained network collapse into a single linear inequality.
 """
 
 from __future__ import annotations
@@ -18,31 +18,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EmptyDatasetError
-
-
-class UnsupportedPrimitiveError(NotImplementedError):
-    """A declared primitive that has no forward implementation yet."""
+from .datamodel import Dataset, EmptyDatasetError, read_json_object
 
 
 class Primitive(Enum):
-    """Catalog of symbolic-layer activations.
+    """Symbolic-layer activations.
 
-    Only IDENTITY and CONSTANT are implemented; the rest are declared for
-    future expansion and raise :class:`UnsupportedPrimitiveError` when used.
+    An identity unit passes its weighted sum through; a constant unit
+    outputs 1 whatever its input.  Nonlinear units would need their own
+    forward pass, gradient and extraction, so none are declared.
     """
 
     IDENTITY = "identity"
     CONSTANT = "constant"
-    SIN = "sin"
-    EXP = "exp"
-    SIGMOID = "sigmoid"
-    LOG = "log"
-    RECIPROCAL = "reciprocal"
-    SQRT = "sqrt"
 
-
-IMPLEMENTED_PRIMITIVES = frozenset({Primitive.IDENTITY, Primitive.CONSTANT})
 
 # Default architecture: two pass-through units plus two constant units.
 DEFAULT_PRIMITIVES = (
@@ -119,14 +108,14 @@ class EqlNetwork:
             self.mask_out.copy(),
         )
 
+    @property
+    def is_identity(self) -> np.ndarray:
+        """Boolean per unit: True for identity units, False for constants."""
+        return np.array([p is Primitive.IDENTITY for p in self.primitives])
 
-def _identity_columns(net: EqlNetwork) -> np.ndarray:
-    unsupported = [p for p in net.primitives if p not in IMPLEMENTED_PRIMITIVES]
-    if unsupported:
-        raise UnsupportedPrimitiveError(
-            f"primitive {unsupported[0].value!r} is declared but not implemented"
-        )
-    return np.array([p is Primitive.IDENTITY for p in net.primitives])
+    def activations(self, points: np.ndarray) -> np.ndarray:
+        """Unit outputs (N x H): the weighted sum for identity units, 1 for constants."""
+        return np.where(self.is_identity[None, :], points @ self.w_in.T, 1.0)
 
 
 def forward_batch(net: EqlNetwork, points: np.ndarray) -> np.ndarray:
@@ -136,10 +125,7 @@ def forward_batch(net: EqlNetwork, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have shape (N, {net.n_features}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
-    is_identity = _identity_columns(net)
-    sums = pts @ net.w_in.T
-    activations = np.where(is_identity[None, :], sums, 1.0)
-    return activations @ net.w_out + net.b_out
+    return net.activations(pts) @ net.w_out + net.b_out
 
 
 def forward(net: EqlNetwork, x: np.ndarray) -> float:
@@ -226,8 +212,8 @@ def save_checkpoint(net: EqlNetwork, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> EqlNetwork:
     """Reload a network saved by :func:`save_checkpoint`."""
+    payload = read_json_object(path, "checkpoint")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return EqlNetwork(
             np.asarray(payload["w_in"], dtype=float),
             tuple(Primitive(p) for p in payload["primitives"]),
@@ -236,5 +222,5 @@ def load_checkpoint(path: str | Path) -> EqlNetwork:
             np.asarray(payload["mask_in"], dtype=bool),
             np.asarray(payload["mask_out"], dtype=bool),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot load checkpoint from {path}: {exc}") from exc

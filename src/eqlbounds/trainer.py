@@ -11,7 +11,6 @@ the rest of the run.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,18 +26,10 @@ from .datamodel import (
     LossConfig,
     TrainConfig,
     TrainReport,
+    read_json_object,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import (
-    LossBreakdown,
-    directional_errors,
-    loss_total,
-    p_gamma_subset,
-    term_anchor,
-    term_e,
-    term_p,
-    term_reg,
-)
+from .loss import LossBreakdown, loss_and_pred_grad
 from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, forward_batch, initialize
 
 
@@ -66,52 +57,27 @@ class Gradients:
 def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossBreakdown, Gradients]:
     """Evaluate the loss and its exact gradient at the current parameters.
 
-    The percentile subset and the worst-error index are computed once from
-    the current errors and treated as constant; at a tie the lower index
-    wins, which picks one member of the subgradient set.  Masked positions
-    always receive gradient exactly zero.
+    The loss and ``dz/dpred`` come from :func:`loss_and_pred_grad`, which
+    holds the percentile subset and the worst-error index fixed.  Masked
+    positions always receive gradient exactly zero.
     """
     if dataset.n_points == 0:
         raise EmptyDatasetError("cannot take gradients on an empty dataset")
-    points, y = dataset.points, dataset.targets
-    n = dataset.n_points
+    points = dataset.points
 
     # Overflow on a diverging run shows up as inf/nan and is reported through
     # the explicit finiteness checks below, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gradients_impl(net, points, y, n, cfg)
+        preds = forward_batch(net, points)
+        breakdown, dz_dpred = loss_and_pred_grad(dataset.targets, preds, net, cfg)
 
-
-def _gradients_impl(
-    net: EqlNetwork, points: np.ndarray, y: np.ndarray, n: int, cfg: LossConfig
-) -> tuple[LossBreakdown, Gradients]:
-    preds = forward_batch(net, points)
-    e = directional_errors(y, preds, cfg.direction)
-    idx = p_gamma_subset(e, cfg.gamma, cfg.gamma_smallest_errors)
-    t_e = term_e(e, cfg.alpha1)
-    t_p = term_p(y, preds, idx, cfg.alpha2)
-    t_a = term_anchor(e, cfg.alpha3)
-    t_r = term_reg(net, cfg.l1, cfg.l2)
-    breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
-
-    # d(error)/d(pred) is -s with s = +1 for LOWER, -1 for UPPER.
-    s = 1.0 if cfg.direction is Direction.LOWER else -1.0
-    dz_dpred = np.full(n, -cfg.alpha1 * s / n)
-    dz_dpred[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - y[idx])
-    worst = int(np.argmax(e))
-    dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
-
-    # Chain rule through the affine network.  Identity units contribute
-    # their weighted sum; constant units contribute 1 and carry no input
-    # gradient.
-    is_identity = np.array([p is Primitive.IDENTITY for p in net.primitives])
-    sums = points @ net.w_in.T
-    activations = np.where(is_identity[None, :], sums, 1.0)
-
-    d_b_out = float(dz_dpred.sum())
-    d_w_out = activations.T @ dz_dpred
-    d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
-    d_w_in = np.outer(net.w_out * is_identity, points.T @ dz_dpred)
+        # Chain rule through the affine network.  Identity units contribute
+        # their weighted sum; constant units contribute 1 and carry no input
+        # gradient.
+        d_b_out = float(dz_dpred.sum())
+        d_w_out = net.activations(points).T @ dz_dpred
+        d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
+        d_w_in = np.outer(net.w_out * net.is_identity, points.T @ dz_dpred)
 
     d_w_in[net.mask_in] = 0.0
     d_w_out[net.mask_out] = 0.0
@@ -200,34 +166,57 @@ def export_history_csv(report: TrainReport, path: str | Path) -> None:
             )
 
 
-_LOSS_KEYS = {"alpha1", "alpha2", "alpha3", "gamma", "direction", "l1", "l2", "gamma_smallest_errors"}
-_TRAIN_KEYS = {"epochs", "learning_rate", "mask_threshold", "seed", "runs"}
+# Every config key, in ``train`` flag order: the config object it belongs
+# to and the kind of value it takes.  "real" accepts any int or float,
+# "int" only integers; bool counts as neither.
+CONFIG_KEYS: dict[str, tuple[type, str]] = {
+    "alpha1": (LossConfig, "real"),
+    "alpha2": (LossConfig, "real"),
+    "alpha3": (LossConfig, "real"),
+    "gamma": (LossConfig, "real"),
+    "l1": (LossConfig, "real"),
+    "l2": (LossConfig, "real"),
+    "direction": (LossConfig, "direction"),
+    "epochs": (TrainConfig, "int"),
+    "learning_rate": (TrainConfig, "real"),
+    "mask_threshold": (TrainConfig, "real or null"),
+    "seed": (TrainConfig, "int"),
+    "runs": (TrainConfig, "int"),
+}
+
+
+def _config_value(key: str, value):
+    kind = CONFIG_KEYS[key][1]
+    if kind == "direction":
+        try:
+            return Direction(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be 'lower' or 'upper', got {value!r}") from None
+    if kind == "real or null" and value is None:
+        return value
+    allowed = int if kind == "int" else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = {"int": "an integer", "real": "a number"}.get(kind, "a number or null")
+        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def configs_from_mapping(payload: dict) -> tuple[LossConfig, TrainConfig]:
     """Split one flat mapping into the two config objects.
 
-    Keys absent from the mapping keep their defaults; unknown keys are an
-    error so that typos do not silently fall back to defaults.
+    Keys absent from the mapping keep their defaults; unknown keys and
+    values of the wrong type are an error, so that typos do not silently
+    fall back to defaults or fail later in training.
     """
-    unknown = set(payload) - _LOSS_KEYS - _TRAIN_KEYS
+    unknown = set(payload) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    loss_kwargs = {k: payload[k] for k in _LOSS_KEYS if k in payload}
-    if "direction" in loss_kwargs:
-        loss_kwargs["direction"] = Direction(loss_kwargs["direction"])
-    train_kwargs = {k: payload[k] for k in _TRAIN_KEYS if k in payload}
-    return LossConfig(**loss_kwargs), TrainConfig(**train_kwargs)
+    kwargs: dict[type, dict] = {LossConfig: {}, TrainConfig: {}}
+    for key, value in payload.items():
+        kwargs[CONFIG_KEYS[key][0]][key] = _config_value(key, value)
+    return LossConfig(**kwargs[LossConfig]), TrainConfig(**kwargs[TrainConfig])
 
 
 def load_configs(path: str | Path) -> tuple[LossConfig, TrainConfig]:
     """Read loss and training settings from one JSON file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return configs_from_mapping(payload)
+    return configs_from_mapping(read_json_object(path, "config"))

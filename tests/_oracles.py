@@ -9,18 +9,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 
-def brute_force_p_gamma(e, gamma, smallest=False):
+from eqlbounds import Direction, RejectionBudgetExceededError
+
+
+def brute_force_p_gamma(e, gamma):
     """Full-sort reference for the percentile subset.
 
-    Sort indices so the wanted end of the error distribution comes first,
-    with ties resolved toward the lower index, and take the first
+    Sort indices so the largest errors come first, with ties resolved
+    toward the lower index, and take the first
     ``max(1, ceil(gamma * n / 100))`` of them.
     """
     values = [float(v) for v in e]
     n = len(values)
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
-    keyed = sorted(range(n), key=lambda i: ((values[i] if smallest else -values[i]), i))
+    keyed = sorted(range(n), key=lambda i: (-values[i], i))
     return sorted(keyed[:k])
 
 
@@ -38,3 +42,43 @@ def recount_violations(coeffs, bound, relation_is_lower, points):
         if not satisfied:
             count += 1
     return count
+
+
+def region_contains(spec, x):
+    """Membership of one point: box bounds inclusive, cuts strict, ball closed."""
+    x = [float(v) for v in x]
+    for v, (lo, hi) in zip(x, spec.box):
+        if v < lo or v > hi:
+            return False
+    for cut in spec.linear_cuts:
+        value = sum(float(a) * v for a, v in zip(cut.coeffs, x))
+        inside = cut.bound < value if cut.direction is Direction.LOWER else value < cut.bound
+        if not inside:
+            return False
+    cap = spec.quadratic_cap
+    if cap is not None:
+        if sum((v - float(c)) ** 2 for v, c in zip(x, cap.center)) > cap.radius**2:
+            return False
+    return True
+
+
+def scalar_sample(spec, n, seed, budget):
+    """Rejection sampler drawing and testing one candidate at a time.
+
+    Raises RejectionBudgetExceededError after ``budget`` consecutive
+    rejections.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = spec.box[:, 0], spec.box[:, 1]
+    points = []
+    consecutive = 0
+    while len(points) < n:
+        candidate = rng.uniform(lo, hi)
+        if region_contains(spec, candidate):
+            points.append(candidate)
+            consecutive = 0
+        else:
+            consecutive += 1
+            if consecutive >= budget:
+                raise RejectionBudgetExceededError(f"{budget} consecutive rejections")
+    return np.array(points).reshape(n, spec.n_features)

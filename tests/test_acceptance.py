@@ -112,23 +112,19 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
                 direction=Direction.LOWER if rng.random() < 0.5 else Direction.UPPER,
                 l1=float(rng.uniform(0, 0.1)),
                 l2=float(rng.uniform(0, 0.1)),
-                gamma_smallest_errors=bool(rng.random() < 0.25),
             )
             preds = forward_batch(net, dataset.points)
             e = dataset.targets - preds if cfg.direction is Direction.LOWER else preds - dataset.targets
-            ranked = np.sort(e)
-            if not cfg.gamma_smallest_errors:
-                ranked = ranked[::-1]
+            ranked = np.sort(e)[::-1]
             k = min(n, max(1, math.ceil(cfg.gamma * n / 100.0)))
             # Skip draws within 1e-8 of a subset-membership or argmax tie,
             # or of the anchor's absolute-value kink; the loss is not
             # differentiable there.
             if k < n and abs(ranked[k - 1] - ranked[k]) < 1e-8:
                 continue
-            e_sorted = np.sort(e)[::-1]
-            if n >= 2 and abs(e_sorted[0] - e_sorted[1]) < 1e-8:
+            if n >= 2 and abs(ranked[0] - ranked[1]) < 1e-8:
                 continue
-            if abs(e_sorted[0]) < 1e-8:
+            if abs(ranked[0]) < 1e-8:
                 continue
 
             _, grads = gradients(net, dataset, cfg)

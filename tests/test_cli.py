@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import re
+
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
+from eqlbounds import load_checkpoint, load_configs, load_constraint, load_region_spec
 from eqlbounds.cli import main
 
 
@@ -290,6 +293,30 @@ class TestPlotdata:
         boundary = load_dataset(out_dir / "boundary.csv")
         assert boundary.n_points == 1
         assert boundary.points[0, 0] == 1.0
+
+
+class TestJsonFiles:
+    # Each reader of a JSON file, with the command line that reaches it
+    # (None where no command reads that kind of file).
+    READERS = {
+        "spec": (load_region_spec, lambda path, data, out: ["gen", "--spec", path, "--n", "10", "--out", out]),
+        "config": (load_configs, lambda path, data, out: ["train", "--data", data, "--out-dir", out, "--config", path]),
+        "constraint": (load_constraint, lambda path, data, out: ["eval", "--constraint", path, "--data", data]),
+        "checkpoint": (load_checkpoint, None),
+    }
+
+    @pytest.mark.parametrize("kind", list(READERS))
+    def test_non_object_is_rejected_naming_the_path(self, kind, square_low_csv, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        loader, command = self.READERS[kind]
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            loader(path)
+        if command is not None:
+            out = tmp_path / "out"
+            assert main(command(str(path), str(square_low_csv), str(out))) == 2
+            assert str(path) in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestParser:

@@ -1,10 +1,14 @@
 """Rejection sampling: membership, determinism, presets, budget."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eqlbounds import datagen
 from eqlbounds import (
     BallCap,
     Dataset,
@@ -18,6 +22,8 @@ from eqlbounds import (
     paper_dataset,
     save_region_spec,
 )
+
+from _oracles import region_contains, scalar_sample
 
 
 def square_spec():
@@ -61,6 +67,66 @@ class TestGenerate:
         )
         with pytest.raises(RejectionBudgetExceededError):
             generate(spec, 1, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_sampler(self, data):
+        # Small budgets and block sizes put rejection runs across block
+        # boundaries and right at the budget, where miscounting would show.
+        f = data.draw(st.integers(1, 3), label="features")
+        coord = st.floats(-10.0, 10.0)
+        lows = data.draw(st.lists(coord, min_size=f, max_size=f), label="box lows")
+        widths = data.draw(st.lists(st.floats(0.5, 20.0), min_size=f, max_size=f), label="box widths")
+        cut = st.builds(
+            LinearCut,
+            st.lists(st.floats(-3.0, 3.0), min_size=f, max_size=f),
+            st.floats(-20.0, 20.0),
+            st.sampled_from(Direction),
+        )
+        cap = st.builds(BallCap, st.lists(coord, min_size=f, max_size=f), st.floats(0.1, 15.0))
+        spec = RegionSpec(
+            box=[[lo, lo + w] for lo, w in zip(lows, widths)],
+            linear_cuts=tuple(data.draw(st.lists(cut, max_size=2), label="cuts")),
+            quadratic_cap=data.draw(st.none() | cap, label="cap"),
+        )
+        n = data.draw(st.integers(1, 20), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        per_point = data.draw(st.integers(1, 20), label="budget per point")
+        block = data.draw(st.sampled_from([1, 2, 3, 7, 64, datagen.CANDIDATE_BLOCK]), label="block")
+        try:
+            want = scalar_sample(spec, n, seed, per_point * n)
+        except RejectionBudgetExceededError:
+            want = None
+        with mock.patch.object(datagen, "REJECTION_BUDGET_PER_POINT", per_point), mock.patch.object(
+            datagen, "CANDIDATE_BLOCK", block
+        ):
+            if want is None:
+                with pytest.raises(RejectionBudgetExceededError):
+                    generate(spec, n, seed)
+            else:
+                assert np.array_equal(generate(spec, n, seed).points, want)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, datagen.CANDIDATE_BLOCK])
+    def test_budget_is_exact_across_blocks(self, block):
+        # In a 10% region, find a seed whose longest rejection run before
+        # the second acceptance, L, is even; a budget of exactly L must
+        # raise and one of L + 2 must not, whatever the block size.
+        spec = RegionSpec(box=[[0.0, 1.0]], linear_cuts=(LinearCut([1.0], 0.9, Direction.LOWER),))
+        n = 2
+        for seed in range(100):
+            draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=1000)
+            kept = [i for i, u in enumerate(draws) if region_contains(spec, [u])][:n]
+            longest = max(np.diff(kept, prepend=-1) - 1)
+            if longest > 0 and longest % n == 0:
+                break
+        else:
+            pytest.fail("no seed in range(100) has an even longest run")
+        with mock.patch.object(datagen, "CANDIDATE_BLOCK", block):
+            with mock.patch.object(datagen, "REJECTION_BUDGET_PER_POINT", longest // n):
+                with pytest.raises(RejectionBudgetExceededError):
+                    generate(spec, n, seed)
+            with mock.patch.object(datagen, "REJECTION_BUDGET_PER_POINT", longest // n + 1):
+                assert np.array_equal(generate(spec, n, seed).points, draws[kept][:, None])
 
     def test_upper_cut_direction(self):
         spec = RegionSpec(
@@ -146,7 +212,7 @@ class TestRegionSpecValidation:
         rng = np.random.default_rng(6)
         pts = rng.uniform(-2.5, 2.5, size=(200, 2))
         mask = spec.membership_mask(pts)
-        assert list(mask) == [spec.contains(p) for p in pts]
+        assert list(mask) == [region_contains(spec, p) for p in pts]
 
 
 class TestRegionSpecFiles:

@@ -217,7 +217,6 @@ class TestLossConfig:
         assert cfg.gamma == 5.0
         assert cfg.direction is Direction.LOWER
         assert (cfg.l1, cfg.l2) == (0.05, 0.05)
-        assert cfg.gamma_smallest_errors is False
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -13,7 +13,6 @@ from eqlbounds import (
     LinearCut,
     Primitive,
     RegionSpec,
-    UnsupportedPrimitiveError,
     collapse_affine,
     constraint_text,
     extract_constraint,
@@ -59,11 +58,6 @@ class TestCollapseAffine:
         a, c = collapse_affine(net)
         assert np.array_equal(a, [6.0])
         assert c == 6.5
-
-    def test_unimplemented_primitive_rejected(self):
-        net = EqlNetwork(np.array([[1.0]]), (Primitive.EXP,), np.array([1.0]), 0.0)
-        with pytest.raises(UnsupportedPrimitiveError):
-            collapse_affine(net)
 
 
 class TestExtractConstraint:

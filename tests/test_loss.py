@@ -81,10 +81,6 @@ class TestPGammaSubset:
     def test_subset_never_empty(self):
         assert list(p_gamma_subset(np.array([3.0, 1.0]), 1.0)) == [0]
 
-    def test_smallest_switch_selects_other_end(self):
-        e = np.array([-10.0, -1.0, -5.0, -0.2])
-        assert list(p_gamma_subset(e, 25.0, smallest=True)) == [0]
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
         gammas = [1.0, 2.5, 5.0, 25.0, 50.0, 100.0]
@@ -93,9 +89,7 @@ class TestPGammaSubset:
             # Quantized values force plenty of exact ties.
             e = np.round(rng.standard_normal(n), 1)
             gamma = gammas[trial % len(gammas)]
-            smallest = bool(trial % 2)
-            got = list(p_gamma_subset(e, gamma, smallest=smallest))
-            assert got == brute_force_p_gamma(e, gamma, smallest=smallest)
+            assert list(p_gamma_subset(e, gamma)) == brute_force_p_gamma(e, gamma)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
@@ -201,11 +195,9 @@ class TestLossTotal:
         y = np.zeros(4)
         preds = np.array([10.0, 0.0, 5.0, 0.2])
         # LOWER errors are -preds, so the largest error belongs to the
-        # smallest prediction and the smallest-errors switch flips that.
+        # smallest prediction.
         cfg = LossConfig(gamma=25.0)
         assert list(loss_total(y, preds, reg_net([1.0]), cfg).p_gamma_indices) == [1]
-        cfg = LossConfig(gamma=25.0, gamma_smallest_errors=True)
-        assert list(loss_total(y, preds, reg_net([1.0]), cfg).p_gamma_indices) == [0]
 
     def test_breakdown_indices_frozen(self):
         cfg = LossConfig()

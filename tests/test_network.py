@@ -11,7 +11,6 @@ from eqlbounds import (
     EmptyDatasetError,
     EqlNetwork,
     Primitive,
-    UnsupportedPrimitiveError,
     apply_mask,
     forward,
     forward_batch,
@@ -76,11 +75,6 @@ class TestForward:
             mixed = forward(net, a * x1 + (1 - a) * x2)
             combined = a * forward(net, x1) + (1 - a) * forward(net, x2)
             assert abs(mixed - combined) <= 1e-9
-
-    def test_unimplemented_primitive_raises(self):
-        net = make_net([[1.0]], (Primitive.SIN,), [1.0], 0.0)
-        with pytest.raises(UnsupportedPrimitiveError, match="sin"):
-            forward(net, np.array([1.0]))
 
     def test_rejects_wrong_shape(self):
         net = make_net([[1.0, 2.0]], (ID,), [1.0], 0.0)
@@ -245,3 +239,10 @@ class TestCheckpoint:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "absent.json")
+
+    def test_unknown_primitive_is_a_load_error(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_checkpoint(make_net([[1.0]], (ID,), [1.0], 0.0), path)
+        path.write_text(path.read_text(encoding="utf-8").replace('"identity"', '"sin"'), encoding="utf-8")
+        with pytest.raises(ValueError, match="cannot load checkpoint"):
+            load_checkpoint(path)

@@ -23,9 +23,11 @@ from eqlbounds import (
     load_configs,
     loss_total,
     paper_dataset,
+    save_dataset,
     train,
     train_multi,
 )
+from eqlbounds import cli
 
 from _oracles import central_difference
 
@@ -296,9 +298,10 @@ class TestConfigLoading:
 
     def test_split_and_override(self):
         loss_cfg, train_cfg = configs_from_mapping(
-            {"alpha2": 0.25, "gamma": 2.5, "direction": "upper", "epochs": 10, "mask_threshold": None}
+            {"alpha2": 0.25, "gamma": 2.5, "direction": "upper", "epochs": 10, "mask_threshold": None, "l1": 0}
         )
         assert loss_cfg.alpha2 == 0.25
+        assert loss_cfg.l1 == 0
         assert loss_cfg.gamma == 2.5
         assert loss_cfg.direction is Direction.UPPER
         assert train_cfg.epochs == 10
@@ -307,6 +310,22 @@ class TestConfigLoading:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="learning_rte"):
             configs_from_mapping({"learning_rte": 1e-3})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"epochs": "10"}, {"epochs": 10.5}, {"runs": 2.5}, {"seed": 1.5}, {"alpha1": None}, {"epochs": True}],
+        ids=repr,
+    )
+    def test_mistyped_value_rejected_before_training(self, payload, tmp_path, capsys):
+        (key,) = payload
+        with pytest.raises(ValueError, match=key):
+            configs_from_mapping(payload)
+        data, cfg, out_dir = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "runs"
+        save_dataset(Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])), data)
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["train", "--data", str(data), "--out-dir", str(out_dir), "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
