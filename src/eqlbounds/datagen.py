@@ -132,6 +132,8 @@ def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     f = spec.n_features
     if n == 0:
         return Dataset(np.empty((0, f)))

@@ -321,7 +321,7 @@ class LossConfig:
     l2: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "alpha3"):
+        for name in ("alpha1", "alpha2", "alpha3", "l1", "l2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
@@ -329,10 +329,6 @@ class LossConfig:
             raise ValueError("at least one alpha must be positive")
         if not (0 < self.gamma <= 100):
             raise ValueError(f"gamma must lie in (0, 100], got {self.gamma}")
-        for name in ("l1", "l2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
 
@@ -348,16 +344,15 @@ class TrainConfig:
     runs: int = 1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name, least in (("epochs", 1), ("runs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.mask_threshold is not None and not (
             math.isfinite(self.mask_threshold) and self.mask_threshold >= 0
         ):
             raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
 
 
 @dataclass(frozen=True)

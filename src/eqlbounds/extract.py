@@ -1,11 +1,11 @@
 """Collapse a trained network into a linear inequality and score it.
 
-The network is affine, ``f(x) = a.x + c``, and its zero level set is the
-learned boundary, so the constraint reads ``-c <= a.x`` when a lower bound
-was sought and ``a.x <= -c`` for an upper bound.  Canonicalization divides
-through by the highest-indexed coefficient of significant magnitude,
-flipping the relation when that divisor is negative, so equivalent networks
-print the same inequality.
+The network is the affine map ``f(x) = a.x + c`` defined by
+``network.collapse_affine``; its zero level set is the learned boundary, so
+the constraint reads ``-c <= a.x`` for a lower bound and ``a.x <= -c`` for
+an upper bound.  Canonicalization divides through by the highest-indexed
+coefficient of significant magnitude, flipping the relation when that
+divisor is negative, so equivalent networks print the same inequality.
 """
 
 from __future__ import annotations
@@ -21,19 +21,11 @@ from .datamodel import (
     constraint_to_dict,
     constraint_text,
 )
-from .network import EqlNetwork
+from .network import EqlNetwork, collapse_affine
 
 
 class DegenerateConstraintError(ArithmeticError):
     """Every collapsed coefficient is numerically zero."""
-
-
-def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
-    """Return (a, c) with ``forward(net, x) == a.x + c``."""
-    is_identity = net.is_identity
-    coeffs = (net.w_out * is_identity) @ net.w_in
-    offset = net.b_out + float(net.w_out[~is_identity].sum())
-    return coeffs, offset
 
 
 def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> LinearConstraint:

@@ -2,8 +2,8 @@
 
 The symbolic layer computes one weighted sum per unit (no bias) and pushes
 it through that unit's primitive.  Both primitives (identity and constant)
-are affine, so the whole network is affine in its input, which is what lets
-a trained network collapse into a single linear inequality.
+are affine, so the network is one affine map ``f(x) = a.x + c``, and
+:func:`collapse_affine` is the only definition of ``(a, c)`` there is.
 """
 
 from __future__ import annotations
@@ -113,9 +113,21 @@ class EqlNetwork:
         """Boolean per unit: True for identity units, False for constants."""
         return np.array([p is Primitive.IDENTITY for p in self.primitives])
 
-    def activations(self, points: np.ndarray) -> np.ndarray:
-        """Unit outputs (N x H): the weighted sum for identity units, 1 for constants."""
-        return np.where(self.is_identity[None, :], points @ self.w_in.T, 1.0)
+
+def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
+    """Return (a, c) with ``forward(net, x) == a.x + c``; constant units fold into ``c``."""
+    is_identity = net.is_identity
+    coeffs = (net.w_out * is_identity) @ net.w_in
+    offset = net.b_out + float(net.w_out[~is_identity].sum())
+    return coeffs, offset
+
+
+def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chain rule through :func:`collapse_affine`: (dL/da, dL/dc) to (dL/dw_in, dL/dw_out); dL/db_out is dL/dc."""
+    is_identity = net.is_identity
+    d_w_in = np.outer(net.w_out * is_identity, d_coeffs)
+    d_w_out = np.where(is_identity, net.w_in @ d_coeffs, d_offset)
+    return d_w_in, d_w_out
 
 
 def forward_batch(net: EqlNetwork, points: np.ndarray) -> np.ndarray:
@@ -125,7 +137,8 @@ def forward_batch(net: EqlNetwork, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have shape (N, {net.n_features}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
-    return net.activations(pts) @ net.w_out + net.b_out
+    coeffs, offset = collapse_affine(net)
+    return pts @ coeffs + offset
 
 
 def forward(net: EqlNetwork, x: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from .datamodel import (
 )
 from .extract import extract_constraint, violation_rate
 from .loss import LossBreakdown, loss_and_pred_grad
-from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, forward_batch, initialize
+from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, collapse_affine_grad, forward_batch, initialize
 
 
 class DivergenceError(ArithmeticError):
@@ -71,13 +71,10 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
         preds = forward_batch(net, points)
         breakdown, dz_dpred = loss_and_pred_grad(dataset.targets, preds, net, cfg)
 
-        # Chain rule through the affine network.  Identity units contribute
-        # their weighted sum; constant units contribute 1 and carry no input
-        # gradient.
+        # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
         d_b_out = float(dz_dpred.sum())
-        d_w_out = net.activations(points).T @ dz_dpred
+        d_w_in, d_w_out = collapse_affine_grad(net, points.T @ dz_dpred, d_b_out)
         d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
-        d_w_in = np.outer(net.w_out * net.is_identity, points.T @ dz_dpred)
 
     d_w_in[net.mask_in] = 0.0
     d_w_out[net.mask_out] = 0.0

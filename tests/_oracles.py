@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from eqlbounds import Direction, RejectionBudgetExceededError
+from eqlbounds import Direction, Primitive, RejectionBudgetExceededError
 
 
 def brute_force_p_gamma(e, gamma):
@@ -31,6 +31,23 @@ def brute_force_p_gamma(e, gamma):
 def central_difference(fn, x0, step=1e-6):
     """Two-sided finite difference of a scalar function at a scalar point."""
     return (fn(x0 + step) - fn(x0 - step)) / (2.0 * step)
+
+
+def network_output(net, x):
+    """Evaluate the network on one point unit by unit, in pure Python.
+
+    An identity unit outputs the weighted sum of the inputs, a constant unit
+    outputs 1; the readout weights the unit outputs and adds the bias.
+    """
+    units = []
+    for weights, primitive in zip(net.w_in, net.primitives):
+        if primitive is Primitive.IDENTITY:
+            units.append(sum(float(w) * float(v) for w, v in zip(weights, x)))
+        elif primitive is Primitive.CONSTANT:
+            units.append(1.0)
+        else:
+            raise ValueError(f"no reference for primitive {primitive}")
+    return sum(float(w) * u for w, u in zip(net.w_out, units)) + float(net.b_out)
 
 
 def recount_violations(coeffs, bound, relation_is_lower, points):

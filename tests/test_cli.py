@@ -81,6 +81,12 @@ class TestGen:
         assert main(["gen", "--spec", str(spec_path), "--n", "1", "--out", str(tmp_path / "d.csv")]) == 3
         assert "rejections" in capsys.readouterr().err
 
+    def test_negative_seed_is_input_error_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["gen", "--preset", "circle", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["gen", "--preset", "square-low", "--seed", "3", "--out", str(a)])

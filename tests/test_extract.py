@@ -24,7 +24,7 @@ from eqlbounds import (
     violation_report,
 )
 
-from _oracles import recount_violations
+from _oracles import network_output, recount_violations
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -49,9 +49,9 @@ class TestCollapseAffine:
             net = random_net(rng)
             a, c = collapse_affine(net)
             pts = rng.uniform(-25, 25, size=(50, net.n_features))
-            direct = forward_batch(net, pts)
-            affine = pts @ a + c
-            assert np.max(np.abs(direct - affine)) <= 1e-9
+            expected = np.array([network_output(net, row) for row in pts])
+            for computed in (forward_batch(net, pts), pts @ a + c):
+                assert np.max(np.abs(computed - expected)) <= 1e-9
 
     def test_constant_units_feed_offset(self):
         net = EqlNetwork(np.array([[2.0], [9.0]]), (ID, CONST), np.array([3.0, 5.0]), 1.5)

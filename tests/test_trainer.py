@@ -313,7 +313,7 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"epochs": "10"}, {"epochs": 10.5}, {"runs": 2.5}, {"seed": 1.5}, {"alpha1": None}, {"epochs": True}],
+        [{"epochs": "10"}, {"epochs": 10.5}, {"runs": 2.5}, {"seed": 1.5}, {"seed": -1}, {"alpha1": None}, {"epochs": True}],
         ids=repr,
     )
     def test_mistyped_value_rejected_before_training(self, payload, tmp_path, capsys):
