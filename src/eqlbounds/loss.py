@@ -76,17 +76,40 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     """Indices of the top gamma percent largest errors, sorted ascending.
 
     The subset holds ``k = max(1, ceil(gamma * n / 100))`` indices; ties on
-    the error value resolve toward the lower index.
+    the error value resolve toward the lower index, and ``-0.0`` ties with
+    ``0.0``.  Infinities rank as ordinary values; NaN ranks below every
+    number, so a NaN is taken only when fewer than ``k`` errors are
+    numbers.  The result is what a stable sort of the negated errors gives,
+    found in O(n) by selecting the k-th largest error, not by sorting.
     """
     e_arr = np.asarray(e, dtype=float)
+    if e_arr.ndim != 1:
+        raise ValueError(f"errors must be a vector, got shape {e_arr.shape}")
     n = e_arr.size
     if n == 0:
         raise ValueError("p_gamma_subset needs at least one error value")
     if not (0 < gamma <= 100):
         raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
-    order = np.argsort(-e_arr, kind="stable")
-    return np.sort(order[:k])
+    if k == n:
+        return np.arange(n)
+    # Select on the negated errors: partition places NaN last, which is
+    # where the ranking wants it, so t is the k-th largest number, or NaN
+    # when fewer than k errors are numbers.
+    neg = np.negative(e_arr)
+    neg.partition(k - 1)
+    t = -neg[k - 1]
+    if math.isnan(t):
+        nan = np.isnan(e_arr)
+        keep = ~nan
+        keep[np.flatnonzero(nan)[: k - np.count_nonzero(keep)]] = True
+        return np.flatnonzero(keep)
+    idx = np.flatnonzero(e_arr >= t)
+    if idx.size > k:
+        # More errors tie with t than places remain: drop the highest-indexed.
+        ties = np.flatnonzero(e_arr[idx] == t)
+        idx = np.delete(idx, ties[ties.size - (idx.size - k) :])
+    return idx
 
 
 def term_p(y: np.ndarray, preds: np.ndarray, indices: np.ndarray, alpha2: float) -> float:

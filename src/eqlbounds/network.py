@@ -163,6 +163,10 @@ def initialize(
     half that value and emits a warning.  The result depends only on the
     architecture, the dataset extrema, and the seed.
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if dataset.n_points == 0:
         raise EmptyDatasetError("cannot initialize from an empty dataset")
     prims = tuple(primitives)

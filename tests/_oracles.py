@@ -17,15 +17,21 @@ from eqlbounds import Direction, Primitive, RejectionBudgetExceededError
 def brute_force_p_gamma(e, gamma):
     """Full-sort reference for the percentile subset.
 
-    Sort indices so the largest errors come first, with ties resolved
-    toward the lower index, and take the first
-    ``max(1, ceil(gamma * n / 100))`` of them.
+    Sort indices so the largest errors come first, NaN after every number,
+    with ties resolved toward the lower index, and take the first
+    ``max(1, ceil(gamma * n / 100))`` of them.  ``-0.0`` ties with ``0.0``.
     """
     values = [float(v) for v in e]
     n = len(values)
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
-    keyed = sorted(range(n), key=lambda i: (-values[i], i))
-    return sorted(keyed[:k])
+
+    def rank(i):
+        v = values[i]
+        if math.isnan(v):
+            return (1, 0.0, i)
+        return (0, -v, i)
+
+    return sorted(sorted(range(n), key=rank)[:k])
 
 
 def central_difference(fn, x0, step=1e-6):

@@ -1,7 +1,11 @@
 """The three loss terms, the percentile subset, and their composition."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlbounds import (
     Direction,
@@ -90,6 +94,40 @@ class TestPGammaSubset:
             e = np.round(rng.standard_normal(n), 1)
             gamma = gammas[trial % len(gammas)]
             assert list(p_gamma_subset(e, gamma)) == brute_force_p_gamma(e, gamma)
+
+    # A small pool of values makes ties, signed zeros, infinities and NaN
+    # common; arbitrary floats fill the rest.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e=st.lists(
+            st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.5]), st.floats()),
+            min_size=1,
+            max_size=250,
+        ),
+        gamma=st.sampled_from([1.0, 2.5, 5.0, 25.0, 50.0, 100.0]),
+    )
+    def test_matches_oracle_with_ties_signed_zeros_infinities_and_nan(self, e, gamma):
+        assert list(p_gamma_subset(np.array(e), gamma)) == brute_force_p_gamma(e, gamma)
+
+    def test_tie_block_across_threshold_at_large_n(self):
+        rng = np.random.default_rng(21)
+        n, gamma = 200_000, 5.0
+        k = math.ceil(gamma * n / 100.0)
+        e = rng.standard_normal(n)
+        # The 2000 errors ranked around the k-th largest all take its value,
+        # so the subset ends inside a block of ties.
+        order = np.argsort(-e)
+        e[order[k - 1000 : k + 1000]] = e[order[k - 1]]
+        e[order[:5]] = np.inf
+        e[rng.choice(n, 50, replace=False)] = np.nan
+        idx = p_gamma_subset(e, gamma)
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, np.sort(np.argsort(-e, kind="stable")[:k]))
+
+    def test_non_vector_rejected(self):
+        for e in (np.zeros((2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="vector"):
+                p_gamma_subset(e, 50.0)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):

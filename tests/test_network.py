@@ -150,6 +150,13 @@ class TestInitialize:
         with pytest.raises(EmptyDatasetError):
             initialize(Dataset(np.empty((0, 2))), seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")]
+    )
+    def test_bad_seed_rejected_naming_seed(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            initialize(self.square_data(), seed=seed)
+
 
 class TestApplyMask:
     def test_small_weight_frozen(self):
