@@ -345,8 +345,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("epochs", 1), ("runs", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.mask_threshold is not None and not (

@@ -122,8 +122,12 @@ def term_p(y: np.ndarray, preds: np.ndarray, indices: np.ndarray, alpha2: float)
     if y_arr.shape != p_arr.shape or y_arr.ndim != 1 or y_arr.size == 0:
         raise ValueError("y and preds must be equal-length nonempty vectors")
     idx = np.asarray(indices, dtype=np.int64)
-    diff = y_arr[idx] - p_arr[idx]
-    return alpha2 * float(diff @ diff) / y_arr.size
+    return _subset_term(y_arr[idx] - p_arr[idx], alpha2, y_arr.size)
+
+
+def _subset_term(residual: np.ndarray, alpha2: float, n: int) -> float:
+    # Squares only, so the residual's sign does not matter.
+    return alpha2 * float(residual @ residual) / n
 
 
 def term_anchor(e: np.ndarray, alpha3: float) -> float:
@@ -135,7 +139,11 @@ def term_anchor(e: np.ndarray, alpha3: float) -> float:
     e_arr = np.asarray(e, dtype=float)
     if e_arr.size == 0:
         raise ValueError("term_anchor needs at least one error value")
-    return alpha3 * abs(float(e_arr.max()))
+    return _anchor_term(e_arr.max(), alpha3)
+
+
+def _anchor_term(worst_error: float, alpha3: float) -> float:
+    return alpha3 * abs(float(worst_error))
 
 
 def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
@@ -154,22 +162,24 @@ def loss_and_pred_grad(
     lower index wins, which picks one member of the subgradient set.  The
     regularization term does not depend on the predictions.
     """
-    y = np.asarray(y, dtype=float)
-    preds = np.asarray(preds, dtype=float)
     e = directional_errors(y, preds, cfg.direction)
+    n = e.size
     idx = p_gamma_subset(e, cfg.gamma)
+    # On the subset the errors are s * (y - preds), with s = +1 for LOWER and
+    # -1 for UPPER, so they are term_p's residual up to sign; e[worst] is
+    # e.max(), NaN included.
+    e_sub = e[idx]
+    worst = int(e.argmax())
     t_e = term_e(e, cfg.alpha1)
-    t_p = term_p(y, preds, idx, cfg.alpha2)
-    t_a = term_anchor(e, cfg.alpha3)
+    t_p = _subset_term(e_sub, cfg.alpha2, n)
+    t_a = _anchor_term(e[worst], cfg.alpha3)
     t_r = term_reg(net, cfg.l1, cfg.l2)
     breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
 
-    # d(error)/d(pred) is -s with s = +1 for LOWER, -1 for UPPER.
-    n = y.size
+    # d(error)/d(pred) is -s.
     s = 1.0 if cfg.direction is Direction.LOWER else -1.0
     dz_dpred = np.full(n, -cfg.alpha1 * s / n)
-    dz_dpred[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - y[idx])
-    worst = int(np.argmax(e))
+    dz_dpred[idx] -= (2.0 * cfg.alpha2 / n) * s * e_sub
     dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
     return breakdown, dz_dpred
 

@@ -8,6 +8,7 @@ are affine, so the network is one affine map ``f(x) = a.x + c``, and
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -71,7 +72,7 @@ class EqlNetwork:
             raise ValueError(f"w_out must have shape ({h},), got {w_out.shape}")
         if len(prims) != h or not all(isinstance(p, Primitive) for p in prims):
             raise ValueError(f"primitives must be {h} Primitive values")
-        if not (np.all(np.isfinite(w_in)) and np.all(np.isfinite(w_out)) and math.isfinite(self.b_out)):
+        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(self.b_out)):
             raise ValueError("network parameters contain non-finite values")
         mask_in = (
             np.zeros((h, f), dtype=bool) if self.mask_in is None else np.array(self.mask_in, dtype=bool)
@@ -81,7 +82,7 @@ class EqlNetwork:
         )
         if mask_in.shape != (h, f) or mask_out.shape != (h,):
             raise ValueError("mask shapes must match the weight shapes")
-        if np.any(w_in[mask_in] != 0.0) or np.any(w_out[mask_out] != 0.0):
+        if (w_in[mask_in] != 0.0).any() or (w_out[mask_out] != 0.0).any():
             raise ValueError("masked weights must be exactly zero")
         self.w_in = w_in
         self.primitives = prims
@@ -110,8 +111,19 @@ class EqlNetwork:
 
     @property
     def is_identity(self) -> np.ndarray:
-        """Boolean per unit: True for identity units, False for constants."""
-        return np.array([p is Primitive.IDENTITY for p in self.primitives])
+        """Boolean per unit: True for identity units, False for constants.
+
+        The array is read-only and shared by every network with the same
+        primitives.
+        """
+        return _identity_flags(tuple(self.primitives))
+
+
+@functools.lru_cache(maxsize=64)
+def _identity_flags(primitives: tuple[Primitive, ...]) -> np.ndarray:
+    flags = np.array([p is Primitive.IDENTITY for p in primitives])
+    flags.setflags(write=False)
+    return flags
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
@@ -125,17 +137,24 @@ def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
 def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule through :func:`collapse_affine`: (dL/da, dL/dc) to (dL/dw_in, dL/dw_out); dL/db_out is dL/dc."""
     is_identity = net.is_identity
-    d_w_in = np.outer(net.w_out * is_identity, d_coeffs)
+    d_w_in = (net.w_out * is_identity)[:, None] * d_coeffs
     d_w_out = np.where(is_identity, net.w_in @ d_coeffs, d_offset)
     return d_w_in, d_w_out
 
 
-def forward_batch(net: EqlNetwork, points: np.ndarray) -> np.ndarray:
-    """Evaluate the network on every row of ``points`` (shape N x F)."""
-    pts = np.asarray(points, dtype=float)
+def forward_batch(net: EqlNetwork, points: np.ndarray | Dataset) -> np.ndarray:
+    """Evaluate the network on every row of ``points`` (shape N x F).
+
+    ``points`` may also be a :class:`Dataset`, whose points are evaluated.
+    A dataset is checked finite and made read-only when it is built, so its
+    points skip the N x F finiteness scan that an array argument gets; a
+    training loop passes the same dataset every epoch.
+    """
+    known_finite = isinstance(points, Dataset)
+    pts = points.points if known_finite else np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != net.n_features:
         raise ValueError(f"points must have shape (N, {net.n_features}), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not known_finite and not np.isfinite(pts).all():
         raise ValueError("points contain non-finite values")
     coeffs, offset = collapse_affine(net)
     return pts @ coeffs + offset
@@ -205,9 +224,7 @@ def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
 
     def freeze(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         new_mask = mask | (np.abs(weights) < threshold) | (weights == 0.0)
-        frozen = weights.copy()
-        frozen[new_mask] = 0.0
-        return frozen, new_mask
+        return np.where(new_mask, 0.0, weights), new_mask
 
     w_in, mask_in = freeze(net.w_in, net.mask_in)
     w_out, mask_out = freeze(net.w_out, net.mask_out)

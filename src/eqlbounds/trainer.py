@@ -68,7 +68,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
     # Overflow on a diverging run shows up as inf/nan and is reported through
     # the explicit finiteness checks below, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = forward_batch(net, points)
+        preds = forward_batch(net, dataset)
         breakdown, dz_dpred = loss_and_pred_grad(dataset.targets, preds, net, cfg)
 
         # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
@@ -84,7 +84,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
     # while the loss still looked healthy.
     if math.isfinite(breakdown.z):
         for name, grad in (("d_w_in", d_w_in), ("d_w_out", d_w_out)):
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise NonFiniteGradientError(f"{name} contains non-finite values")
         if not math.isfinite(d_b_out):
             raise NonFiniteGradientError("d_b_out is non-finite")

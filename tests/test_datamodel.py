@@ -264,6 +264,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"epochs": 2.5}, {"epochs": True}, {"runs": 1.5}, {"runs": True}, {"seed": 1.5}, {"seed": False}],
+    )
+    def test_rejects_non_integer_count_naming_it(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainConfig(**kwargs)
+
 
 class TestTrainReport:
     def record(self, z=1.0):

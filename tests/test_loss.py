@@ -13,6 +13,7 @@ from eqlbounds import (
     LossConfig,
     Primitive,
     directional_errors,
+    loss_and_pred_grad,
     loss_total,
     p_gamma_subset,
     term_anchor,
@@ -236,6 +237,39 @@ class TestLossTotal:
         # smallest prediction.
         cfg = LossConfig(gamma=25.0)
         assert list(loss_total(y, preds, reg_net([1.0]), cfg).p_gamma_indices) == [1]
+
+    def test_breakdown_equals_public_terms_exactly_with_ties(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            cfg = LossConfig(
+                alpha1=float(rng.choice([0.0, 0.5, 1.0])),
+                alpha2=float(rng.uniform(0, 2)),
+                alpha3=float(rng.uniform(0.01, 2)),
+                gamma=float(rng.choice([1.0, 5.0, 25.0, 50.0, 100.0])),
+                direction=Direction.LOWER if rng.random() < 0.5 else Direction.UPPER,
+                l1=float(rng.uniform(0, 0.2)),
+                l2=float(rng.uniform(0, 0.2)),
+            )
+            # Values on a coarse grid, so errors tie often.
+            y = rng.integers(-3, 4, n) * 0.5
+            preds = rng.integers(-3, 4, n) * 0.25
+            net = reg_net(rng.standard_normal(3))
+            b, dz = loss_and_pred_grad(y, preds, net, cfg)
+            e = directional_errors(y, preds, cfg.direction)
+            idx = p_gamma_subset(e, cfg.gamma)
+            assert np.array_equal(b.p_gamma_indices, idx)
+            assert b.term_e == term_e(e, cfg.alpha1)
+            assert b.term_p == term_p(y, preds, idx, cfg.alpha2)
+            assert b.term_anchor == term_anchor(e, cfg.alpha3)
+            assert b.term_reg == term_reg(net, cfg.l1, cfg.l2)
+            # dz/dpred term by term, with the residual taken as preds - y.
+            s = 1.0 if cfg.direction is Direction.LOWER else -1.0
+            expected = np.full(n, -cfg.alpha1 * s / n)
+            expected[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - y[idx])
+            worst = int(np.argmax(e))
+            expected[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+            assert np.array_equal(dz, expected)
 
     def test_breakdown_indices_frozen(self):
         cfg = LossConfig()

@@ -82,11 +82,25 @@ class TestForward:
             forward(net, np.array([1.0]))
         with pytest.raises(ValueError):
             forward_batch(net, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="points must have shape"):
+            forward_batch(net, Dataset(np.ones((2, 3))))
 
     def test_rejects_non_finite_input(self):
         net = make_net([[1.0]], (ID,), [1.0], 0.0)
-        with pytest.raises(ValueError):
-            forward_batch(net, np.array([[np.nan]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                forward_batch(net, np.array([[bad]]))
+            with pytest.raises(ValueError, match="non-finite"):
+                forward_batch(net, np.array([[0.5], [bad]]))
+
+    def test_dataset_argument_matches_its_points_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            h, f, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 300))
+            prims = tuple(ID if rng.random() < 0.5 else CONST for _ in range(h))
+            net = make_net(rng.standard_normal((h, f)), prims, rng.standard_normal(h), float(rng.standard_normal()))
+            data = Dataset(rng.uniform(-50.0, 50.0, size=(n, f)))
+            assert forward_batch(net, data).tobytes() == forward_batch(net, data.points).tobytes()
 
 
 class TestInitialize:
@@ -221,6 +235,14 @@ class TestNetworkValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             make_net([[np.inf]], (ID,), [1.0], 0.0)
+
+    def test_is_identity_is_read_only_and_shared_safely(self):
+        net = make_net(np.ones((3, 2)), (ID, CONST, ID), [1.0, 2.0, 3.0], 0.0)
+        other = make_net(np.ones((3, 2)), (ID, CONST, ID), [1.0, 2.0, 3.0], 0.0)
+        with pytest.raises(ValueError):
+            net.is_identity[1] = True
+        assert list(other.is_identity) == [True, False, True]
+        assert forward(other, np.array([1.0, 1.0])) == 10.0
 
     def test_copy_is_independent(self):
         net = make_net([[1.0]], (ID,), [1.0], 0.0)
