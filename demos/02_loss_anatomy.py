@@ -22,7 +22,7 @@ from eqlbounds import (
     directional_errors,
     forward_batch,
     gradients,
-    loss_total,
+    loss_and_pred_grad,
     p_gamma_subset,
 )
 
@@ -53,12 +53,12 @@ subset = p_gamma_subset(errors, cfg.gamma)
 print("worst 50% subset:", subset.tolist())
 
 # The three terms, written out exactly as the implementation computes
-# them, then compared with loss_total's breakdown.
+# them, then compared with the breakdown from loss_and_pred_grad.
 n = data.n_points
 mean_term = cfg.alpha1 * float(np.sum(errors)) / n
 percent_term = cfg.alpha2 * float(np.sum((data.targets[subset] - preds[subset]) ** 2)) / n
 anchor_term = cfg.alpha3 * abs(float(np.max(errors)))
-breakdown = loss_total(data.targets, preds, net, cfg)
+breakdown = loss_and_pred_grad(data.targets, preds, net, cfg)[0]
 print(f"\nmean error term  {mean_term:+.6f}   (breakdown {breakdown.term_e:+.6f})")
 print(f"percentile term  {percent_term:+.6f}   (breakdown {breakdown.term_p:+.6f})")
 print(f"anchor term      {anchor_term:+.6f}   (breakdown {breakdown.term_anchor:+.6f})")
@@ -75,7 +75,7 @@ step = 1e-6
 def loss_at(w_out_0):
     shifted = EqlNetwork(net.w_in, net.primitives,
                          np.array([w_out_0, net.w_out[1]]), net.b_out)
-    return loss_total(data.targets, forward_batch(shifted, data.points), shifted, cfg).z
+    return loss_and_pred_grad(data.targets, forward_batch(shifted, data.points), shifted, cfg)[0].z
 
 
 fd = (loss_at(net.w_out[0] + step) - loss_at(net.w_out[0] - step)) / (2 * step)

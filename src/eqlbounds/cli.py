@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .datamodel import (
     Dataset,
     Direction,
     LinearConstraint,
+    LossConfig,
+    TrainConfig,
     _display_number,
     constraint_text,
     constraint_to_dict,
@@ -66,12 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True, metavar="CSV")
     train.add_argument("--config", metavar="JSON", help="config file; flags override it")
     train.add_argument("--out-dir", required=True, metavar="DIR")
-    for name, (_, kind) in CONFIG_KEYS.items():
-        flag = "--" + name.replace("_", "-")
-        if kind == "direction":
+    for field in (*fields(LossConfig), *fields(TrainConfig)):
+        flag = "--" + field.name.replace("_", "-")
+        if field.name == "direction":
             train.add_argument(flag, choices=[d.value for d in Direction])
         else:
-            train.add_argument(flag, type=int if kind == "int" else float)
+            train.add_argument(flag, type=type(field.default))
     train.add_argument(
         "--no-mask", action="store_true", help="disable magnitude masking during training"
     )

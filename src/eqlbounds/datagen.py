@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, read_json_object
+from .datamodel import Dataset, Direction, _check_integer, read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -130,10 +130,8 @@ def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
     order drawn; raises :class:`RejectionBudgetExceededError` after
     ``10000 * n`` consecutive rejections.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_integer("n", n, 0)
+    _check_integer("seed", seed, 0)
     f = spec.n_features
     if n == 0:
         return Dataset(np.empty((0, f)))

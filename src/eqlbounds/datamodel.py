@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -88,10 +89,12 @@ class Dataset:
         names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
         if len(names) != f:
             raise DatasetError(f"expected {f} feature names, got {len(names)}")
+        # Read-only views of read-only arrays: a view cannot be made
+        # writable again, so the finiteness checked here holds for good.
         pts.setflags(write=False)
         tgt.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "targets", tgt)
+        object.__setattr__(self, "points", pts.view())
+        object.__setattr__(self, "targets", tgt.view())
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -302,6 +305,20 @@ def load_constraint(path: str | Path) -> LinearConstraint:
     return constraint_from_dict(read_json_object(target, "constraint"))
 
 
+def _check_number(name: str, value) -> None:
+    """Reject a ``bool`` or a non-number, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Reject a ``bool``, a non-integer or a value below ``least``, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Weights and knobs for the three-term boundary loss.
@@ -321,6 +338,8 @@ class LossConfig:
     l2: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("alpha1", "alpha2", "alpha3", "gamma", "l1", "l2"):
+            _check_number(name, getattr(self, name))
         for name in ("alpha1", "alpha2", "alpha3", "l1", "l2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -345,17 +364,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("epochs", 1), ("runs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _check_integer(name, getattr(self, name), least)
+        _check_number("learning_rate", self.learning_rate)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.mask_threshold is not None and not (
-            math.isfinite(self.mask_threshold) and self.mask_threshold >= 0
-        ):
-            raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
+        if self.mask_threshold is not None:
+            _check_number("mask_threshold", self.mask_threshold)
+            if not (math.isfinite(self.mask_threshold) and self.mask_threshold >= 0):
+                raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ Three data terms plus regularization:
                   surface away from the data on the bounded side,
 * ``term_p``      quadratic penalty on the percentile subset of points whose
                   errors are largest, i.e. the points nearest the sought
-                  boundary; pulls the surface onto them,
-* ``term_anchor`` absolute value of the single worst error, which stops the
-                  surface from drifting off without limit,
+                  boundary; pulls the surface onto them.  The summed squares
+                  are divided by the full dataset size, not the subset size,
+* ``term_anchor`` absolute value of the single worst error (maximum first,
+                  absolute value second), which stops the surface from
+                  drifting off without limit,
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
 The total ``z`` is the plain sum of the four terms.  :func:`loss_and_pred_grad`
@@ -112,40 +114,6 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     return idx
 
 
-def term_p(y: np.ndarray, preds: np.ndarray, indices: np.ndarray, alpha2: float) -> float:
-    """(alpha2 / n) times the summed squared residual over the subset.
-
-    The divisor is the full dataset size, not the subset size.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    p_arr = np.asarray(preds, dtype=float)
-    if y_arr.shape != p_arr.shape or y_arr.ndim != 1 or y_arr.size == 0:
-        raise ValueError("y and preds must be equal-length nonempty vectors")
-    idx = np.asarray(indices, dtype=np.int64)
-    return _subset_term(y_arr[idx] - p_arr[idx], alpha2, y_arr.size)
-
-
-def _subset_term(residual: np.ndarray, alpha2: float, n: int) -> float:
-    # Squares only, so the residual's sign does not matter.
-    return alpha2 * float(residual @ residual) / n
-
-
-def term_anchor(e: np.ndarray, alpha3: float) -> float:
-    """alpha3 times the absolute value of the maximum error.
-
-    Maximum first, absolute value second: for all-negative errors this is
-    the magnitude of the error closest to zero.
-    """
-    e_arr = np.asarray(e, dtype=float)
-    if e_arr.size == 0:
-        raise ValueError("term_anchor needs at least one error value")
-    return _anchor_term(e_arr.max(), alpha3)
-
-
-def _anchor_term(worst_error: float, alpha3: float) -> float:
-    return alpha3 * abs(float(worst_error))
-
-
 def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
     """l1/l2 penalty over the output-layer weights only."""
     w = net.w_out
@@ -165,14 +133,14 @@ def loss_and_pred_grad(
     e = directional_errors(y, preds, cfg.direction)
     n = e.size
     idx = p_gamma_subset(e, cfg.gamma)
-    # On the subset the errors are s * (y - preds), with s = +1 for LOWER and
-    # -1 for UPPER, so they are term_p's residual up to sign; e[worst] is
-    # e.max(), NaN included.
+    # The errors are s * (y - preds), with s = +1 for LOWER and -1 for UPPER;
+    # term_p squares them, so the sign does not matter.  e[worst] is e.max(),
+    # NaN included.
     e_sub = e[idx]
     worst = int(e.argmax())
     t_e = term_e(e, cfg.alpha1)
-    t_p = _subset_term(e_sub, cfg.alpha2, n)
-    t_a = _anchor_term(e[worst], cfg.alpha3)
+    t_p = cfg.alpha2 * float(e_sub @ e_sub) / n
+    t_a = cfg.alpha3 * abs(float(e[worst]))
     t_r = term_reg(net, cfg.l1, cfg.l2)
     breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
 
@@ -183,7 +151,3 @@ def loss_and_pred_grad(
     dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
     return breakdown, dz_dpred
 
-
-def loss_total(y: np.ndarray, preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> LossBreakdown:
-    """Compose the full loss for one batch of predictions."""
-    return loss_and_pred_grad(y, preds, net, cfg)[0]

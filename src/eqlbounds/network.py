@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EmptyDatasetError, read_json_object
+from .datamodel import Dataset, EmptyDatasetError, _check_integer, read_json_object
 
 
 class Primitive(Enum):
@@ -99,16 +99,6 @@ class EqlNetwork:
     def n_features(self) -> int:
         return self.w_in.shape[1]
 
-    def copy(self) -> "EqlNetwork":
-        return EqlNetwork(
-            self.w_in.copy(),
-            self.primitives,
-            self.w_out.copy(),
-            self.b_out,
-            self.mask_in.copy(),
-            self.mask_out.copy(),
-        )
-
     @property
     def is_identity(self) -> np.ndarray:
         """Boolean per unit: True for identity units, False for constants.
@@ -127,7 +117,7 @@ def _identity_flags(primitives: tuple[Primitive, ...]) -> np.ndarray:
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
-    """Return (a, c) with ``forward(net, x) == a.x + c``; constant units fold into ``c``."""
+    """Return (a, c) with ``forward_batch(net, points) == points @ a + c``; constant units fold into ``c``."""
     is_identity = net.is_identity
     coeffs = (net.w_out * is_identity) @ net.w_in
     offset = net.b_out + float(net.w_out[~is_identity].sum())
@@ -160,14 +150,6 @@ def forward_batch(net: EqlNetwork, points: np.ndarray | Dataset) -> np.ndarray:
     return pts @ coeffs + offset
 
 
-def forward(net: EqlNetwork, x: np.ndarray) -> float:
-    """Evaluate the network on a single feature vector."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (net.n_features,):
-        raise ValueError(f"x must have shape ({net.n_features},), got {vec.shape}")
-    return float(forward_batch(net, vec[None, :])[0])
-
-
 def initialize(
     dataset: Dataset,
     primitives: Sequence[Primitive] = DEFAULT_PRIMITIVES,
@@ -182,10 +164,7 @@ def initialize(
     half that value and emits a warning.  The result depends only on the
     architecture, the dataset extrema, and the seed.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     if dataset.n_points == 0:
         raise EmptyDatasetError("cannot initialize from an empty dataset")
     prims = tuple(primitives)

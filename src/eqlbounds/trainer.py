@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -163,54 +163,29 @@ def export_history_csv(report: TrainReport, path: str | Path) -> None:
             )
 
 
-# Every config key, in ``train`` flag order: the config object it belongs
-# to and the kind of value it takes.  "real" accepts any int or float,
-# "int" only integers; bool counts as neither.
-CONFIG_KEYS: dict[str, tuple[type, str]] = {
-    "alpha1": (LossConfig, "real"),
-    "alpha2": (LossConfig, "real"),
-    "alpha3": (LossConfig, "real"),
-    "gamma": (LossConfig, "real"),
-    "l1": (LossConfig, "real"),
-    "l2": (LossConfig, "real"),
-    "direction": (LossConfig, "direction"),
-    "epochs": (TrainConfig, "int"),
-    "learning_rate": (TrainConfig, "real"),
-    "mask_threshold": (TrainConfig, "real or null"),
-    "seed": (TrainConfig, "int"),
-    "runs": (TrainConfig, "int"),
-}
-
-
-def _config_value(key: str, value):
-    kind = CONFIG_KEYS[key][1]
-    if kind == "direction":
-        try:
-            return Direction(value)
-        except ValueError:
-            raise ValueError(f"config key {key!r} must be 'lower' or 'upper', got {value!r}") from None
-    if kind == "real or null" and value is None:
-        return value
-    allowed = int if kind == "int" else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        expected = {"int": "an integer", "real": "a number"}.get(kind, "a number or null")
-        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-    return value
+# Every config key, in ``train`` flag order, and the config object it belongs to.
+CONFIG_KEYS: dict[str, type] = {f.name: cls for cls in (LossConfig, TrainConfig) for f in fields(cls)}
 
 
 def configs_from_mapping(payload: dict) -> tuple[LossConfig, TrainConfig]:
     """Split one flat mapping into the two config objects.
 
-    Keys absent from the mapping keep their defaults; unknown keys and
-    values of the wrong type are an error, so that typos do not silently
-    fall back to defaults or fail later in training.
+    Keys absent from the mapping keep their defaults; unknown keys are an
+    error, so that typos do not silently fall back to defaults.  The
+    direction is read from its string value; the config objects check
+    every other value themselves.
     """
     unknown = set(payload) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict[type, dict] = {LossConfig: {}, TrainConfig: {}}
     for key, value in payload.items():
-        kwargs[CONFIG_KEYS[key][0]][key] = _config_value(key, value)
+        if key == "direction":
+            try:
+                value = Direction(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r} must be 'lower' or 'upper', got {value!r}") from None
+        kwargs[CONFIG_KEYS[key]][key] = value
     return LossConfig(**kwargs[LossConfig]), TrainConfig(**kwargs[TrainConfig])
 
 

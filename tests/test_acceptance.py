@@ -31,7 +31,7 @@ from eqlbounds import (
     forward_batch,
     gradients,
     initialize,
-    loss_total,
+    loss_and_pred_grad,
     p_gamma_subset,
     paper_dataset,
     train,
@@ -67,7 +67,7 @@ def _criterion(capsys, number, label, body):
 
 def loss_value(net, dataset, cfg):
     preds = forward_batch(net, dataset.points)
-    return loss_total(dataset.targets, preds, net, cfg).z
+    return loss_and_pred_grad(dataset.targets, preds, net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, exit codes, and file artifacts."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import re
 
+from eqlbounds import LossConfig, TrainConfig, cli
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
 from eqlbounds import load_checkpoint, load_configs, load_constraint, load_region_spec
@@ -212,6 +215,36 @@ class TestTrain:
         args = self.train_args(square_low_csv, tmp_path / "r", seed=24, mask_threshold=10.0)
         assert main(args) == 3
         assert "zero" in capsys.readouterr().err
+
+    def test_flags_are_the_config_fields_plus_no_mask(self):
+        (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {opt for action in subcommands.choices["train"]._actions for opt in action.option_strings}
+        config_fields = [*dataclasses.fields(LossConfig), *dataclasses.fields(TrainConfig)]
+        expected = {"--" + f.name.replace("_", "-") for f in config_fields} | {"--no-mask"}
+        assert flags - {"-h", "--help", "--data", "--config", "--out-dir"} == expected
+
+    def test_each_flag_reaches_its_config(self, square_low_csv, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_train_multi(dataset, loss_cfg, train_cfg):
+            seen.append((loss_cfg, train_cfg))
+            return []
+
+        def flags(values):
+            return [arg for key, value in values.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+
+        monkeypatch.setattr(cli, "train_multi", fake_train_multi)
+        loss_values = {"alpha1": 0.25, "alpha2": 0.75, "alpha3": 0.125, "gamma": 2.5, "l1": 0.01, "l2": 0.02}
+        train_values = {"epochs": 7, "learning_rate": 0.003, "mask_threshold": 0.004, "seed": 9, "runs": 3}
+        unmasked = {key: value for key, value in train_values.items() if key != "mask_threshold"}
+        base = ["train", "--data", str(square_low_csv), "--out-dir", str(tmp_path / "r"), "--direction", "upper"]
+        assert main(base + flags({**loss_values, **train_values})) == 0
+        assert main(base + flags({**loss_values, **unmasked}) + ["--no-mask"]) == 0
+        loss_cfg = LossConfig(**loss_values, direction=Direction.UPPER)
+        assert seen == [
+            (loss_cfg, TrainConfig(**train_values)),
+            (loss_cfg, TrainConfig(**unmasked, mask_threshold=None)),
+        ]
 
 
 class TestEval:

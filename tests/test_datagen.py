@@ -43,6 +43,19 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(square_spec(), -1)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (2.5, 0, "n must be an integer, got 2.5"),
+            (True, 0, "n must be an integer, got True"),
+            (10, 1.5, "seed must be an integer, got 1.5"),
+            (10, True, "seed must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_count_or_seed_rejected_naming_it(self, n, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(square_spec(), n, seed)
+
     def test_square_membership(self):
         ds = generate(square_spec(), 600, seed=3)
         pts = ds.points

@@ -115,6 +115,11 @@ class TestDatasetValidation:
         ds = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            ds.targets[0] = 9.0
+        for arr in (ds.points, ds.targets):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.points = np.zeros((2, 2))
 
@@ -234,6 +239,16 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{name: bad} for name in ("alpha1", "alpha2", "alpha3", "gamma", "l1", "l2") for bad in (True, "5")],
+        ids=repr,
+    )
+    def test_rejects_non_number_naming_it(self, kwargs):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+            LossConfig(**kwargs)
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             LossConfig().gamma = 1.0
@@ -271,6 +286,16 @@ class TestTrainConfig:
     def test_rejects_non_integer_count_naming_it(self, kwargs):
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{name: bad} for name in ("learning_rate", "mask_threshold") for bad in (True, "5")],
+        ids=repr,
+    )
+    def test_rejects_non_number_naming_it(self, kwargs):
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
             TrainConfig(**kwargs)
 
 

@@ -14,11 +14,8 @@ from eqlbounds import (
     Primitive,
     directional_errors,
     loss_and_pred_grad,
-    loss_total,
     p_gamma_subset,
-    term_anchor,
     term_e,
-    term_p,
     term_reg,
 )
 
@@ -137,29 +134,45 @@ class TestPGammaSubset:
             p_gamma_subset(np.array([1.0]), 101.0)
 
 
-class TestTermP:
-    def test_subset_squared_over_full_count(self):
-        value = term_p(np.array([0.0, 0.0]), np.array([3.0, 100.0]), np.array([0]), 1.0)
-        assert value == 4.5
+def isolated_breakdown(y, preds, **cfg):
+    """The loss breakdown with the output weight 1.0 and no regularization."""
+    cfg = LossConfig(**{"l1": 0.0, "l2": 0.0, **cfg})
+    return loss_and_pred_grad(np.asarray(y, dtype=float), np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
 
-    def test_empty_subset_contributes_nothing(self):
-        value = term_p(np.array([1.0, 2.0]), np.array([9.0, 9.0]), np.array([], dtype=int), 1.0)
-        assert value == 0.0
+
+class TestTermP:
+    # alpha1 = alpha3 = 0 leaves term_p alone in z.
+    def test_subset_squared_over_full_count(self):
+        # LOWER errors are [-3, -100]; the top 50% is index 0.
+        b = isolated_breakdown([0.0, 0.0], [3.0, 100.0], alpha1=0.0, alpha2=1.0, alpha3=0.0, gamma=50.0)
+        assert list(b.p_gamma_indices) == [0]
+        assert b.term_p == 4.5
+        assert b.z == 4.5
 
     def test_exact_fit_on_subset(self):
-        value = term_p(np.array([1.0, 2.0]), np.array([1.0, 5.0]), np.array([0]), 3.0)
-        assert value == 0.0
+        # LOWER errors are [0, -3]; the top 50% is index 0, fitted exactly.
+        b = isolated_breakdown([1.0, 2.0], [1.0, 5.0], alpha1=0.0, alpha2=3.0, alpha3=0.0, gamma=50.0)
+        assert list(b.p_gamma_indices) == [0]
+        assert b.term_p == 0.0
+        assert b.z == 0.0
 
 
 class TestTermAnchor:
+    # alpha1 = alpha2 = 0 leaves term_anchor alone in z; LOWER errors are -preds.
     def test_maximum_then_absolute_value(self):
-        assert term_anchor(np.array([-10.0, -2.0]), 0.5) == 1.0
+        b = isolated_breakdown([0.0, 0.0], [10.0, 2.0], alpha1=0.0, alpha2=0.0, alpha3=0.5)
+        assert b.term_anchor == 1.0
+        assert b.z == 1.0
 
     def test_positive_maximum(self):
-        assert term_anchor(np.array([3.0, -7.0]), 1.0) == 3.0
+        b = isolated_breakdown([0.0, 0.0], [-3.0, 7.0], alpha1=0.0, alpha2=0.0, alpha3=1.0)
+        assert b.term_anchor == 3.0
+        assert b.z == 3.0
 
     def test_zero_error(self):
-        assert term_anchor(np.array([0.0]), 5.0) == 0.0
+        b = isolated_breakdown([0.0], [0.0], alpha1=0.0, alpha2=0.0, alpha3=5.0)
+        assert b.term_anchor == 0.0
+        assert b.z == 0.0
 
 
 class TestTermReg:
@@ -180,7 +193,7 @@ class TestTermReg:
 class TestLossTotal:
     def test_single_point_hand_value(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.5, alpha3=0.5, gamma=100.0, l1=0.0, l2=0.0)
-        breakdown = loss_total(np.array([0.0]), np.array([2.0]), reg_net([1.0]), cfg)
+        breakdown = loss_and_pred_grad(np.array([0.0]), np.array([2.0]), reg_net([1.0]), cfg)[0]
         assert breakdown.term_e == -2.0
         assert breakdown.term_p == 2.0
         assert breakdown.term_anchor == 1.0
@@ -191,14 +204,14 @@ class TestLossTotal:
     def test_perfect_fit_leaves_only_regularization(self):
         cfg = LossConfig()
         y = np.array([0.0, 0.0, 0.0])
-        breakdown = loss_total(y, y, reg_net([1.0, -2.0]), cfg)
+        breakdown = loss_and_pred_grad(y, y, reg_net([1.0, -2.0]), cfg)[0]
         assert breakdown.z == breakdown.term_reg
         assert breakdown.term_reg == pytest.approx(0.40, abs=1e-15)
 
     def test_reduces_to_mean_error(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.0, alpha3=0.0, l1=0.0, l2=0.0)
         preds = np.array([1.0, 2.0, 6.0])
-        breakdown = loss_total(np.zeros(3), preds, reg_net([1.0]), cfg)
+        breakdown = loss_and_pred_grad(np.zeros(3), preds, reg_net([1.0]), cfg)[0]
         assert breakdown.z == -3.0
 
     def test_z_is_sum_of_terms(self):
@@ -215,7 +228,7 @@ class TestLossTotal:
                 l2=float(rng.uniform(0, 0.2)),
             )
             y, preds = rng.standard_normal(n), rng.standard_normal(n)
-            b = loss_total(y, preds, reg_net(rng.standard_normal(3)), cfg)
+            b = loss_and_pred_grad(y, preds, reg_net(rng.standard_normal(3)), cfg)[0]
             assert abs(b.z - (b.term_e + b.term_p + b.term_anchor + b.term_reg)) <= 1e-12
 
     def test_data_terms_permutation_invariant(self):
@@ -224,8 +237,8 @@ class TestLossTotal:
         y, preds = rng.standard_normal(25), rng.standard_normal(25)
         perm = rng.permutation(25)
         net = reg_net([0.5, -0.5])
-        a = loss_total(y, preds, net, cfg)
-        b = loss_total(y[perm], preds[perm], net, cfg)
+        a = loss_and_pred_grad(y, preds, net, cfg)[0]
+        b = loss_and_pred_grad(y[perm], preds[perm], net, cfg)[0]
         assert a.term_e == pytest.approx(b.term_e, rel=1e-12)
         assert a.term_p == pytest.approx(b.term_p, rel=1e-12)
         assert a.term_anchor == b.term_anchor
@@ -236,7 +249,7 @@ class TestLossTotal:
         # LOWER errors are -preds, so the largest error belongs to the
         # smallest prediction.
         cfg = LossConfig(gamma=25.0)
-        assert list(loss_total(y, preds, reg_net([1.0]), cfg).p_gamma_indices) == [1]
+        assert list(loss_and_pred_grad(y, preds, reg_net([1.0]), cfg)[0].p_gamma_indices) == [1]
 
     def test_breakdown_equals_public_terms_exactly_with_ties(self):
         rng = np.random.default_rng(31)
@@ -260,8 +273,10 @@ class TestLossTotal:
             idx = p_gamma_subset(e, cfg.gamma)
             assert np.array_equal(b.p_gamma_indices, idx)
             assert b.term_e == term_e(e, cfg.alpha1)
-            assert b.term_p == term_p(y, preds, idx, cfg.alpha2)
-            assert b.term_anchor == term_anchor(e, cfg.alpha3)
+            # term_p divides by the full n; term_anchor takes the maximum first.
+            residual = y[idx] - preds[idx]
+            assert b.term_p == cfg.alpha2 * float(residual @ residual) / n
+            assert b.term_anchor == cfg.alpha3 * abs(float(e.max()))
             assert b.term_reg == term_reg(net, cfg.l1, cfg.l2)
             # dz/dpred term by term, with the residual taken as preds - y.
             s = 1.0 if cfg.direction is Direction.LOWER else -1.0
@@ -273,6 +288,6 @@ class TestLossTotal:
 
     def test_breakdown_indices_frozen(self):
         cfg = LossConfig()
-        b = loss_total(np.zeros(2), np.ones(2), reg_net([1.0]), cfg)
+        b = loss_and_pred_grad(np.zeros(2), np.ones(2), reg_net([1.0]), cfg)[0]
         with pytest.raises(ValueError):
             b.p_gamma_indices[0] = 5

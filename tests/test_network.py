@@ -12,7 +12,6 @@ from eqlbounds import (
     EqlNetwork,
     Primitive,
     apply_mask,
-    forward,
     forward_batch,
     initialize,
     load_checkpoint,
@@ -30,27 +29,27 @@ def make_net(w_in, primitives, w_out, b_out, **kwargs):
 class TestForward:
     def test_zero_weights_return_bias(self):
         net = make_net([[0.0, 0.0]], (ID,), [0.0], 3.5)
-        assert forward(net, np.array([17.0, -4.0])) == 3.5
-        assert forward(net, np.zeros(2)) == 3.5
+        assert forward_batch(net, np.array([[17.0, -4.0]]))[0] == 3.5
+        assert forward_batch(net, np.zeros((1, 2)))[0] == 3.5
 
     def test_single_identity_path(self):
         net = make_net([[2.0, 0.0]], (ID,), [1.0], 0.0)
-        assert forward(net, np.array([1.5, 9.0])) == 3.0
+        assert forward_batch(net, np.array([[1.5, 9.0]]))[0] == 3.0
 
     def test_identity_plus_constant(self):
         net = make_net([[1.0, 1.0], [0.0, 0.0]], (ID, CONST), [2.0, 5.0], 1.0)
-        assert forward(net, np.array([1.0, 2.0])) == 12.0
+        assert forward_batch(net, np.array([[1.0, 2.0]]))[0] == 12.0
 
     def test_constant_unit_ignores_its_weights(self):
         net = make_net([[100.0, -100.0]], (CONST,), [2.0], 1.0)
-        assert forward(net, np.array([3.0, 4.0])) == 3.0
+        assert forward_batch(net, np.array([[3.0, 4.0]]))[0] == 3.0
 
     def test_batch_matches_single(self):
         net = make_net([[2.0, 0.0]], (ID,), [1.0], 0.0)
         rows = np.array([[1.5, 9.0], [-2.0, 1.0]])
         out = forward_batch(net, rows)
         assert out[0] == 3.0
-        assert out[1] == forward(net, rows[1])
+        assert out[1] == forward_batch(net, rows[1][None, :])[0]
 
     def test_empty_batch(self):
         net = make_net([[1.0]], (ID,), [1.0], 0.0)
@@ -72,14 +71,14 @@ class TestForward:
             net = make_net(rng.standard_normal((h, f)), prims, rng.standard_normal(h), float(rng.standard_normal()))
             x1, x2 = rng.standard_normal(f), rng.standard_normal(f)
             a = float(rng.uniform(-1, 2))
-            mixed = forward(net, a * x1 + (1 - a) * x2)
-            combined = a * forward(net, x1) + (1 - a) * forward(net, x2)
+            mixed = forward_batch(net, (a * x1 + (1 - a) * x2)[None, :])[0]
+            combined = a * forward_batch(net, x1[None, :])[0] + (1 - a) * forward_batch(net, x2[None, :])[0]
             assert abs(mixed - combined) <= 1e-9
 
     def test_rejects_wrong_shape(self):
         net = make_net([[1.0, 2.0]], (ID,), [1.0], 0.0)
         with pytest.raises(ValueError):
-            forward(net, np.array([1.0]))
+            forward_batch(net, np.array([[1.0]]))
         with pytest.raises(ValueError):
             forward_batch(net, np.ones((2, 3)))
         with pytest.raises(ValueError, match="points must have shape"):
@@ -165,7 +164,12 @@ class TestInitialize:
             initialize(Dataset(np.empty((0, 2))), seed=0)
 
     @pytest.mark.parametrize(
-        "seed, message", [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")]
+        "seed, message",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (True, "seed must be an integer, got True"),
+        ],
     )
     def test_bad_seed_rejected_naming_seed(self, seed, message):
         with pytest.raises(ValueError, match=message):
@@ -242,13 +246,7 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             net.is_identity[1] = True
         assert list(other.is_identity) == [True, False, True]
-        assert forward(other, np.array([1.0, 1.0])) == 10.0
-
-    def test_copy_is_independent(self):
-        net = make_net([[1.0]], (ID,), [1.0], 0.0)
-        dup = net.copy()
-        dup.w_in[0, 0] = 9.0
-        assert net.w_in[0, 0] == 1.0
+        assert forward_batch(other, np.array([[1.0, 1.0]]))[0] == 10.0
 
 
 class TestCheckpoint:

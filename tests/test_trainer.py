@@ -21,7 +21,7 @@ from eqlbounds import (
     gradients,
     initialize,
     load_configs,
-    loss_total,
+    loss_and_pred_grad,
     paper_dataset,
     save_dataset,
     train,
@@ -37,7 +37,7 @@ CONST = Primitive.CONSTANT
 
 def loss_value(net, dataset, cfg):
     preds = forward_batch(net, dataset.points)
-    return loss_total(dataset.targets, preds, net, cfg).z
+    return loss_and_pred_grad(dataset.targets, preds, net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):
