@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _check_integer, read_json_object
+from .datamodel import Dataset, Direction, _check_integer, _frozen, read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -42,8 +42,7 @@ class LinearCut:
             raise ValueError("cut coefficients must be a finite 1-D vector")
         if not math.isfinite(self.bound):
             raise ValueError("cut bound must be finite")
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
+        object.__setattr__(self, "coeffs", _frozen(a))
         object.__setattr__(self, "bound", float(self.bound))
 
 
@@ -60,8 +59,7 @@ class BallCap:
             raise ValueError("ball center must be a finite 1-D vector")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"ball radius must be positive, got {self.radius}")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _frozen(c))
         object.__setattr__(self, "radius", float(self.radius))
 
 
@@ -88,8 +86,7 @@ class RegionSpec:
                 raise ValueError(f"cut has {cut.coeffs.size} coefficients, expected {f}")
         if self.quadratic_cap is not None and self.quadratic_cap.center.size != f:
             raise ValueError("ball center dimension must match the box")
-        box.setflags(write=False)
-        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "box", _frozen(box))
         object.__setattr__(self, "linear_cuts", cuts)
 
     @property

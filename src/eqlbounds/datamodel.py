@@ -13,8 +13,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,17 @@ class Direction(Enum):
         return Direction.UPPER if self is Direction.LOWER else Direction.LOWER
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Make ``array`` read-only and return a read-only view of it.
+
+    A view of a read-only base cannot be made writable again, so whatever
+    the owner checked on construction holds for good; only a deliberate
+    ``.base`` access can undo it.
+    """
+    array.setflags(write=False)
+    return array.view()
+
+
 def default_feature_names(n_features: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(n_features))
 
@@ -89,12 +101,8 @@ class Dataset:
         names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
         if len(names) != f:
             raise DatasetError(f"expected {f} feature names, got {len(names)}")
-        # Read-only views of read-only arrays: a view cannot be made
-        # writable again, so the finiteness checked here holds for good.
-        pts.setflags(write=False)
-        tgt.setflags(write=False)
-        object.__setattr__(self, "points", pts.view())
-        object.__setattr__(self, "targets", tgt.view())
+        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "targets", _frozen(tgt))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -110,49 +118,94 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a CSV dataset (UTF-8, comma separated, mandatory header row).
 
     The header names the feature columns; every later row must hold the
-    same number of finite numeric cells.  Targets are initialized to zero.
-    Errors report the offending position, with rows counted from 1 starting
-    at the first row below the header.
+    same number of finite numeric cells, each parsed by Python's ``float``
+    (surrounding whitespace, ``_`` digit separators and any spelling of
+    ``inf``/``nan`` are read the way ``float`` reads them).  Blank rows are
+    skipped.  Targets are initialized to zero.  Errors report the first bad
+    row or cell in file order, with rows counted from 1 starting at the
+    first row below the header.
+
+    Cost: ``csv.reader`` splits the text, one ``np.fromiter`` over
+    ``float`` converts every cell, and one pass over the row lengths plus
+    one ``isfinite`` check validate the result; ``csv`` and ``float`` are
+    the largest parts.  No Python code runs per cell unless a check fails.
+    Only then does the error path walk the cells one by one to name the
+    first bad one.
     """
     path = Path(path)
+    # The text and its lines are dropped once split into cells, which keeps
+    # the peak memory of a large load down.
     try:
-        text = path.read_text(encoding="utf-8")
+        rows = [row for row in csv.reader(path.read_text(encoding="utf-8").splitlines()) if row]
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         raise EmptyDatasetError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows.pop(0)]
     if any(not name for name in header):
         raise DatasetError(f"{path}: header has an empty column name")
     n_cols = len(header)
-    data = np.empty((len(rows) - 1, n_cols))
-    for r, row in enumerate(rows[1:], start=1):
+    if not rows:
+        raise EmptyDatasetError(f"{path}: no data rows below the header")
+    data = None
+    if set(map(len, rows)) == {n_cols}:
+        try:
+            data = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * n_cols)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        raise _first_bad_cell(path, rows, n_cols)
+    return Dataset(data.reshape(len(rows), n_cols), feature_names=tuple(header))
+
+
+def _first_bad_cell(path: Path, rows: list[list[str]], n_cols: int) -> DatasetError:
+    """The error for the first ragged row or bad cell of the data ``rows``, in file order.
+
+    This is the error path of :func:`load_dataset` and its only per-cell
+    loop; it runs only after the bulk parse has found a fault.
+    """
+    for r, row in enumerate(rows, start=1):
         if len(row) != n_cols:
-            raise RaggedRowError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
+            return RaggedRowError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
         for c, cell in enumerate(row, start=1):
             try:
                 value = float(cell)
             except ValueError:
-                raise NonNumericError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {r}, col {c}"
-                ) from None
+                return NonNumericError(f"{path}: non-numeric value {cell.strip()!r} at row {r}, col {c}")
             if not math.isfinite(value):
-                raise NonNumericError(f"{path}: non-finite value at row {r}, col {c}")
-            data[r - 1, c - 1] = value
-    if data.shape[0] == 0:
-        raise EmptyDatasetError(f"{path}: no data rows below the header")
-    return Dataset(data, feature_names=tuple(header))
+                return NonNumericError(f"{path}: non-finite value at row {r}, col {c}")
+    raise AssertionError(f"{path}: the bulk parse failed but no cell is bad")
+
+
+# Data rows written per block: large enough to amortize the write call,
+# small enough that the text of one block stays a few hundred kilobytes.
+_ROW_BLOCK = 4096
+
+
+def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[list[list]]) -> None:
+    """Write ``header`` through ``csv``, then each row of each block as ``repr`` cells.
+
+    Header names are quoted as ``csv`` quotes them.  Cells must be Python
+    ints or floats: their ``repr`` never needs quoting, so a row joined by
+    commas and ended by CRLF is exactly what ``csv.writer`` would write, and
+    a float keeps its full round-trip precision.
+    """
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for block in blocks:
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV with full float precision (repr round-trip)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.feature_names)
-        for row in dataset.points:
-            writer.writerow([repr(float(v)) for v in row])
+    """Write a dataset as CSV with full float precision (repr round-trip).
+
+    Cost: one ``tolist``, one ``repr`` per value and one string join per
+    block of rows, with ``repr`` the largest part.  The file is written
+    block by block, so memory does not grow with the dataset.
+    """
+    pts = dataset.points
+    blocks = (pts[i : i + _ROW_BLOCK].tolist() for i in range(0, len(pts), _ROW_BLOCK))
+    _write_csv(Path(path), dataset.feature_names, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +237,7 @@ class LinearConstraint:
             raise ValueError(
                 f"constraint is not canonical: coefficient {lead} is {a[lead]!r}, expected 1.0"
             )
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
+        object.__setattr__(self, "coeffs", _frozen(a))
         object.__setattr__(self, "bound", float(self.bound))
 
     @property

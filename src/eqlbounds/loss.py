@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Direction, LossConfig
+from .datamodel import Direction, LossConfig, _frozen
 from .network import EqlNetwork
 
 
@@ -46,8 +46,7 @@ class LossBreakdown:
 
     def __post_init__(self) -> None:
         idx = np.array(self.p_gamma_indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "p_gamma_indices", idx)
+        object.__setattr__(self, "p_gamma_indices", _frozen(idx))
 
 
 def directional_errors(y: np.ndarray, preds: np.ndarray, direction: Direction) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EmptyDatasetError, _check_integer, read_json_object
+from .datamodel import Dataset, EmptyDatasetError, _check_integer, _frozen, read_json_object
 
 
 class Primitive(Enum):
@@ -111,9 +111,7 @@ class EqlNetwork:
 
 @functools.lru_cache(maxsize=64)
 def _identity_flags(primitives: tuple[Primitive, ...]) -> np.ndarray:
-    flags = np.array([p is Primitive.IDENTITY for p in primitives])
-    flags.setflags(write=False)
-    return flags
+    return _frozen(np.array([p is Primitive.IDENTITY for p in primitives]))
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:

@@ -10,7 +10,6 @@ the rest of the run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,6 +25,7 @@ from .datamodel import (
     LossConfig,
     TrainConfig,
     TrainReport,
+    _write_csv,
     read_json_object,
 )
 from .extract import extract_constraint, violation_rate
@@ -154,13 +154,11 @@ def train_multi(
 
 def export_history_csv(report: TrainReport, path: str | Path) -> None:
     """Write the per-epoch loss history as CSV."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "z", "term_e", "term_p", "term_anchor", "term_reg"])
-        for epoch, rec in enumerate(report.records):
-            writer.writerow(
-                [epoch] + [repr(v) for v in (rec.z, rec.term_e, rec.term_p, rec.term_anchor, rec.term_reg)]
-            )
+    rows = [
+        [epoch, rec.z, rec.term_e, rec.term_p, rec.term_anchor, rec.term_reg]
+        for epoch, rec in enumerate(report.records)
+    ]
+    _write_csv(Path(path), ["epoch", "z", "term_e", "term_p", "term_anchor", "term_reg"], [rows])
 
 
 # Every config key, in ``train`` flag order, and the config object it belongs to.

@@ -7,11 +7,22 @@ with the fast numpy code is meaningful.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from eqlbounds import Direction, Primitive, RejectionBudgetExceededError
+from eqlbounds import (
+    Dataset,
+    DatasetError,
+    Direction,
+    EmptyDatasetError,
+    NonNumericError,
+    Primitive,
+    RaggedRowError,
+    RejectionBudgetExceededError,
+)
 
 
 def brute_force_p_gamma(e, gamma):
@@ -105,3 +116,41 @@ def scalar_sample(spec, n, seed, budget):
             if consecutive >= budget:
                 raise RejectionBudgetExceededError(f"{budget} consecutive rejections")
     return np.array(points).reshape(n, spec.n_features)
+
+
+def csv_load(path):
+    """Read a CSV dataset converting and checking one cell at a time.
+
+    Same contract as ``load_dataset``: blank rows skipped, header names
+    stripped, and the first ragged row, non-numeric cell or non-finite cell
+    in file order raises, naming its row and column.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    rows = [row for row in csv.reader(text.splitlines()) if row]
+    if not rows:
+        raise EmptyDatasetError(f"{path}: file is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if any(not name for name in header):
+        raise DatasetError(f"{path}: header has an empty column name")
+    n_cols = len(header)
+    data = np.empty((len(rows) - 1, n_cols))
+    for r, row in enumerate(rows[1:], start=1):
+        if len(row) != n_cols:
+            raise RaggedRowError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
+        for c, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericError(
+                    f"{path}: non-numeric value {cell.strip()!r} at row {r}, col {c}"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericError(f"{path}: non-finite value at row {r}, col {c}")
+            data[r - 1, c - 1] = value
+    if data.shape[0] == 0:
+        raise EmptyDatasetError(f"{path}: no data rows below the header")
+    return Dataset(data, feature_names=tuple(header))

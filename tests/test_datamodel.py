@@ -2,36 +2,91 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eqlbounds import (
+    BallCap,
     Dataset,
     DatasetError,
     Direction,
     EmptyDatasetError,
     EpochRecord,
     LinearConstraint,
+    LinearCut,
+    LossBreakdown,
     LossConfig,
     NonNumericError,
     RaggedRowError,
+    RegionSpec,
     TrainConfig,
     TrainReport,
     constraint_from_dict,
     constraint_text,
     constraint_to_dict,
+    initialize,
     load_constraint,
     load_dataset,
     save_constraint,
     save_dataset,
 )
 
+from _oracles import csv_load
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: the parsed dataset, or the error it raised."""
+    try:
+        ds = load(path)
+    except DatasetError as exc:
+        return type(exc), str(exc)
+    return ds.points.shape, ds.points.tobytes(), ds.feature_names
+
+
+# CSV cells that ``float`` reads, reads as non-finite, or rejects, spelled
+# with the whitespace, digit separators and case variants it tolerates.
+_CELL_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        [
+            " 1.5 ", "\t-2\t", "1_0", "1__0", "_1", "1_", "0x10", "1e400", "-1e400", "1e-400",
+            "nan", "NaN", "-nan", "inf", "-inf", "+Inf", "Infinity", "-infinity", "iNfInItY",
+            "", " ", "abc", "1,5", "1.5.2", "--1", "\u0661\u0662", "\u00a03\u00a0",
+        ]
+    ),
+)
+
+
+def _csv_field(token, quoted):
+    return '"' + token.replace('"', '""') + '"' if quoted or "," in token else token
+
+
+@st.composite
+def _csv_texts(draw):
+    n_cols = draw(st.integers(1, 3))
+    name = st.sampled_from(["X0", "X1", " a ", "b,c", 'q"d', "", "Z"])
+    header = [_csv_field(draw(name), draw(st.booleans())) for _ in range(n_cols)]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        width = n_cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        cells = [_csv_field(draw(_CELL_TOKENS), draw(st.booleans())) for _ in range(max(width, 0))]
+        lines.append(",".join(cells))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestLoadDataset:
@@ -71,6 +126,36 @@ class TestLoadDataset:
         ds = load_dataset(write(tmp_path, "d.csv", "X0\n\n1\n\n2\n"))
         assert ds.n_points == 2
 
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ("1,inf\n2\n", NonNumericError, "non-finite value at row 1, col 2"),
+            ("3\n1,inf\n", RaggedRowError, "row 1 has 1 cells, expected 2"),
+            ("1,2\n1,foo\n1,2,3\n", NonNumericError, "non-numeric value 'foo' at row 2, col 2"),
+            ("1,2\n1,2,3\n4,bar\n", RaggedRowError, "row 2 has 3 cells, expected 2"),
+            ("nan,foo\n", NonNumericError, "non-finite value at row 1, col 1"),
+            ("foo,nan\n", NonNumericError, "non-numeric value 'foo' at row 1, col 1"),
+            ('1," 1e400 "\n', NonNumericError, "non-finite value at row 1, col 2"),
+            ("1, 2_0 \n\n -Infinity ,x\n", NonNumericError, "non-finite value at row 2, col 1"),
+            ('1,"  b a d  "\n', NonNumericError, "non-numeric value 'b a d' at row 1, col 2"),
+        ],
+    )
+    def test_first_error_in_file_order(self, tmp_path, body, error, message):
+        path = write(tmp_path, "d.csv", "X0,X1\n" + body)
+        with pytest.raises(error) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: {message}"
+        with pytest.raises(error) as expected:
+            csv_load(path)
+        assert str(expected.value) == str(raised.value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_texts())
+    def test_matches_cell_by_cell_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
 
 class TestDatasetRoundTrip:
     def test_full_precision(self, tmp_path):
@@ -85,6 +170,33 @@ class TestDatasetRoundTrip:
         original = Dataset(np.array([[0.1 + 0.2, 1.0 / 3.0], [1e-15, -2.5e17]]))
         save_dataset(original, tmp_path / "d.csv")
         assert np.array_equal(load_dataset(tmp_path / "d.csv").points, original.points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 20), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.float_info.max]),
+        ),
+        names=st.lists(
+            st.text(st.sampled_from('ab ,"X'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    @example(
+        points=np.array([[-0.0, 5e-324], [sys.float_info.max, -sys.float_info.max]]),
+        names=["a,b", 'q"', "X", "Y"],
+    )
+    def test_bit_identical(self, tmp_path_factory, points, names):
+        original = Dataset(points, feature_names=names[: points.shape[1]])
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_dataset(original, path)
+        loaded = load_dataset(path)
+        assert loaded.points.shape == original.points.shape
+        assert loaded.points.tobytes() == original.points.tobytes()
+        assert loaded.feature_names == original.feature_names
 
 
 class TestDatasetValidation:
@@ -122,6 +234,27 @@ class TestDatasetValidation:
                 arr.setflags(write=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.points = np.zeros((2, 2))
+
+
+# Arrays checked once and then shared read-only; ``Dataset``'s own arrays are
+# covered by ``test_arrays_are_frozen``.
+OWNED_ARRAYS = {
+    "LinearConstraint.coeffs": lambda: LinearConstraint([0.5, 1.0], 2.0, Direction.LOWER).coeffs,
+    "LinearCut.coeffs": lambda: LinearCut([1.0, 2.0], 4.0).coeffs,
+    "BallCap.center": lambda: BallCap([0.0, 0.0], 1.0).center,
+    "RegionSpec.box": lambda: RegionSpec([[0.0, 1.0], [0.0, 2.0]]).box,
+    "LossBreakdown.p_gamma_indices": lambda: LossBreakdown(1.0, 1.0, 0.0, 0.0, 0.0, [0, 1]).p_gamma_indices,
+    "EqlNetwork.is_identity": lambda: initialize(Dataset([[0.0, 1.0], [2.0, 3.0]])).is_identity,
+}
+
+
+@pytest.mark.parametrize("owned", OWNED_ARRAYS.values(), ids=OWNED_ARRAYS.keys())
+def test_owned_arrays_stay_read_only(owned):
+    arr = owned()
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    with pytest.raises(ValueError):
+        arr.setflags(write=True)
 
 
 class TestConstraintText:
