@@ -1,6 +1,6 @@
 """Golden fixture: SHA-256 of every file a small ``train`` run writes.
 
-The fixture pins the exact bytes of two short CLI runs, so any change to
+The fixture pins the exact bytes of three short CLI runs, so any change to
 the numerics shows up as a hash mismatch.  Drift is allowed, but only on
 purpose: regenerate the fixture and record in CHANGES.md why the numbers
 moved.  Regenerate from the root of a checkout with
@@ -26,7 +26,7 @@ from eqlbounds.cli import main
 
 FIXTURE = Path(__file__).with_name("data") / "golden_train.json"
 FIXTURE_VERSION = 1
-PRESETS = ("square-low", "circle")
+PRESETS = ("square-low", "circle", "cube")
 DATA_SEED = 0
 TRAIN_FLAGS = ("--runs", "2", "--epochs", "50", "--learning-rate", "1e-3", "--seed", "24")
 
