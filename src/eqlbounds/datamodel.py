@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -437,6 +438,9 @@ class EpochRecord:
     term_reg: float
 
 
+_RECORD_VALUES = attrgetter("z", "term_e", "term_p", "term_anchor", "term_reg")
+
+
 @dataclass(frozen=True, eq=False)
 class TrainReport:
     """Outcome of one training run: history, constraint, score, seed."""
@@ -450,9 +454,8 @@ class TrainReport:
         object.__setattr__(self, "records", tuple(self.records))
         if not self.records:
             raise ValueError("a training report needs at least one epoch record")
-        for rec in self.records:
-            values = (rec.z, rec.term_e, rec.term_p, rec.term_anchor, rec.term_reg)
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError("epoch records contain non-finite values")
+        # Record by record, value by value, with no Python frame per record.
+        if not all(map(math.isfinite, chain.from_iterable(map(_RECORD_VALUES, self.records)))):
+            raise ValueError("epoch records contain non-finite values")
         if not math.isfinite(self.violation_rate):
             raise ValueError("violation_rate must be finite")

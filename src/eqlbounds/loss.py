@@ -70,7 +70,7 @@ def term_e(e: np.ndarray, alpha1: float) -> float:
     e_arr = np.asarray(e, dtype=float)
     if e_arr.size == 0:
         raise ValueError("term_e needs at least one error value")
-    return alpha1 * float(e_arr.sum()) / e_arr.size
+    return alpha1 * float(np.add.reduce(e_arr, axis=None)) / e_arr.size
 
 
 def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
@@ -103,12 +103,12 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     if math.isnan(t):
         nan = np.isnan(e_arr)
         keep = ~nan
-        keep[np.flatnonzero(nan)[: k - np.count_nonzero(keep)]] = True
-        return np.flatnonzero(keep)
-    idx = np.flatnonzero(e_arr >= t)
+        keep[nan.nonzero()[0][: k - np.count_nonzero(keep)]] = True
+        return keep.nonzero()[0]
+    idx = (e_arr >= t).nonzero()[0]
     if idx.size > k:
         # More errors tie with t than places remain: drop the highest-indexed.
-        ties = np.flatnonzero(e_arr[idx] == t)
+        ties = (e_arr[idx] == t).nonzero()[0]
         idx = np.delete(idx, ties[ties.size - (idx.size - k) :])
     return idx
 
@@ -116,7 +116,7 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
 def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
     """l1/l2 penalty over the output-layer weights only."""
     w = net.w_out
-    return l1 * float(np.abs(w).sum()) + l2 * float(w @ w)
+    return l1 * float(np.add.reduce(np.abs(w), axis=None)) + l2 * float(w @ w)
 
 
 def loss_and_pred_grad(
@@ -137,16 +137,19 @@ def loss_and_pred_grad(
     # NaN included.
     e_sub = e[idx]
     worst = int(e.argmax())
+    e_worst = float(e[worst])
     t_e = term_e(e, cfg.alpha1)
     t_p = cfg.alpha2 * float(e_sub @ e_sub) / n
-    t_a = cfg.alpha3 * abs(float(e[worst]))
+    t_a = cfg.alpha3 * abs(e_worst)
     t_r = term_reg(net, cfg.l1, cfg.l2)
     breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
 
-    # d(error)/d(pred) is -s.
+    # d(error)/d(pred) is -s.  Every index of the subset holds the fill value
+    # before the scatter, so writing fill - step equals subtracting step there.
     s = 1.0 if cfg.direction is Direction.LOWER else -1.0
-    dz_dpred = np.full(n, -cfg.alpha1 * s / n)
-    dz_dpred[idx] -= (2.0 * cfg.alpha2 / n) * s * e_sub
-    dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+    fill = -cfg.alpha1 * s / n
+    dz_dpred = np.empty(n)
+    dz_dpred.fill(fill)
+    dz_dpred[idx] = fill - (2.0 * cfg.alpha2 / n) * s * e_sub
+    dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e_worst))
     return breakdown, dz_dpred
-

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +34,11 @@ class Primitive(Enum):
     IDENTITY = "identity"
     CONSTANT = "constant"
 
+    # Members are singletons, so identity is equality.  ``Enum.__hash__``
+    # hashes the member name in Python; ``object.__hash__`` runs in C, and
+    # the unit flags are looked up by primitive tuple on every epoch.
+    __hash__ = object.__hash__
+
 
 # Default architecture: two pass-through units plus two constant units.
 DEFAULT_PRIMITIVES = (
@@ -50,6 +56,14 @@ class EqlNetwork:
     ``mask_in``/``mask_out`` mark weights frozen at exactly zero; a masked
     position must hold the value 0.0.  The output bias is never masked.
     Training code works on its own private copy.
+
+    Construction copies the four arrays and checks, in this order: the
+    shapes, the primitives, that every parameter is finite, and that every
+    masked weight is zero.  Each value check costs two array calls per
+    weight layer (``isfinite`` then a count; a gather of the masked weights
+    then ``count_nonzero``), with no Python loop over weights.  Training
+    with masking builds one network per epoch, so at the paper's sizes
+    these calls are a visible share of an epoch.
     """
 
     w_in: np.ndarray
@@ -70,9 +84,9 @@ class EqlNetwork:
             raise ValueError("network needs at least one unit and one feature")
         if w_out.shape != (h,):
             raise ValueError(f"w_out must have shape ({h},), got {w_out.shape}")
-        if len(prims) != h or not all(isinstance(p, Primitive) for p in prims):
+        if len(prims) != h or not all(map(isinstance, prims, repeat(Primitive))):
             raise ValueError(f"primitives must be {h} Primitive values")
-        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(self.b_out)):
+        if not (_all_finite(w_in) and _all_finite(w_out) and math.isfinite(self.b_out)):
             raise ValueError("network parameters contain non-finite values")
         mask_in = (
             np.zeros((h, f), dtype=bool) if self.mask_in is None else np.array(self.mask_in, dtype=bool)
@@ -82,7 +96,7 @@ class EqlNetwork:
         )
         if mask_in.shape != (h, f) or mask_out.shape != (h,):
             raise ValueError("mask shapes must match the weight shapes")
-        if (w_in[mask_in] != 0.0).any() or (w_out[mask_out] != 0.0).any():
+        if np.count_nonzero(w_in[mask_in]) or np.count_nonzero(w_out[mask_out]):
             raise ValueError("masked weights must be exactly zero")
         self.w_in = w_in
         self.primitives = prims
@@ -106,26 +120,36 @@ class EqlNetwork:
         The array is read-only and shared by every network with the same
         primitives.
         """
-        return _identity_flags(tuple(self.primitives))
+        return _unit_flags(tuple(self.primitives))[0]
+
+
+def _all_finite(weights: np.ndarray) -> bool:
+    return np.count_nonzero(np.isfinite(weights)) == weights.size
 
 
 @functools.lru_cache(maxsize=64)
-def _identity_flags(primitives: tuple[Primitive, ...]) -> np.ndarray:
-    return _frozen(np.array([p is Primitive.IDENTITY for p in primitives]))
+def _unit_flags(primitives: tuple[Primitive, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-unit flags, read-only and shared: identity (bool), identity as 0.0/1.0, constant (bool).
+
+    Multiplying by the float flags gives the same bits as multiplying by
+    the boolean ones, without a cast on every call.
+    """
+    is_identity = np.array([p is Primitive.IDENTITY for p in primitives])
+    return _frozen(is_identity), _frozen(is_identity.astype(float)), _frozen(~is_identity)
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
     """Return (a, c) with ``forward_batch(net, points) == points @ a + c``; constant units fold into ``c``."""
-    is_identity = net.is_identity
-    coeffs = (net.w_out * is_identity) @ net.w_in
-    offset = net.b_out + float(net.w_out[~is_identity].sum())
+    _, identity, is_constant = _unit_flags(tuple(net.primitives))
+    coeffs = (net.w_out * identity) @ net.w_in
+    offset = net.b_out + float(np.add.reduce(net.w_out[is_constant]))
     return coeffs, offset
 
 
 def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule through :func:`collapse_affine`: (dL/da, dL/dc) to (dL/dw_in, dL/dw_out); dL/db_out is dL/dc."""
-    is_identity = net.is_identity
-    d_w_in = (net.w_out * is_identity)[:, None] * d_coeffs
+    is_identity, identity, _ = _unit_flags(tuple(net.primitives))
+    d_w_in = (net.w_out * identity)[:, None] * d_coeffs
     d_w_out = np.where(is_identity, net.w_in @ d_coeffs, d_offset)
     return d_w_in, d_w_out
 
@@ -145,7 +169,9 @@ def forward_batch(net: EqlNetwork, points: np.ndarray | Dataset) -> np.ndarray:
     if not known_finite and not np.isfinite(pts).all():
         raise ValueError("points contain non-finite values")
     coeffs, offset = collapse_affine(net)
-    return pts @ coeffs + offset
+    preds = pts @ coeffs
+    preds += offset
+    return preds
 
 
 def initialize(
@@ -195,17 +221,24 @@ def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
     is exactly zero already; positions masked earlier stay masked.  The
     output bias is never masked.  Applying the same threshold twice is a
     no-op the second time.
+
+    Per weight layer this is one comparison, one ``|`` with the old mask
+    and one ``where``: for ``threshold > 0``, ``|w| < threshold`` already
+    holds at ``w == 0``, and ``threshold == 0`` compares ``w == 0``.  The
+    new network then runs the checks of :class:`EqlNetwork`, so a
+    non-finite weight that stays unmasked raises ``ValueError``.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-
-    def freeze(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        new_mask = mask | (np.abs(weights) < threshold) | (weights == 0.0)
-        return np.where(new_mask, 0.0, weights), new_mask
-
-    w_in, mask_in = freeze(net.w_in, net.mask_in)
-    w_out, mask_out = freeze(net.w_out, net.mask_out)
+    w_in, mask_in = _freeze(net.w_in, net.mask_in, threshold)
+    w_out, mask_out = _freeze(net.w_out, net.mask_out, threshold)
     return EqlNetwork(w_in, net.primitives, w_out, net.b_out, mask_in, mask_out)
+
+
+def _freeze(weights: np.ndarray, mask: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    small = np.abs(weights) < threshold if threshold > 0 else weights == 0.0
+    new_mask = mask | small
+    return np.where(new_mask, 0.0, weights), new_mask
 
 
 def save_checkpoint(net: EqlNetwork, path: str | Path) -> None:

@@ -30,15 +30,31 @@ from .datamodel import (
 )
 from .extract import extract_constraint, violation_rate
 from .loss import LossBreakdown, loss_and_pred_grad
-from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, collapse_affine_grad, forward_batch, initialize
+from .network import (
+    DEFAULT_PRIMITIVES,
+    EqlNetwork,
+    Primitive,
+    _all_finite,
+    apply_mask,
+    collapse_affine_grad,
+    forward_batch,
+    initialize,
+)
 
 
 class DivergenceError(ArithmeticError):
-    """Training produced a non-finite loss value."""
+    """Training produced non-finite parameters or a non-finite loss value.
+
+    ``epoch`` is the first epoch whose starting parameters or loss are
+    non-finite; it equals the epoch count when the final step produced them.
+    """
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"loss became non-finite at epoch {epoch}")
+
+
+_PARAMS_DIVERGED = "parameters became non-finite at epoch {}"
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -72,7 +88,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
         breakdown, dz_dpred = loss_and_pred_grad(dataset.targets, preds, net, cfg)
 
         # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
-        d_b_out = float(dz_dpred.sum())
+        d_b_out = float(np.add.reduce(dz_dpred))
         d_w_in, d_w_out = collapse_affine_grad(net, points.T @ dz_dpred, d_b_out)
         d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
 
@@ -84,7 +100,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
     # while the loss still looked healthy.
     if math.isfinite(breakdown.z):
         for name, grad in (("d_w_in", d_w_in), ("d_w_out", d_w_out)):
-            if not np.isfinite(grad).all():
+            if not _all_finite(grad):
                 raise NonFiniteGradientError(f"{name} contains non-finite values")
         if not math.isfinite(d_b_out):
             raise NonFiniteGradientError("d_b_out is non-finite")
@@ -103,30 +119,43 @@ def train(
     Each epoch records the loss breakdown at its start, then applies one
     descent step; when masking is enabled the step is followed by a mask
     pass, so a weight that ends an epoch below the threshold is zero for
-    every later epoch.  A non-finite loss aborts with the epoch index.
+    every later epoch.
+
+    Divergence raises :class:`DivergenceError` with the first epoch whose
+    starting parameters or loss are non-finite, with or without masking;
+    after the final step that epoch is ``train_cfg.epochs``.
     """
     if dataset.n_points == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     net = initialize(dataset, primitives, train_cfg.seed)
     lr = train_cfg.learning_rate
+    threshold = train_cfg.mask_threshold
     records: list[EpochRecord] = []
-    for epoch in range(train_cfg.epochs):
-        breakdown, grads = gradients(net, dataset, loss_cfg)
-        terms = (
-            breakdown.z,
-            breakdown.term_e,
-            breakdown.term_p,
-            breakdown.term_anchor,
-            breakdown.term_reg,
-        )
-        if not all(math.isfinite(v) for v in terms):
-            raise DivergenceError(epoch)
-        records.append(EpochRecord(*terms))
-        net.w_in = net.w_in - lr * grads.d_w_in
-        net.w_out = net.w_out - lr * grads.d_w_out
-        net.b_out = net.b_out - lr * grads.d_b_out
-        if train_cfg.mask_threshold is not None:
-            net = apply_mask(net, train_cfg.mask_threshold)
+    # A step that overflows is reported as divergence below, so numpy's
+    # overflow warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            breakdown, grads = gradients(net, dataset, loss_cfg)
+            # z is the sum of the four terms, so it is finite exactly when all five are.
+            if not math.isfinite(breakdown.z):
+                raise DivergenceError(epoch)
+            records.append(
+                EpochRecord(breakdown.z, breakdown.term_e, breakdown.term_p, breakdown.term_anchor, breakdown.term_reg)
+            )
+            net.w_in = net.w_in - lr * grads.d_w_in
+            net.w_out = net.w_out - lr * grads.d_w_out
+            net.b_out = net.b_out - lr * grads.d_b_out
+            if threshold is not None:
+                try:
+                    net = apply_mask(net, threshold)
+                except ValueError as exc:
+                    # The threshold is valid and apply_mask zeroes every masked
+                    # weight, so the one check left to fail is finiteness.
+                    raise DivergenceError(epoch + 1, _PARAMS_DIVERGED.format(epoch + 1)) from exc
+    # Non-finite parameters always give a non-finite loss, so only the final
+    # step can leave them unreported.
+    if not (_all_finite(net.w_in) and _all_finite(net.w_out) and math.isfinite(net.b_out)):
+        raise DivergenceError(train_cfg.epochs, _PARAMS_DIVERGED.format(train_cfg.epochs))
     constraint = extract_constraint(net, loss_cfg.direction)
     rate = violation_rate(constraint, dataset)
     report = TrainReport(tuple(records), constraint, rate, train_cfg.seed)

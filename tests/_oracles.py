@@ -45,6 +45,45 @@ def brute_force_p_gamma(e, gamma):
     return sorted(sorted(range(n), key=rank)[:k])
 
 
+def freeze(weights, mask, threshold):
+    """Masking rule of ``apply_mask`` as first written, with three terms.
+
+    A weight is masked when it was masked before, when its magnitude is
+    below ``threshold``, or when it is exactly zero; masked weights become
+    0.0.  Returns the new weights and the new mask.
+    """
+    new_mask = mask | (np.abs(weights) < threshold) | (weights == 0.0)
+    return np.where(new_mask, 0.0, weights), new_mask
+
+
+def network_checks(w_in, primitives, w_out, b_out, mask_in=None, mask_out=None):
+    """Checks of ``EqlNetwork`` construction as first written, in order.
+
+    Raises the ``ValueError`` the constructor raises for the same input;
+    returns None when the network is valid.
+    """
+    w_in = np.array(w_in, dtype=float)
+    w_out = np.array(w_out, dtype=float)
+    prims = tuple(primitives)
+    if w_in.ndim != 2:
+        raise ValueError(f"w_in must be 2-D (units x features), got shape {w_in.shape}")
+    h, f = w_in.shape
+    if h < 1 or f < 1:
+        raise ValueError("network needs at least one unit and one feature")
+    if w_out.shape != (h,):
+        raise ValueError(f"w_out must have shape ({h},), got {w_out.shape}")
+    if len(prims) != h or not all(isinstance(p, Primitive) for p in prims):
+        raise ValueError(f"primitives must be {h} Primitive values")
+    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
+        raise ValueError("network parameters contain non-finite values")
+    mask_in = np.zeros((h, f), dtype=bool) if mask_in is None else np.array(mask_in, dtype=bool)
+    mask_out = np.zeros(h, dtype=bool) if mask_out is None else np.array(mask_out, dtype=bool)
+    if mask_in.shape != (h, f) or mask_out.shape != (h,):
+        raise ValueError("mask shapes must match the weight shapes")
+    if (w_in[mask_in] != 0.0).any() or (w_out[mask_out] != 0.0).any():
+        raise ValueError("masked weights must be exactly zero")
+
+
 def central_difference(fn, x0, step=1e-6):
     """Two-sided finite difference of a scalar function at a scalar point."""
     return (fn(x0 + step) - fn(x0 - step)) / (2.0 * step)

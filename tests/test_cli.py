@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,15 @@ class TestTrain:
         ]
         assert main(args) == 3
         assert "epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", ["5", "1"], ids=["mid-run", "last-epoch"])
+    @pytest.mark.parametrize("mask_flags", [[], ["--no-mask"]], ids=["masked", "unmasked"])
+    def test_overflowing_step_exits_3(self, square_low_csv, tmp_path, capsys, mask_flags, epochs):
+        args = self.train_args(square_low_csv, tmp_path / "r", learning_rate=1e308, epochs=epochs) + mask_flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 3
+        assert "non-finite at epoch 1" in capsys.readouterr().err
 
     def test_all_weights_masked_exits_3(self, square_low_csv, tmp_path, capsys):
         args = self.train_args(square_low_csv, tmp_path / "r", seed=24, mask_threshold=10.0)

@@ -1,10 +1,16 @@
 """Forward evaluation, seeded initialization, and magnitude masking."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from _oracles import freeze, network_checks
 from eqlbounds import (
     DEFAULT_PRIMITIVES,
     Dataset,
@@ -221,6 +227,111 @@ class TestApplyMask:
         apply_mask(net, 0.001)
         assert net.w_in[0, 0] == 0.0005
         assert not net.mask_in.any()
+
+
+# Signed zeros, subnormals, values on either side of the thresholds below,
+# infinities and NaN are common; arbitrary floats fill the rest.
+SPECIAL_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-3, -1e-3, 0.5, math.inf, -math.inf, math.nan]
+weight_values = st.sampled_from(SPECIAL_WEIGHTS) | st.floats()
+thresholds = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, sys.float_info.max]) | st.floats(0.0, 1e300)
+
+
+@st.composite
+def raw_layers(draw):
+    """Weights and masks of one network, masked weights not necessarily zero."""
+    h, f = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return (
+        draw(hnp.arrays(float, (h, f), elements=weight_values)),
+        draw(hnp.arrays(float, h, elements=weight_values)),
+        draw(hnp.arrays(bool, (h, f))),
+        draw(hnp.arrays(bool, h)),
+    )
+
+
+def outcome(fn, *args):
+    """What a call does: ("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the comparison covers every exception type
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRewrittenChecksMatchOracles:
+    """``apply_mask`` and ``EqlNetwork`` against the three-term freeze and the first-written checks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(layers=raw_layers(), threshold=thresholds)
+    @example(
+        layers=(
+            np.array([[-0.0, 5e-324], [math.nan, 1e-3]]),
+            np.array([math.inf, -0.0]),
+            np.array([[False, False], [True, False]]),
+            np.array([True, False]),
+        ),
+        threshold=0.0,
+    )
+    def test_apply_mask_is_bit_identical(self, layers, threshold):
+        w_in, w_out, mask_in, mask_out = layers
+        prims = (ID,) * w_in.shape[0]
+        # Training assigns stepped weights to the fields without a check, so
+        # apply_mask can see non-finite values and nonzero masked weights.
+        net = EqlNetwork(np.zeros_like(w_in), prims, np.zeros_like(w_out), 0.25, mask_in, mask_out)
+        net.w_in, net.w_out = w_in, w_out
+        exp_in, exp_mask_in = freeze(w_in, mask_in, threshold)
+        exp_out, exp_mask_out = freeze(w_out, mask_out, threshold)
+        expected = outcome(network_checks, exp_in, prims, exp_out, 0.25, exp_mask_in, exp_mask_out)
+        kind, got = outcome(apply_mask, net, threshold)
+        if expected[0] != "ok":
+            assert (kind, got) == expected
+            return
+        assert kind == "ok", got
+        assert same_bits(got.w_in, exp_in) and same_bits(got.mask_in, exp_mask_in)
+        assert same_bits(got.w_out, exp_out) and same_bits(got.mask_out, exp_mask_out)
+        assert got.b_out == 0.25
+
+    @settings(max_examples=400, deadline=None)
+    @given(layers=raw_layers(), b_out=weight_values)
+    def test_constructor_raises_what_the_oracle_raises(self, layers, b_out):
+        w_in, w_out, mask_in, mask_out = layers
+        prims = (ID,) * w_in.shape[0]
+        expected = outcome(network_checks, w_in, prims, w_out, b_out, mask_in, mask_out)
+        kind, got = outcome(EqlNetwork, w_in, prims, w_out, b_out, mask_in, mask_out)
+        assert kind == expected[0]
+        if kind != "ok":
+            assert got == expected[1]
+
+    @pytest.mark.parametrize(
+        "where, bad",
+        [(name, bad) for name in ("w_in", "w_out", "b_out") for bad in (math.nan, math.inf, -math.inf)]
+        + [("masked w_in", 1.0), ("masked w_out", 1.0)],
+    )
+    def test_each_check_names_its_cause(self, where, bad):
+        args = {
+            "w_in": np.array([[0.5, 0.0]]),
+            "w_out": np.array([0.25]),
+            "b_out": 0.125,
+            "mask_in": np.array([[False, True]]),
+            "mask_out": np.array([False]),
+        }
+        if where == "b_out":
+            args["b_out"] = bad
+        elif where == "masked w_in":
+            args["w_in"] = np.array([[0.5, bad]])
+        elif where == "masked w_out":
+            args["w_out"] = np.array([bad])
+            args["mask_out"] = np.array([True])
+        else:
+            args[where] = args[where].copy()
+            args[where].flat[0] = bad
+        call = (args["w_in"], (ID,), args["w_out"], args["b_out"], args["mask_in"], args["mask_out"])
+        kind, message = outcome(network_checks, *call)
+        assert kind is ValueError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EqlNetwork(*call)
 
 
 class TestNetworkValidation:

@@ -1,6 +1,7 @@
 """Analytic gradients against finite differences, plus the descent loop."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,19 @@ class TestTrain:
             train(dataset, LossConfig(), TrainConfig(epochs=400, learning_rate=0.5, seed=0))
         assert info.value.epoch >= 1
         assert str(info.value.epoch) in str(info.value)
+
+    # A step size of 1e308 overflows the first step, so epoch 1 is the first to
+    # start from non-finite parameters; with one epoch it is also the count.
+    @pytest.mark.parametrize("epochs", [5, 1], ids=["mid-run", "last-epoch"])
+    @pytest.mark.parametrize("mask_threshold", [1e-3, None], ids=["masked", "unmasked"])
+    def test_overflowing_step_diverges_at_the_next_epoch(self, mask_threshold, epochs):
+        cfg = TrainConfig(epochs=epochs, learning_rate=1e308, mask_threshold=mask_threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as info:
+                train(paper_dataset("square-low", seed=0), LossConfig(gamma=2.5), cfg)
+        assert info.value.epoch == 1
+        assert "epoch 1" in str(info.value)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
