@@ -226,11 +226,11 @@ class LinearConstraint:
         a = np.array(self.coeffs, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError(f"coeffs must be a 1-D vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a)) or not math.isfinite(self.bound):
+        if np.count_nonzero(np.isfinite(a)) != a.size or not math.isfinite(self.bound):
             raise ValueError("constraint contains non-finite values")
         if not isinstance(self.relation, Direction):
             raise ValueError(f"relation must be a Direction, got {self.relation!r}")
-        significant = np.flatnonzero(np.abs(a) >= COEFF_EPS)
+        significant = (np.abs(a) >= COEFF_EPS).nonzero()[0]
         if significant.size == 0:
             raise ValueError("constraint has no coefficient of significant magnitude")
         lead = significant[-1]

@@ -36,7 +36,7 @@ def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> Line
     """
     a = np.array(coeffs, dtype=float)
     a[np.abs(a) < COEFF_EPS] = 0.0
-    nonzero = np.flatnonzero(a)
+    nonzero = a.nonzero()[0]
     if nonzero.size == 0:
         raise DegenerateConstraintError(
             "all coefficients are numerically zero; no constraint can be formed"
