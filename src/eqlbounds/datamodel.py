@@ -67,6 +67,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()`` with no Python-level NumPy wrapper: two C calls."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def default_feature_names(n_features: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(n_features))
 
@@ -226,7 +231,7 @@ class LinearConstraint:
         a = np.array(self.coeffs, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError(f"coeffs must be a 1-D vector, got shape {a.shape}")
-        if np.count_nonzero(np.isfinite(a)) != a.size or not math.isfinite(self.bound):
+        if not _all_finite(a) or not math.isfinite(self.bound):
             raise ValueError("constraint contains non-finite values")
         if not isinstance(self.relation, Direction):
             raise ValueError(f"relation must be a Direction, got {self.relation!r}")

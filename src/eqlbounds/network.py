@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EmptyDatasetError, _check_integer, _frozen, read_json_object
+from .datamodel import Dataset, EmptyDatasetError, _all_finite, _check_integer, _frozen, read_json_object
 
 
 class Primitive(Enum):
@@ -121,10 +121,6 @@ class EqlNetwork:
         primitives.
         """
         return _unit_flags(tuple(self.primitives))[0]
-
-
-def _all_finite(weights: np.ndarray) -> bool:
-    return np.count_nonzero(np.isfinite(weights)) == weights.size
 
 
 @functools.lru_cache(maxsize=64)

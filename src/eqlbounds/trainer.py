@@ -25,21 +25,13 @@ from .datamodel import (
     LossConfig,
     TrainConfig,
     TrainReport,
+    _all_finite,
     _write_csv,
     read_json_object,
 )
 from .extract import extract_constraint, violation_rate
 from .loss import LossBreakdown, loss_and_pred_grad
-from .network import (
-    DEFAULT_PRIMITIVES,
-    EqlNetwork,
-    Primitive,
-    _all_finite,
-    apply_mask,
-    collapse_affine_grad,
-    forward_batch,
-    initialize,
-)
+from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, collapse_affine_grad, forward_batch, initialize
 
 
 class DivergenceError(ArithmeticError):
