@@ -1,8 +1,10 @@
 """Value types, CSV/JSON round trips, and validation errors."""
 
+import csv
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from eqlbounds import (
     constraint_from_dict,
     constraint_text,
     constraint_to_dict,
+    datamodel,
+    generate,
     initialize,
     load_constraint,
     load_dataset,
@@ -87,6 +91,59 @@ def _csv_texts(draw):
         cells = [_csv_field(draw(_CELL_TOKENS), draw(st.booleans())) for _ in range(max(width, 0))]
         lines.append(",".join(cells))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+# Unquoted cells of the plain alphabet ``0-9 + - . e E``, the only cells
+# NumPy's C reader sees: reprs, integers, mantissas of up to 25 digits on
+# each side with exponents that overflow or underflow, special spellings,
+# and malformed tokens that both readers must reject.
+_PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds(
+        "{}{}.{}e{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.text("0123456789", max_size=25),
+        st.text("0123456789", max_size=25),
+        st.integers(-340, 340),
+    ),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "-0.0", ".5", "5.", "+7", "1E5", "3e+2"]),
+)
+_PLAIN_MALFORMED = st.sampled_from(["1e", "--1", ".", "+", "1.2.3", "", "e5", "1-2", "1e+", ".e1"])
+
+
+@st.composite
+def _plain_csv_texts(draw):
+    """CSV texts whose bodies are mostly plain, with the ways a plain body can still go wrong.
+
+    A clean text has plain, well-formed cells at the header's width; the
+    others also hold malformed cells, ragged rows, trailing commas and the
+    odd leading space, which is not plain.
+    """
+    n_cols = draw(st.integers(1, 3))
+    clean = draw(st.booleans())
+    cell = _PLAIN_NUMBERS if clean else st.one_of(_PLAIN_NUMBERS, _PLAIN_MALFORMED)
+    lines = [""] * draw(st.integers(0, 2)) + [",".join(f"X{i}" for i in range(n_cols))]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        width = n_cols if clean else n_cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        line = ",".join(draw(cell) for _ in range(max(width, 0)))
+        if not clean and draw(st.integers(0, 7)) == 0:
+            line = draw(st.sampled_from([line + ",", " " + line]))
+        lines.append(line)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n", "\r"]))
+
+
+def _no_row_parse(path, rows, n_cols):
+    raise AssertionError(f"{path}: {len(rows)} rows took the csv.reader path")
+
+
+@pytest.fixture
+def c_reader_only(monkeypatch):
+    """Fail any load that falls back from NumPy's C reader to the csv.reader rows."""
+    monkeypatch.setattr(datamodel, "_row_data", _no_row_parse)
 
 
 class TestLoadDataset:
@@ -156,6 +213,77 @@ class TestLoadDataset:
         path.write_text(text, encoding="utf-8")
         assert _outcome(load_dataset, path) == _outcome(csv_load, path)
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=_plain_csv_texts())
+    @example(text="X0,X1\r1,2\r\r3,4\r")
+    @example(text="\n\nX0\n1e400\n")
+    @example(text="X0,X1\r\n1,2,\r\n")
+    def test_plain_body_matches_cell_by_cell_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_blank_body_is_empty_without_a_warning(self, tmp_path):
+        path = write(tmp_path, "d.csv", "X0,X1\n\n\r\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDatasetError) as raised:
+                load_dataset(path)
+        assert str(raised.value) == f"{path}: no data rows below the header"
+
+    def test_overflow_cell_reports_position(self, tmp_path):
+        path = write(tmp_path, "d.csv", "X0,X1\n1,2\n3,1e400\n")
+        with pytest.raises(NonNumericError) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: non-finite value at row 2, col 2"
+
+    def test_multi_line_quoted_header_then_plain_body(self, tmp_path, c_reader_only):
+        path = write(tmp_path, "d.csv", '"a\nb",c\n1,2\n\n3,4\n')
+        ds = load_dataset(path)
+        assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_one_column(self, tmp_path, c_reader_only):
+        path = write(tmp_path, "d.csv", "X0\n1.5\n-2\n3e2\n")
+        ds = load_dataset(path)
+        assert ds.points.shape == (3, 1)
+        assert np.array_equal(ds.points, [[1.5], [-2.0], [300.0]])
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_generated_file_matches_oracle(self, tmp_path, c_reader_only):
+        square = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0),))
+        original = generate(square, 20_000, seed=0)
+        path = tmp_path / "d.csv"
+        save_dataset(original, path)
+        loaded = load_dataset(path)
+        assert loaded.points.tobytes() == original.points.tobytes()
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_cell_at_the_csv_field_limit_loads(self, tmp_path, c_reader_only):
+        path = write(tmp_path, "d.csv", "X0\n" + "0" * (csv.field_size_limit() - 1) + "1\n")
+        assert np.array_equal(load_dataset(path).points, [[1.0]])
+
+    def test_cell_past_the_csv_field_limit_fails_as_before(self, tmp_path):
+        path = write(tmp_path, "d.csv", "X0\n" + "0" * csv.field_size_limit() + "1\n")
+        with pytest.raises(csv.Error) as expected:
+            csv_load(path)
+        with pytest.raises(csv.Error) as raised:
+            load_dataset(path)
+        assert str(raised.value) == str(expected.value)
+
+
+_SAVED_POINTS = hnp.arrays(
+    float,
+    st.tuples(st.integers(1, 20), st.integers(1, 4)),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.float_info.max]),
+)
+_SAVED_NAMES = st.lists(
+    st.text(st.sampled_from('ab ,"X'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
+    min_size=4,
+    max_size=4,
+)
+
 
 class TestDatasetRoundTrip:
     def test_full_precision(self, tmp_path):
@@ -172,19 +300,7 @@ class TestDatasetRoundTrip:
         assert np.array_equal(load_dataset(tmp_path / "d.csv").points, original.points)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        points=hnp.arrays(
-            float,
-            st.tuples(st.integers(1, 20), st.integers(1, 4)),
-            elements=st.floats(allow_nan=False, allow_infinity=False)
-            | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.float_info.max]),
-        ),
-        names=st.lists(
-            st.text(st.sampled_from('ab ,"X'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
-            min_size=4,
-            max_size=4,
-        ),
-    )
+    @given(points=_SAVED_POINTS, names=_SAVED_NAMES)
     @example(
         points=np.array([[-0.0, 5e-324], [sys.float_info.max, -sys.float_info.max]]),
         names=["a,b", 'q"', "X", "Y"],
@@ -197,6 +313,16 @@ class TestDatasetRoundTrip:
         assert loaded.points.shape == original.points.shape
         assert loaded.points.tobytes() == original.points.tobytes()
         assert loaded.feature_names == original.feature_names
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=_SAVED_POINTS, names=_SAVED_NAMES)
+    def test_saved_files_take_the_c_reader(self, tmp_path_factory, points, names):
+        original = Dataset(points, feature_names=names[: points.shape[1]])
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_dataset(original, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datamodel, "_row_data", _no_row_parse)
+            assert load_dataset(path).points.tobytes() == original.points.tobytes()
 
 
 class TestDatasetValidation:
