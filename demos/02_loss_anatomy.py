@@ -40,11 +40,12 @@ net = EqlNetwork(
 preds = forward_batch(net, data.points)
 print("predictions     :", preds)          # 0.5*x - 1.0
 
-# For a LOWER constraint (surface <= data) the directional error is
-# target minus prediction; positive error means the surface is below.
+# For a LOWER constraint (surface <= data) the directional error is the
+# target y = 0 minus the prediction; positive error means the surface is
+# below.
 cfg = LossConfig(alpha1=1.0, alpha2=0.5, alpha3=0.5, gamma=50.0,
                  direction=Direction.LOWER, l1=0.0, l2=0.0)
-errors = directional_errors(data.targets, preds, cfg.direction)
+errors = directional_errors(preds, cfg.direction)
 print("errors (y - f)  :", errors)
 
 # P_gamma picks the worst gamma-percent of points -- here the top 50%,
@@ -56,9 +57,9 @@ print("worst 50% subset:", subset.tolist())
 # them, then compared with the breakdown from loss_and_pred_grad.
 n = data.n_points
 mean_term = cfg.alpha1 * float(np.sum(errors)) / n
-percent_term = cfg.alpha2 * float(np.sum((data.targets[subset] - preds[subset]) ** 2)) / n
+percent_term = cfg.alpha2 * float(np.sum((0.0 - preds[subset]) ** 2)) / n
 anchor_term = cfg.alpha3 * abs(float(np.max(errors)))
-breakdown = loss_and_pred_grad(data.targets, preds, net, cfg)[0]
+breakdown = loss_and_pred_grad(preds, net, cfg)[0]
 print(f"\nmean error term  {mean_term:+.6f}   (breakdown {breakdown.term_e:+.6f})")
 print(f"percentile term  {percent_term:+.6f}   (breakdown {breakdown.term_p:+.6f})")
 print(f"anchor term      {anchor_term:+.6f}   (breakdown {breakdown.term_anchor:+.6f})")
@@ -75,7 +76,7 @@ step = 1e-6
 def loss_at(w_out_0):
     shifted = EqlNetwork(net.w_in, net.primitives,
                          np.array([w_out_0, net.w_out[1]]), net.b_out)
-    return loss_and_pred_grad(data.targets, forward_batch(shifted, data.points), shifted, cfg)[0].z
+    return loss_and_pred_grad(forward_batch(shifted, data.points), shifted, cfg)[0].z
 
 
 fd = (loss_at(net.w_out[0] + step) - loss_at(net.w_out[0] - step)) / (2 * step)

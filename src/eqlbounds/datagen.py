@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _check_integer, _frozen, read_json_object
+from .datamodel import Dataset, Direction, _all_finite, _check_integer, _frozen, read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -38,7 +38,7 @@ class LinearCut:
 
     def __post_init__(self) -> None:
         a = np.array(self.coeffs, dtype=float)
-        if a.ndim != 1 or a.size < 1 or not np.all(np.isfinite(a)):
+        if a.ndim != 1 or a.size < 1 or not _all_finite(a):
             raise ValueError("cut coefficients must be a finite 1-D vector")
         if not math.isfinite(self.bound):
             raise ValueError("cut bound must be finite")
@@ -55,7 +55,7 @@ class BallCap:
 
     def __post_init__(self) -> None:
         c = np.array(self.center, dtype=float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
+        if c.ndim != 1 or not _all_finite(c):
             raise ValueError("ball center must be a finite 1-D vector")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"ball radius must be positive, got {self.radius}")
@@ -75,7 +75,7 @@ class RegionSpec:
         box = np.array(self.box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
             raise ValueError(f"box must have shape (F, 2), got {box.shape}")
-        if not np.all(np.isfinite(box)):
+        if not _all_finite(box):
             raise ValueError("box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("every box row needs lower < upper")
@@ -121,17 +121,15 @@ CANDIDATE_BLOCK = 4096
 
 
 def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
-    """Draw ``n`` uniform points from the region; targets are all zero.
+    """Draw ``n >= 1`` uniform points from the region.
 
     Fully determined by (spec, n, seed).  Candidates are tested in the
     order drawn; raises :class:`RejectionBudgetExceededError` after
     ``10000 * n`` consecutive rejections.
     """
-    _check_integer("n", n, 0)
+    _check_integer("n", n, 1)
     _check_integer("seed", seed, 0)
     f = spec.n_features
-    if n == 0:
-        return Dataset(np.empty((0, f)))
     rng = np.random.default_rng(seed)
     lo, hi = spec.box[:, 0], spec.box[:, 1]
     budget = REJECTION_BUDGET_PER_POINT * n

@@ -84,15 +84,14 @@ def default_feature_names(n_features: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A feature matrix plus one scalar target per row.
+    """A non-empty, finite feature matrix (rows x features) plus its column names.
 
-    Targets default to all zeros, which is what the boundary-fitting
-    protocol trains against; nonzero targets are representable for
-    experimentation.  Arrays are copied and frozen on construction.
+    The boundary-fitting protocol trains every row against the target 0,
+    so no target is stored.  The points are copied and frozen on
+    construction.
     """
 
     points: np.ndarray
-    targets: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -102,19 +101,15 @@ class Dataset:
         n, f = pts.shape
         if f < 1:
             raise DatasetError("dataset needs at least one feature column")
-        if not np.all(np.isfinite(pts)):
+        if n < 1:
+            raise EmptyDatasetError("dataset needs at least one row")
+        if not _all_finite(pts):
             raise DatasetError("points contain non-finite values")
-        tgt = np.zeros(n) if self.targets is None else np.array(self.targets, dtype=float)
-        if tgt.shape != (n,):
-            raise DatasetError(f"targets must have shape ({n},), got {tgt.shape}")
-        if not np.all(np.isfinite(tgt)):
-            raise DatasetError("targets contain non-finite values")
         names = self.feature_names
         names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
         if len(names) != f:
             raise DatasetError(f"expected {f} feature names, got {len(names)}")
         object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "targets", _frozen(tgt))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -133,15 +128,17 @@ def load_dataset(path: str | Path) -> Dataset:
     same number of finite numeric cells, each parsed by Python's ``float``
     (surrounding whitespace, ``_`` digit separators and any spelling of
     ``inf``/``nan`` are read the way ``float`` reads them).  Blank rows are
-    skipped.  Targets are initialized to zero.  Errors report the first bad
-    row or cell in file order, with rows counted from 1 starting at the
+    skipped, and a quoted cell keeps the line breaks it spans.  Errors,
+    decoding and csv errors included, name the file; they report the first
+    bad row or cell in file order, with rows counted from 1 starting at the
     first row below the header.
 
     Cost: ``csv.reader`` reads the header row.  A plain body goes to
     NumPy's C reader, ``np.loadtxt``, which builds no Python object per
     row; float parsing is the floor.  Plain means at least one data row,
     only ASCII digits, ``+-.eE``, commas and line ends, no line longer than
-    ``csv.field_size_limit()``, and a finite result as wide as the header.
+    ``csv.field_size_limit()`` without its end, and a finite result as wide
+    as the header.
     Every file :func:`save_dataset` writes is plain.  Everything else takes
     the slow path: ``csv.reader`` row lists, one ``np.fromiter`` over
     ``float`` and one ``isfinite`` check.  That covers quoted cells,
@@ -152,15 +149,20 @@ def load_dataset(path: str | Path) -> Dataset:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = _csv_lines(path.read_bytes().decode("utf-8"))
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     reader = csv.reader(lines)
-    header = next(filter(None, reader), [])
-    data = _plain_data(lines[reader.line_num :], len(header))
-    # The slow path reads the whole body before the header is checked, so a
-    # csv error in the body still comes first.
-    rows = [] if data is not None else [row for row in reader if row]
+    try:
+        header = next(filter(None, reader), [])
+        data = _plain_data(lines[reader.line_num :], len(header))
+        # The slow path reads the whole body before the header is checked, so
+        # a csv error in the body still comes first.
+        rows = [] if data is not None else [row for row in reader if row]
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     # The lines are dropped before the slow path converts its rows, which
     # keeps the peak memory of a large load down.
     del lines, reader
@@ -174,18 +176,32 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(data, feature_names=tuple(header))
 
 
-# Every byte a plain CSV body may hold once split into lines.
-_PLAIN_BYTES = b"0123456789+-.eE,\n"
+# Line ends that ``str.splitlines`` knows and ``csv`` does not.
+_OTHER_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _csv_lines(text: str) -> list[str]:
+    """The lines of ``text`` for ``csv.reader``, split where ``str.splitlines`` splits.
+
+    A line keeps a ``\\r`` or ``\\n`` end, so a quoted cell that spans one
+    keeps it as ``csv.writer`` wrote it; every other line end is dropped.
+    """
+    lines = text.splitlines(keepends=True)
+    return [line[:-1] if line[-1] in _OTHER_LINE_ENDS else line for line in lines]
+
+
+# Every byte a plain CSV body may hold.
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
 
 
 def _is_plain(lines: list[str]) -> bool:
     """Whether ``lines`` hold a data row, only plain bytes and no cell past the csv field limit."""
-    if not any(lines):
+    text = "".join(lines)
+    if not text.strip():
         return False
-    text = "\n".join(lines)
     if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES):
         return False
-    return max(map(len, lines)) <= csv.field_size_limit()
+    return max(map(len, map(str.rstrip, lines))) <= csv.field_size_limit()
 
 
 def _plain_data(lines: list[str], n_cols: int) -> np.ndarray | None:

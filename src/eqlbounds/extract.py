@@ -16,7 +16,6 @@ from .datamodel import (
     COEFF_EPS,
     Dataset,
     Direction,
-    EmptyDatasetError,
     LinearConstraint,
     constraint_to_dict,
     constraint_text,
@@ -57,8 +56,6 @@ def extract_constraint(net: EqlNetwork, direction: Direction) -> LinearConstrain
 
 
 def _violation_count(constraint: LinearConstraint, dataset: Dataset) -> int:
-    if dataset.n_points == 0:
-        raise EmptyDatasetError("violation_rate is undefined on an empty dataset")
     if dataset.n_features != constraint.n_features:
         raise ValueError(
             f"constraint has {constraint.n_features} coefficients but the dataset "

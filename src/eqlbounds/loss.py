@@ -49,20 +49,19 @@ class LossBreakdown:
         object.__setattr__(self, "p_gamma_indices", _frozen(idx))
 
 
-def directional_errors(y: np.ndarray, preds: np.ndarray, direction: Direction) -> np.ndarray:
-    """Signed errors oriented by the sought constraint direction.
+def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
+    """Signed errors against the target 0, oriented by the sought constraint direction.
 
-    LOWER (seeking ``bound <= f(x)``) uses ``y - preds``; UPPER uses
-    ``preds - y``.  With zero targets the errors are just the negated (or
-    plain) predictions.
+    LOWER (seeking ``bound <= f(x)``) uses ``0 - preds``; UPPER uses
+    ``preds - 0``.  ``0 - preds`` is a subtraction, not a negation, so a
+    prediction of ``-0.0`` gives the error ``+0.0``.
     """
-    y_arr = np.asarray(y, dtype=float)
     p_arr = np.asarray(preds, dtype=float)
-    if y_arr.shape != p_arr.shape or y_arr.ndim != 1:
-        raise ValueError(f"y and preds must be equal-length vectors, got {y_arr.shape} and {p_arr.shape}")
+    if p_arr.ndim != 1:
+        raise ValueError(f"preds must be a vector, got shape {p_arr.shape}")
     if direction is Direction.LOWER:
-        return y_arr - p_arr
-    return p_arr - y_arr
+        return np.subtract(0.0, p_arr)
+    return p_arr - 0.0
 
 
 def term_e(e: np.ndarray, alpha1: float) -> float:
@@ -119,9 +118,7 @@ def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
     return l1 * float(np.add.reduce(np.abs(w), axis=None)) + l2 * float(w @ w)
 
 
-def loss_and_pred_grad(
-    y: np.ndarray, preds: np.ndarray, net: EqlNetwork, cfg: LossConfig
-) -> tuple[LossBreakdown, np.ndarray]:
+def loss_and_pred_grad(preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> tuple[LossBreakdown, np.ndarray]:
     """Compose the full loss and its derivative with respect to each prediction.
 
     The percentile subset and the worst-error index are computed once from
@@ -129,10 +126,10 @@ def loss_and_pred_grad(
     lower index wins, which picks one member of the subgradient set.  The
     regularization term does not depend on the predictions.
     """
-    e = directional_errors(y, preds, cfg.direction)
+    e = directional_errors(preds, cfg.direction)
     n = e.size
     idx = p_gamma_subset(e, cfg.gamma)
-    # The errors are s * (y - preds), with s = +1 for LOWER and -1 for UPPER;
+    # The errors are s * (0 - preds), with s = +1 for LOWER and -1 for UPPER;
     # term_p squares them, so the sign does not matter.  e[worst] is e.max(),
     # NaN included.
     e_sub = e[idx]

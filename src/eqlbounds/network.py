@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, EmptyDatasetError, _all_finite, _check_integer, _frozen, read_json_object
+from .datamodel import Dataset, _all_finite, _check_integer, _frozen, read_json_object
 
 
 class Primitive(Enum):
@@ -185,8 +185,6 @@ def initialize(
     architecture, the dataset extrema, and the seed.
     """
     _check_integer("seed", seed, 0)
-    if dataset.n_points == 0:
-        raise EmptyDatasetError("cannot initialize from an empty dataset")
     prims = tuple(primitives)
     h, f = len(prims), dataset.n_features
     if h < 1:

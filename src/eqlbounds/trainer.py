@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .datamodel import (
     Dataset,
     Direction,
-    EmptyDatasetError,
     EpochRecord,
     LossConfig,
     TrainConfig,
@@ -31,7 +29,7 @@ from .datamodel import (
 )
 from .extract import extract_constraint, violation_rate
 from .loss import LossBreakdown, loss_and_pred_grad
-from .network import DEFAULT_PRIMITIVES, EqlNetwork, Primitive, apply_mask, collapse_affine_grad, forward_batch, initialize
+from .network import EqlNetwork, apply_mask, collapse_affine_grad, forward_batch, initialize
 
 
 class DivergenceError(ArithmeticError):
@@ -69,15 +67,13 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
     holds the percentile subset and the worst-error index fixed.  Masked
     positions always receive gradient exactly zero.
     """
-    if dataset.n_points == 0:
-        raise EmptyDatasetError("cannot take gradients on an empty dataset")
     points = dataset.points
 
     # Overflow on a diverging run shows up as inf/nan and is reported through
     # the explicit finiteness checks below, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         preds = forward_batch(net, dataset)
-        breakdown, dz_dpred = loss_and_pred_grad(dataset.targets, preds, net, cfg)
+        breakdown, dz_dpred = loss_and_pred_grad(preds, net, cfg)
 
         # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
         d_b_out = float(np.add.reduce(dz_dpred))
@@ -100,12 +96,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
     return breakdown, Gradients(d_w_in, d_w_out, d_b_out)
 
 
-def train(
-    dataset: Dataset,
-    loss_cfg: LossConfig,
-    train_cfg: TrainConfig,
-    primitives: Sequence[Primitive] = DEFAULT_PRIMITIVES,
-) -> tuple[EqlNetwork, TrainReport]:
+def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
     """Run one seeded training run and extract the resulting constraint.
 
     Each epoch records the loss breakdown at its start, then applies one
@@ -117,9 +108,7 @@ def train(
     starting parameters or loss are non-finite, with or without masking;
     after the final step that epoch is ``train_cfg.epochs``.
     """
-    if dataset.n_points == 0:
-        raise EmptyDatasetError("cannot train on an empty dataset")
-    net = initialize(dataset, primitives, train_cfg.seed)
+    net = initialize(dataset, seed=train_cfg.seed)
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
     records: list[EpochRecord] = []
@@ -155,10 +144,7 @@ def train(
 
 
 def train_multi(
-    dataset: Dataset,
-    loss_cfg: LossConfig,
-    train_cfg: TrainConfig,
-    primitives: Sequence[Primitive] = DEFAULT_PRIMITIVES,
+    dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig
 ) -> list[tuple[EqlNetwork, TrainReport]]:
     """Run ``train_cfg.runs`` independent runs seeded seed, seed+1, ...
 
@@ -168,7 +154,7 @@ def train_multi(
     results = []
     for offset in range(train_cfg.runs):
         cfg = replace(train_cfg, seed=train_cfg.seed + offset, runs=1)
-        results.append(train(dataset, loss_cfg, cfg, primitives))
+        results.append(train(dataset, loss_cfg, cfg))
     results.sort(key=lambda pair: pair[1].violation_rate)
     return results
 

@@ -166,10 +166,22 @@ def csv_load(path):
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in csv.reader(text.splitlines()) if row]
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+    # A line keeps a \r, \n or \r\n end, which a quoted cell that spans it
+    # keeps; every other line end of splitlines is dropped.
+    lines = []
+    for line in text.splitlines(keepends=True):
+        body = line.splitlines()[0]
+        end = line[len(body) :]
+        lines.append(line if end in ("\r", "\n", "\r\n") else body)
+    try:
+        rows = [row for row in csv.reader(lines) if row]
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
     if not rows:
         raise EmptyDatasetError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]

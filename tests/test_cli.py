@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and file artifacts."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import warnings
@@ -84,6 +85,14 @@ class TestGen:
         )
         assert main(["gen", "--spec", str(spec_path), "--n", "1", "--out", str(tmp_path / "d.csv")]) == 3
         assert "rejections" in capsys.readouterr().err
+
+    def test_zero_count_is_input_error_writing_no_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "region.json"
+        save_region_spec(RegionSpec(box=[[0.0, 1.0]]), spec_path)
+        out = tmp_path / "d.csv"
+        assert main(["gen", "--spec", str(spec_path), "--n", "0", "--out", str(out)]) == 2
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_input_error_naming_seed(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -186,6 +195,17 @@ class TestTrain:
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(self.train_args(tmp_path / "absent.csv", tmp_path / "r")) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"X0\n1\xe9\n", b"X0\n" + b"0" * csv.field_size_limit() + b"1\n"],
+        ids=["not-utf-8", "cell-past-the-csv-field-limit"],
+    )
+    def test_unreadable_data_file_is_input_error_naming_it(self, tmp_path, capsys, body):
+        data = tmp_path / "d.csv"
+        data.write_bytes(body)
+        assert main(self.train_args(data, tmp_path / "r")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: ")
 
     def test_bad_config_key(self, square_low_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

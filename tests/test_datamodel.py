@@ -152,7 +152,6 @@ class TestLoadDataset:
         assert ds.n_points == 2
         assert ds.n_features == 2
         assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ds.targets, [0.0, 0.0])
         assert ds.feature_names == ("X0", "X1")
 
     def test_header_only_is_empty(self, tmp_path):
@@ -265,11 +264,34 @@ class TestLoadDataset:
 
     def test_cell_past_the_csv_field_limit_fails_as_before(self, tmp_path):
         path = write(tmp_path, "d.csv", "X0\n" + "0" * csv.field_size_limit() + "1\n")
-        with pytest.raises(csv.Error) as expected:
+        with pytest.raises(DatasetError) as expected:
             csv_load(path)
-        with pytest.raises(csv.Error) as raised:
+        with pytest.raises(DatasetError) as raised:
             load_dataset(path)
+        assert str(raised.value).startswith(f"{path}: field larger than field limit")
         assert str(raised.value) == str(expected.value)
+
+    def test_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"X0\n1\xe9\n")
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(path)
+        assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode")
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_line_break_in_a_quoted_cell_is_kept(self, tmp_path):
+        path = write(tmp_path, "d.csv", 'X0\n"1\n2"\n')
+        with pytest.raises(NonNumericError) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: non-numeric value '1\\n2' at row 1, col 1"
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    def test_other_line_ends_end_a_row_and_leave_quoted_cells(self, tmp_path):
+        path = write(tmp_path, "d.csv", '"a\vb",c\x1c1,"2\x0c"\u2028\n3,4\x85')
+        ds = load_dataset(path)
+        assert ds.feature_names == ("ab", "c")
+        assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
 
 
 _SAVED_POINTS = hnp.arrays(
@@ -279,7 +301,7 @@ _SAVED_POINTS = hnp.arrays(
     | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.float_info.max]),
 )
 _SAVED_NAMES = st.lists(
-    st.text(st.sampled_from('ab ,"X'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
+    st.text(st.sampled_from('ab ,"X\n\r'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
     min_size=4,
     max_size=4,
 )
@@ -305,6 +327,7 @@ class TestDatasetRoundTrip:
         points=np.array([[-0.0, 5e-324], [sys.float_info.max, -sys.float_info.max]]),
         names=["a,b", 'q"', "X", "Y"],
     )
+    @example(points=np.ones((1, 4)), names=["a\nb", "c\rd", "e\r\nf", 'g"\n\r"h'])
     def test_bit_identical(self, tmp_path_factory, points, names):
         original = Dataset(points, feature_names=names[: points.shape[1]])
         path = tmp_path_factory.mktemp("csv") / "d.csv"
@@ -326,10 +349,6 @@ class TestDatasetRoundTrip:
 
 
 class TestDatasetValidation:
-    def test_default_targets_are_zero(self):
-        ds = Dataset(np.ones((4, 2)))
-        assert np.array_equal(ds.targets, np.zeros(4))
-
     def test_default_feature_names(self):
         assert Dataset(np.ones((1, 3))).feature_names == ("X0", "X1", "X2")
 
@@ -337,13 +356,13 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError):
             Dataset(np.ones(5))
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(EmptyDatasetError, match="at least one row"):
+            Dataset(np.empty((0, 2)))
+
     def test_rejects_nan(self):
         with pytest.raises(DatasetError):
             Dataset(np.array([[1.0, float("nan")]]))
-
-    def test_rejects_wrong_target_length(self):
-        with pytest.raises(DatasetError):
-            Dataset(np.ones((3, 1)), targets=np.zeros(2))
 
     def test_rejects_wrong_name_count(self):
         with pytest.raises(DatasetError):
@@ -354,10 +373,7 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.points[0, 0] = 9.0
         with pytest.raises(ValueError):
-            ds.targets[0] = 9.0
-        for arr in (ds.points, ds.targets):
-            with pytest.raises(ValueError):
-                arr.setflags(write=True)
+            ds.points.setflags(write=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.points = np.zeros((2, 2))
 

@@ -33,25 +33,33 @@ def reg_net(w_out):
 
 class TestDirectionalErrors:
     def test_lower_bound_negates_excess(self):
-        assert np.array_equal(directional_errors([0.0], [2.0], Direction.LOWER), [-2.0])
+        assert np.array_equal(directional_errors([2.0], Direction.LOWER), [-2.0])
 
     def test_upper_bound_keeps_excess(self):
-        assert np.array_equal(directional_errors([0.0], [2.0], Direction.UPPER), [2.0])
+        assert np.array_equal(directional_errors([2.0], Direction.UPPER), [2.0])
 
     def test_zero_when_predictions_match(self):
         for d in Direction:
-            assert np.array_equal(directional_errors([1.0, 1.0], [1.0, 1.0], d), [0.0, 0.0])
+            assert np.array_equal(directional_errors([0.0, 0.0], d), [0.0, 0.0])
+
+    def test_signs_of_zero_are_those_of_subtraction(self):
+        preds = np.array([0.0, -0.0])
+        lower = directional_errors(preds, Direction.LOWER)
+        upper = directional_errors(preds, Direction.UPPER)
+        assert np.signbit(lower).tolist() == np.signbit(np.zeros(2) - preds).tolist() == [False, False]
+        assert np.signbit(upper).tolist() == np.signbit(preds - np.zeros(2)).tolist() == [False, True]
 
     def test_directions_are_antisymmetric(self):
         rng = np.random.default_rng(7)
         y, preds = rng.standard_normal(30), rng.standard_normal(30)
-        lower = directional_errors(y, preds, Direction.LOWER)
-        upper = directional_errors(y, preds, Direction.UPPER)
+        lower = directional_errors(preds - y, Direction.LOWER)
+        upper = directional_errors(preds - y, Direction.UPPER)
         assert np.array_equal(lower, -upper)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            directional_errors([0.0], [1.0, 2.0], Direction.LOWER)
+    def test_non_vector_rejected(self):
+        for preds in (np.zeros((2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="vector"):
+                directional_errors(preds, Direction.LOWER)
 
 
 class TestTermE:
@@ -134,24 +142,24 @@ class TestPGammaSubset:
             p_gamma_subset(np.array([1.0]), 101.0)
 
 
-def isolated_breakdown(y, preds, **cfg):
+def isolated_breakdown(preds, **cfg):
     """The loss breakdown with the output weight 1.0 and no regularization."""
     cfg = LossConfig(**{"l1": 0.0, "l2": 0.0, **cfg})
-    return loss_and_pred_grad(np.asarray(y, dtype=float), np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
+    return loss_and_pred_grad(np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
 
 
 class TestTermP:
     # alpha1 = alpha3 = 0 leaves term_p alone in z.
     def test_subset_squared_over_full_count(self):
         # LOWER errors are [-3, -100]; the top 50% is index 0.
-        b = isolated_breakdown([0.0, 0.0], [3.0, 100.0], alpha1=0.0, alpha2=1.0, alpha3=0.0, gamma=50.0)
+        b = isolated_breakdown([3.0, 100.0], alpha1=0.0, alpha2=1.0, alpha3=0.0, gamma=50.0)
         assert list(b.p_gamma_indices) == [0]
         assert b.term_p == 4.5
         assert b.z == 4.5
 
     def test_exact_fit_on_subset(self):
         # LOWER errors are [0, -3]; the top 50% is index 0, fitted exactly.
-        b = isolated_breakdown([1.0, 2.0], [1.0, 5.0], alpha1=0.0, alpha2=3.0, alpha3=0.0, gamma=50.0)
+        b = isolated_breakdown([0.0, 3.0], alpha1=0.0, alpha2=3.0, alpha3=0.0, gamma=50.0)
         assert list(b.p_gamma_indices) == [0]
         assert b.term_p == 0.0
         assert b.z == 0.0
@@ -160,17 +168,17 @@ class TestTermP:
 class TestTermAnchor:
     # alpha1 = alpha2 = 0 leaves term_anchor alone in z; LOWER errors are -preds.
     def test_maximum_then_absolute_value(self):
-        b = isolated_breakdown([0.0, 0.0], [10.0, 2.0], alpha1=0.0, alpha2=0.0, alpha3=0.5)
+        b = isolated_breakdown([10.0, 2.0], alpha1=0.0, alpha2=0.0, alpha3=0.5)
         assert b.term_anchor == 1.0
         assert b.z == 1.0
 
     def test_positive_maximum(self):
-        b = isolated_breakdown([0.0, 0.0], [-3.0, 7.0], alpha1=0.0, alpha2=0.0, alpha3=1.0)
+        b = isolated_breakdown([-3.0, 7.0], alpha1=0.0, alpha2=0.0, alpha3=1.0)
         assert b.term_anchor == 3.0
         assert b.z == 3.0
 
     def test_zero_error(self):
-        b = isolated_breakdown([0.0], [0.0], alpha1=0.0, alpha2=0.0, alpha3=5.0)
+        b = isolated_breakdown([0.0], alpha1=0.0, alpha2=0.0, alpha3=5.0)
         assert b.term_anchor == 0.0
         assert b.z == 0.0
 
@@ -193,7 +201,7 @@ class TestTermReg:
 class TestLossTotal:
     def test_single_point_hand_value(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.5, alpha3=0.5, gamma=100.0, l1=0.0, l2=0.0)
-        breakdown = loss_and_pred_grad(np.array([0.0]), np.array([2.0]), reg_net([1.0]), cfg)[0]
+        breakdown = loss_and_pred_grad(np.array([2.0]), reg_net([1.0]), cfg)[0]
         assert breakdown.term_e == -2.0
         assert breakdown.term_p == 2.0
         assert breakdown.term_anchor == 1.0
@@ -203,15 +211,14 @@ class TestLossTotal:
 
     def test_perfect_fit_leaves_only_regularization(self):
         cfg = LossConfig()
-        y = np.array([0.0, 0.0, 0.0])
-        breakdown = loss_and_pred_grad(y, y, reg_net([1.0, -2.0]), cfg)[0]
+        breakdown = loss_and_pred_grad(np.zeros(3), reg_net([1.0, -2.0]), cfg)[0]
         assert breakdown.z == breakdown.term_reg
         assert breakdown.term_reg == pytest.approx(0.40, abs=1e-15)
 
     def test_reduces_to_mean_error(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.0, alpha3=0.0, l1=0.0, l2=0.0)
         preds = np.array([1.0, 2.0, 6.0])
-        breakdown = loss_and_pred_grad(np.zeros(3), preds, reg_net([1.0]), cfg)[0]
+        breakdown = loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0]
         assert breakdown.z == -3.0
 
     def test_z_is_sum_of_terms(self):
@@ -228,28 +235,28 @@ class TestLossTotal:
                 l2=float(rng.uniform(0, 0.2)),
             )
             y, preds = rng.standard_normal(n), rng.standard_normal(n)
-            b = loss_and_pred_grad(y, preds, reg_net(rng.standard_normal(3)), cfg)[0]
+            b = loss_and_pred_grad(preds - y, reg_net(rng.standard_normal(3)), cfg)[0]
             assert abs(b.z - (b.term_e + b.term_p + b.term_anchor + b.term_reg)) <= 1e-12
 
     def test_data_terms_permutation_invariant(self):
         rng = np.random.default_rng(29)
         cfg = LossConfig(gamma=20.0)
         y, preds = rng.standard_normal(25), rng.standard_normal(25)
+        preds = preds - y
         perm = rng.permutation(25)
         net = reg_net([0.5, -0.5])
-        a = loss_and_pred_grad(y, preds, net, cfg)[0]
-        b = loss_and_pred_grad(y[perm], preds[perm], net, cfg)[0]
+        a = loss_and_pred_grad(preds, net, cfg)[0]
+        b = loss_and_pred_grad(preds[perm], net, cfg)[0]
         assert a.term_e == pytest.approx(b.term_e, rel=1e-12)
         assert a.term_p == pytest.approx(b.term_p, rel=1e-12)
         assert a.term_anchor == b.term_anchor
 
     def test_uses_configured_subset_rule(self):
-        y = np.zeros(4)
         preds = np.array([10.0, 0.0, 5.0, 0.2])
         # LOWER errors are -preds, so the largest error belongs to the
         # smallest prediction.
         cfg = LossConfig(gamma=25.0)
-        assert list(loss_and_pred_grad(y, preds, reg_net([1.0]), cfg)[0].p_gamma_indices) == [1]
+        assert list(loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0].p_gamma_indices) == [1]
 
     def test_breakdown_equals_public_terms_exactly_with_ties(self):
         rng = np.random.default_rng(31)
@@ -266,28 +273,28 @@ class TestLossTotal:
             )
             # Values on a coarse grid, so errors tie often.
             y = rng.integers(-3, 4, n) * 0.5
-            preds = rng.integers(-3, 4, n) * 0.25
+            preds = rng.integers(-3, 4, n) * 0.25 - y
             net = reg_net(rng.standard_normal(3))
-            b, dz = loss_and_pred_grad(y, preds, net, cfg)
-            e = directional_errors(y, preds, cfg.direction)
+            b, dz = loss_and_pred_grad(preds, net, cfg)
+            e = directional_errors(preds, cfg.direction)
             idx = p_gamma_subset(e, cfg.gamma)
             assert np.array_equal(b.p_gamma_indices, idx)
             assert b.term_e == term_e(e, cfg.alpha1)
             # term_p divides by the full n; term_anchor takes the maximum first.
-            residual = y[idx] - preds[idx]
+            residual = 0.0 - preds[idx]
             assert b.term_p == cfg.alpha2 * float(residual @ residual) / n
             assert b.term_anchor == cfg.alpha3 * abs(float(e.max()))
             assert b.term_reg == term_reg(net, cfg.l1, cfg.l2)
-            # dz/dpred term by term, with the residual taken as preds - y.
+            # dz/dpred term by term, with the residual taken as preds - 0.
             s = 1.0 if cfg.direction is Direction.LOWER else -1.0
             expected = np.full(n, -cfg.alpha1 * s / n)
-            expected[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - y[idx])
+            expected[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - 0.0)
             worst = int(np.argmax(e))
             expected[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
             assert np.array_equal(dz, expected)
 
     def test_breakdown_indices_frozen(self):
         cfg = LossConfig()
-        b = loss_and_pred_grad(np.zeros(2), np.ones(2), reg_net([1.0]), cfg)[0]
+        b = loss_and_pred_grad(np.ones(2), reg_net([1.0]), cfg)[0]
         with pytest.raises(ValueError):
             b.p_gamma_indices[0] = 5

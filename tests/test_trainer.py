@@ -38,7 +38,7 @@ CONST = Primitive.CONSTANT
 
 def loss_value(net, dataset, cfg):
     preds = forward_batch(net, dataset.points)
-    return loss_and_pred_grad(dataset.targets, preds, net, cfg)[0].z
+    return loss_and_pred_grad(preds, net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):
