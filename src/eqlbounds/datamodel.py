@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -88,7 +88,9 @@ class Dataset:
 
     The boundary-fitting protocol trains every row against the target 0,
     so no target is stored.  The points are copied and frozen on
-    construction.
+    construction.  Each feature name must be non-empty and free of
+    surrounding whitespace: :func:`load_dataset` strips header cells and
+    rejects empty ones, so only such names survive a save and reload.
     """
 
     points: np.ndarray
@@ -109,6 +111,11 @@ class Dataset:
         names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
         if len(names) != f:
             raise DatasetError(f"expected {f} feature names, got {len(names)}")
+        for i, name in enumerate(names):
+            if not name:
+                raise DatasetError(f"feature {i} has an empty name")
+            if name != name.strip():
+                raise DatasetError(f"feature {i} name {name!r} has surrounding whitespace")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "feature_names", names)
 
@@ -512,8 +519,12 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    """Loss breakdown recorded at the start of one epoch."""
+class LossBreakdown:
+    """One evaluation of the loss, split by term; ``z`` is the sum of the four terms.
+
+    The loss returns it and a training report holds one per epoch, recorded
+    at the epoch's start.
+    """
 
     z: float
     term_e: float
@@ -522,14 +533,15 @@ class EpochRecord:
     term_reg: float
 
 
-_RECORD_VALUES = attrgetter("z", "term_e", "term_p", "term_anchor", "term_reg")
+_RECORD_FIELDS = tuple(f.name for f in fields(LossBreakdown))
+_RECORD_VALUES = attrgetter(*_RECORD_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)
 class TrainReport:
     """Outcome of one training run: history, constraint, score, seed."""
 
-    records: tuple[EpochRecord, ...]
+    records: tuple[LossBreakdown, ...]
     constraint: LinearConstraint
     violation_rate: float
     seed: int

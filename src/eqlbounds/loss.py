@@ -13,40 +13,20 @@ Three data terms plus regularization:
                   drifting off without limit,
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
-The total ``z`` is the plain sum of the four terms.  :func:`loss_and_pred_grad`
-is the one place that composes them, together with ``dz/dpred``.
+The total ``z`` is the plain sum of the four terms.  All four are computed
+in one function, :func:`loss_and_pred_grad`, together with ``dz/dpred``; it
+returns them as the :class:`LossBreakdown` that a training report records
+for each epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Direction, LossConfig, _frozen
+from .datamodel import Direction, LossBreakdown, LossConfig
 from .network import EqlNetwork
-
-
-@dataclass(frozen=True, eq=False)
-class LossBreakdown:
-    """One evaluation of the loss, split by term.
-
-    ``z`` always equals the sum of the four term fields.  The percentile
-    subset used by ``term_p`` is kept for gradient computation and
-    inspection.
-    """
-
-    z: float
-    term_e: float
-    term_p: float
-    term_anchor: float
-    term_reg: float
-    p_gamma_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.array(self.p_gamma_indices, dtype=np.int64)
-        object.__setattr__(self, "p_gamma_indices", _frozen(idx))
 
 
 def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
@@ -62,14 +42,6 @@ def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
     if direction is Direction.LOWER:
         return np.subtract(0.0, p_arr)
     return p_arr - 0.0
-
-
-def term_e(e: np.ndarray, alpha1: float) -> float:
-    """alpha1 times the mean signed error."""
-    e_arr = np.asarray(e, dtype=float)
-    if e_arr.size == 0:
-        raise ValueError("term_e needs at least one error value")
-    return alpha1 * float(np.add.reduce(e_arr, axis=None)) / e_arr.size
 
 
 def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
@@ -112,12 +84,6 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     return idx
 
 
-def term_reg(net: EqlNetwork, l1: float, l2: float) -> float:
-    """l1/l2 penalty over the output-layer weights only."""
-    w = net.w_out
-    return l1 * float(np.add.reduce(np.abs(w), axis=None)) + l2 * float(w @ w)
-
-
 def loss_and_pred_grad(preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> tuple[LossBreakdown, np.ndarray]:
     """Compose the full loss and its derivative with respect to each prediction.
 
@@ -135,11 +101,12 @@ def loss_and_pred_grad(preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> t
     e_sub = e[idx]
     worst = int(e.argmax())
     e_worst = float(e[worst])
-    t_e = term_e(e, cfg.alpha1)
+    w = net.w_out
+    t_e = cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n
     t_p = cfg.alpha2 * float(e_sub @ e_sub) / n
     t_a = cfg.alpha3 * abs(e_worst)
-    t_r = term_reg(net, cfg.l1, cfg.l2)
-    breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r, idx)
+    t_r = cfg.l1 * float(np.add.reduce(np.abs(w), axis=None)) + cfg.l2 * float(w @ w)
+    breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r)
 
     # d(error)/d(pred) is -s.  Every index of the subset holds the fill value
     # before the scatter, so writing fill - step equals subtracting step there.

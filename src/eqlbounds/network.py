@@ -9,18 +9,16 @@ are affine, so the network is one affine map ``f(x) = a.x + c``, and
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, _all_finite, _check_integer, _frozen, read_json_object
+from .datamodel import Dataset, _all_finite, _check_integer, _frozen
 
 
 class Primitive(Enum):
@@ -234,31 +232,3 @@ def _freeze(weights: np.ndarray, mask: np.ndarray, threshold: float) -> tuple[np
     new_mask = mask | small
     return np.where(new_mask, 0.0, weights), new_mask
 
-
-def save_checkpoint(net: EqlNetwork, path: str | Path) -> None:
-    """Serialize a network (weights, primitives, masks) as JSON."""
-    payload = {
-        "w_in": [[float(v) for v in row] for row in net.w_in],
-        "primitives": [p.value for p in net.primitives],
-        "w_out": [float(v) for v in net.w_out],
-        "b_out": net.b_out,
-        "mask_in": [[bool(v) for v in row] for row in net.mask_in],
-        "mask_out": [bool(v) for v in net.mask_out],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> EqlNetwork:
-    """Reload a network saved by :func:`save_checkpoint`."""
-    payload = read_json_object(path, "checkpoint")
-    try:
-        return EqlNetwork(
-            np.asarray(payload["w_in"], dtype=float),
-            tuple(Primitive(p) for p in payload["primitives"]),
-            np.asarray(payload["w_out"], dtype=float),
-            float(payload["b_out"]),
-            np.asarray(payload["mask_in"], dtype=bool),
-            np.asarray(payload["mask_out"], dtype=bool),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot load checkpoint from {path}: {exc}") from exc

@@ -19,16 +19,18 @@ import numpy as np
 from .datamodel import (
     Dataset,
     Direction,
-    EpochRecord,
+    LossBreakdown,
     LossConfig,
     TrainConfig,
     TrainReport,
+    _RECORD_FIELDS,
+    _RECORD_VALUES,
     _all_finite,
     _write_csv,
     read_json_object,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import LossBreakdown, loss_and_pred_grad
+from .loss import loss_and_pred_grad
 from .network import EqlNetwork, apply_mask, collapse_affine_grad, forward_batch, initialize
 
 
@@ -111,7 +113,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     net = initialize(dataset, seed=train_cfg.seed)
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
-    records: list[EpochRecord] = []
+    records: list[LossBreakdown] = []
     # A step that overflows is reported as divergence below, so numpy's
     # overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,9 +122,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
-            records.append(
-                EpochRecord(breakdown.z, breakdown.term_e, breakdown.term_p, breakdown.term_anchor, breakdown.term_reg)
-            )
+            records.append(breakdown)
             net.w_in = net.w_in - lr * grads.d_w_in
             net.w_out = net.w_out - lr * grads.d_w_out
             net.b_out = net.b_out - lr * grads.d_b_out
@@ -160,12 +160,9 @@ def train_multi(
 
 
 def export_history_csv(report: TrainReport, path: str | Path) -> None:
-    """Write the per-epoch loss history as CSV."""
-    rows = [
-        [epoch, rec.z, rec.term_e, rec.term_p, rec.term_anchor, rec.term_reg]
-        for epoch, rec in enumerate(report.records)
-    ]
-    _write_csv(Path(path), ["epoch", "z", "term_e", "term_p", "term_anchor", "term_reg"], [rows])
+    """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term."""
+    rows = [[epoch, *_RECORD_VALUES(rec)] for epoch, rec in enumerate(report.records)]
+    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], [rows])
 
 
 # Every config key, in ``train`` flag order, and the config object it belongs to.

@@ -14,7 +14,7 @@ import re
 from eqlbounds import LossConfig, TrainConfig, cli
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
-from eqlbounds import load_checkpoint, load_configs, load_constraint, load_region_spec
+from eqlbounds import load_configs, load_constraint, load_region_spec
 from eqlbounds.cli import main
 
 
@@ -365,13 +365,11 @@ class TestPlotdata:
 
 
 class TestJsonFiles:
-    # Each reader of a JSON file, with the command line that reaches it
-    # (None where no command reads that kind of file).
+    # Each reader of a JSON file, with the command line that reaches it.
     READERS = {
         "spec": (load_region_spec, lambda path, data, out: ["gen", "--spec", path, "--n", "10", "--out", out]),
         "config": (load_configs, lambda path, data, out: ["train", "--data", data, "--out-dir", out, "--config", path]),
         "constraint": (load_constraint, lambda path, data, out: ["eval", "--constraint", path, "--data", data]),
-        "checkpoint": (load_checkpoint, None),
     }
 
     @pytest.mark.parametrize("kind", list(READERS))
@@ -381,11 +379,10 @@ class TestJsonFiles:
         loader, command = self.READERS[kind]
         with pytest.raises(ValueError, match=re.escape(str(path))):
             loader(path)
-        if command is not None:
-            out = tmp_path / "out"
-            assert main(command(str(path), str(square_low_csv), str(out))) == 2
-            assert str(path) in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "out"
+        assert main(command(str(path), str(square_low_csv), str(out))) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import sys
 import warnings
 
@@ -18,7 +19,6 @@ from eqlbounds import (
     DatasetError,
     Direction,
     EmptyDatasetError,
-    EpochRecord,
     LinearConstraint,
     LinearCut,
     LossBreakdown,
@@ -368,6 +368,21 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 2)), feature_names=("A",))
 
+    # Names that load_dataset could not give back: it rejects an empty
+    # header cell and strips the others.
+    @pytest.mark.parametrize(
+        ("names", "message"),
+        [
+            (("", "b"), "feature 0 has an empty name"),
+            ((" a", "b"), "feature 0 name ' a' has surrounding whitespace"),
+            (("a", "b\t"), "feature 1 name 'b\\t' has surrounding whitespace"),
+        ],
+        ids=["empty", "leading-space", "trailing-tab"],
+    )
+    def test_rejects_names_that_do_not_reload_naming_the_feature(self, names, message):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            Dataset(np.ones((1, 2)), feature_names=names)
+
     def test_arrays_are_frozen(self):
         ds = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -385,7 +400,6 @@ OWNED_ARRAYS = {
     "LinearCut.coeffs": lambda: LinearCut([1.0, 2.0], 4.0).coeffs,
     "BallCap.center": lambda: BallCap([0.0, 0.0], 1.0).center,
     "RegionSpec.box": lambda: RegionSpec([[0.0, 1.0], [0.0, 2.0]]).box,
-    "LossBreakdown.p_gamma_indices": lambda: LossBreakdown(1.0, 1.0, 0.0, 0.0, 0.0, [0, 1]).p_gamma_indices,
     "EqlNetwork.is_identity": lambda: initialize(Dataset([[0.0, 1.0], [2.0, 3.0]])).is_identity,
 }
 
@@ -576,7 +590,7 @@ class TestTrainConfig:
 
 class TestTrainReport:
     def record(self, z=1.0):
-        return EpochRecord(z, 0.1, 0.2, 0.3, 0.4)
+        return LossBreakdown(z, 0.1, 0.2, 0.3, 0.4)
 
     def test_holds_records(self):
         c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)

@@ -15,8 +15,6 @@ from eqlbounds import (
     directional_errors,
     loss_and_pred_grad,
     p_gamma_subset,
-    term_e,
-    term_reg,
 )
 
 from _oracles import brute_force_p_gamma
@@ -29,6 +27,17 @@ def reg_net(w_out):
     w_out = np.asarray(w_out, dtype=float)
     h = w_out.size
     return EqlNetwork(np.zeros((h, 1)), (ID,) * h, w_out, 0.0)
+
+
+def isolated_breakdown(preds, **cfg):
+    """The loss breakdown with the output weight 1.0 and no regularization."""
+    cfg = LossConfig(**{"l1": 0.0, "l2": 0.0, **cfg})
+    return loss_and_pred_grad(np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
+
+
+def reg_term(net, l1, l2):
+    """The regularization term of the loss at a perfect fit."""
+    return loss_and_pred_grad(np.zeros(1), net, LossConfig(l1=l1, l2=l2))[0].term_reg
 
 
 class TestDirectionalErrors:
@@ -63,18 +72,19 @@ class TestDirectionalErrors:
 
 
 class TestTermE:
+    # UPPER errors are the predictions themselves.
     def test_weighted_mean(self):
-        assert term_e(np.array([-2.0, -4.0]), 1.0) == -3.0
+        assert isolated_breakdown([-2.0, -4.0], alpha1=1.0, direction=Direction.UPPER).term_e == -3.0
 
     def test_zero_errors(self):
-        assert term_e(np.zeros(3), 7.0) == 0.0
+        assert isolated_breakdown(np.zeros(3), alpha1=7.0, direction=Direction.UPPER).term_e == 0.0
 
     def test_alpha_scales(self):
-        assert term_e(np.array([1.0, 2.0, 3.0]), 0.5) == 1.0
+        assert isolated_breakdown([1.0, 2.0, 3.0], alpha1=0.5, direction=Direction.UPPER).term_e == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            term_e(np.array([]), 1.0)
+            isolated_breakdown(np.array([]), alpha1=1.0)
 
 
 class TestPGammaSubset:
@@ -142,25 +152,19 @@ class TestPGammaSubset:
             p_gamma_subset(np.array([1.0]), 101.0)
 
 
-def isolated_breakdown(preds, **cfg):
-    """The loss breakdown with the output weight 1.0 and no regularization."""
-    cfg = LossConfig(**{"l1": 0.0, "l2": 0.0, **cfg})
-    return loss_and_pred_grad(np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
-
-
 class TestTermP:
     # alpha1 = alpha3 = 0 leaves term_p alone in z.
     def test_subset_squared_over_full_count(self):
         # LOWER errors are [-3, -100]; the top 50% is index 0.
         b = isolated_breakdown([3.0, 100.0], alpha1=0.0, alpha2=1.0, alpha3=0.0, gamma=50.0)
-        assert list(b.p_gamma_indices) == [0]
+        assert list(p_gamma_subset(directional_errors([3.0, 100.0], Direction.LOWER), 50.0)) == [0]
         assert b.term_p == 4.5
         assert b.z == 4.5
 
     def test_exact_fit_on_subset(self):
         # LOWER errors are [0, -3]; the top 50% is index 0, fitted exactly.
         b = isolated_breakdown([0.0, 3.0], alpha1=0.0, alpha2=3.0, alpha3=0.0, gamma=50.0)
-        assert list(b.p_gamma_indices) == [0]
+        assert list(p_gamma_subset(directional_errors([0.0, 3.0], Direction.LOWER), 50.0)) == [0]
         assert b.term_p == 0.0
         assert b.z == 0.0
 
@@ -185,17 +189,17 @@ class TestTermAnchor:
 
 class TestTermReg:
     def test_output_layer_norms(self):
-        assert term_reg(reg_net([1.0, -2.0]), 0.05, 0.05) == pytest.approx(0.40, abs=1e-15)
+        assert reg_term(reg_net([1.0, -2.0]), 0.05, 0.05) == pytest.approx(0.40, abs=1e-15)
 
     def test_zero_strengths(self):
-        assert term_reg(reg_net([3.0, 4.0]), 0.0, 0.0) == 0.0
+        assert reg_term(reg_net([3.0, 4.0]), 0.0, 0.0) == 0.0
 
     def test_zero_weights(self):
-        assert term_reg(reg_net([0.0, 0.0]), 0.5, 0.5) == 0.0
+        assert reg_term(reg_net([0.0, 0.0]), 0.5, 0.5) == 0.0
 
     def test_input_weights_not_penalized(self):
         net = EqlNetwork(np.full((2, 3), 100.0), (ID, ID), np.array([1.0, -2.0]), 0.0)
-        assert term_reg(net, 0.05, 0.05) == pytest.approx(0.40, abs=1e-15)
+        assert reg_term(net, 0.05, 0.05) == pytest.approx(0.40, abs=1e-15)
 
 
 class TestLossTotal:
@@ -207,7 +211,6 @@ class TestLossTotal:
         assert breakdown.term_anchor == 1.0
         assert breakdown.term_reg == 0.0
         assert breakdown.z == 1.0
-        assert list(breakdown.p_gamma_indices) == [0]
 
     def test_perfect_fit_leaves_only_regularization(self):
         cfg = LossConfig()
@@ -256,7 +259,9 @@ class TestLossTotal:
         # LOWER errors are -preds, so the largest error belongs to the
         # smallest prediction.
         cfg = LossConfig(gamma=25.0)
-        assert list(loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0].p_gamma_indices) == [1]
+        assert list(p_gamma_subset(directional_errors(preds, cfg.direction), cfg.gamma)) == [1]
+        # term_p squares the subset's one error, which is 0; index 3 would give 0.005.
+        assert loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0].term_p == 0.0
 
     def test_breakdown_equals_public_terms_exactly_with_ties(self):
         rng = np.random.default_rng(31)
@@ -278,13 +283,13 @@ class TestLossTotal:
             b, dz = loss_and_pred_grad(preds, net, cfg)
             e = directional_errors(preds, cfg.direction)
             idx = p_gamma_subset(e, cfg.gamma)
-            assert np.array_equal(b.p_gamma_indices, idx)
-            assert b.term_e == term_e(e, cfg.alpha1)
+            assert b.term_e == cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n
             # term_p divides by the full n; term_anchor takes the maximum first.
             residual = 0.0 - preds[idx]
             assert b.term_p == cfg.alpha2 * float(residual @ residual) / n
             assert b.term_anchor == cfg.alpha3 * abs(float(e.max()))
-            assert b.term_reg == term_reg(net, cfg.l1, cfg.l2)
+            w = net.w_out
+            assert b.term_reg == cfg.l1 * float(np.add.reduce(np.abs(w), axis=None)) + cfg.l2 * float(w @ w)
             # dz/dpred term by term, with the residual taken as preds - 0.
             s = 1.0 if cfg.direction is Direction.LOWER else -1.0
             expected = np.full(n, -cfg.alpha1 * s / n)
@@ -292,9 +297,3 @@ class TestLossTotal:
             worst = int(np.argmax(e))
             expected[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
             assert np.array_equal(dz, expected)
-
-    def test_breakdown_indices_frozen(self):
-        cfg = LossConfig()
-        b = loss_and_pred_grad(np.ones(2), reg_net([1.0]), cfg)[0]
-        with pytest.raises(ValueError):
-            b.p_gamma_indices[0] = 5

@@ -19,8 +19,6 @@ from eqlbounds import (
     apply_mask,
     forward_batch,
     initialize,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 ID = Primitive.IDENTITY
@@ -358,29 +356,3 @@ class TestNetworkValidation:
             net.is_identity[1] = True
         assert list(other.is_identity) == [True, False, True]
         assert forward_batch(other, np.array([[1.0, 1.0]]))[0] == 10.0
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        net = make_net(rng.standard_normal((3, 2)), (ID, CONST, ID), rng.standard_normal(3), 0.25)
-        net = apply_mask(net, 0.5)
-        save_checkpoint(net, tmp_path / "net.json")
-        loaded = load_checkpoint(tmp_path / "net.json")
-        assert np.array_equal(loaded.w_in, net.w_in)
-        assert np.array_equal(loaded.w_out, net.w_out)
-        assert loaded.b_out == net.b_out
-        assert loaded.primitives == net.primitives
-        assert np.array_equal(loaded.mask_in, net.mask_in)
-        assert np.array_equal(loaded.mask_out, net.mask_out)
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_checkpoint(tmp_path / "absent.json")
-
-    def test_unknown_primitive_is_a_load_error(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_checkpoint(make_net([[1.0]], (ID,), [1.0], 0.0), path)
-        path.write_text(path.read_text(encoding="utf-8").replace('"identity"', '"sin"'), encoding="utf-8")
-        with pytest.raises(ValueError, match="cannot load checkpoint"):
-            load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Analytic gradients against finite differences, plus the descent loop."""
 
+import dataclasses
 import json
 import warnings
 
@@ -12,6 +13,7 @@ from eqlbounds import (
     DivergenceError,
     EmptyDatasetError,
     EqlNetwork,
+    LossBreakdown,
     LossConfig,
     NonFiniteGradientError,
     Primitive,
@@ -297,11 +299,14 @@ class TestHistoryExport:
         path = tmp_path / "history.csv"
         export_history_csv(report, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "epoch,z,term_e,term_p,term_anchor,term_reg"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == report.records[0].z
+        names = [f.name for f in dataclasses.fields(LossBreakdown)]
+        assert names == ["z", "term_e", "term_p", "term_anchor", "term_reg"]
+        assert lines[0].split(",") == ["epoch", *names]
+        assert len(lines) == 1 + len(report.records) == 6
+        for epoch, (line, record) in enumerate(zip(lines[1:], report.records)):
+            cells = line.split(",")
+            assert int(cells[0]) == epoch
+            assert [float(cell) for cell in cells[1:]] == [getattr(record, name) for name in names]
 
 
 class TestConfigLoading:
