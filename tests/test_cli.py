@@ -312,6 +312,15 @@ class TestEval:
         save_constraint(LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER), cpath)
         assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
 
+    @pytest.mark.parametrize("bound", [None, [1.0], {"a": 1.0}, True, "1.0"])
+    def test_non_number_bound_is_an_input_error(self, tmp_path, capsys, bound):
+        data = tmp_path / "d.csv"
+        save_dataset(Dataset(np.ones((2, 2))), data)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"coeffs": [0.5, 1.0], "bound": bound, "relation": "lower"}), encoding="utf-8")
+        assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == f"error: malformed constraint payload: bound must be a number, got {bound!r}\n"
+
 
 class TestPlotdata:
     def constraint_file(self, tmp_path, coeffs):

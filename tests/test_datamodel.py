@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -258,6 +259,24 @@ class TestLoadDataset:
         assert loaded.points.tobytes() == original.points.tobytes()
         assert _outcome(load_dataset, path) == _outcome(csv_load, path)
 
+    def test_plain_load_peaks_near_the_file_size(self, tmp_path):
+        square = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0),))
+        path = tmp_path / "d.csv"
+        save_dataset(generate(square, 20_000, seed=0), path)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        # The file's bytes, the array NumPy's reader grows and the copy that
+        # Dataset freezes; a copy of the text or a str per line breaks it.
+        assert peak <= path.stat().st_size + 3 * loaded.points.nbytes
+
     def test_cell_at_the_csv_field_limit_loads(self, tmp_path, c_reader_only):
         path = write(tmp_path, "d.csv", "X0\n" + "0" * (csv.field_size_limit() - 1) + "1\n")
         assert np.array_equal(load_dataset(path).points, [[1.0]])
@@ -498,6 +517,23 @@ class TestConstraintFiles:
     def test_malformed_payload(self):
         with pytest.raises(ValueError):
             constraint_from_dict({"coeffs": [1.0]})
+
+    @pytest.mark.parametrize("value", [None, [1.0], {"a": 1.0}, True, "1.0"])
+    @pytest.mark.parametrize("field", ["bound", "coeffs[0]"])
+    def test_non_number_is_malformed_naming_the_field(self, field, value):
+        payload = {"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower"}
+        if field == "bound":
+            payload["bound"] = value
+        else:
+            payload["coeffs"] = [value, 1.0]
+        with pytest.raises(ValueError) as raised:
+            constraint_from_dict(payload)
+        assert str(raised.value) == f"malformed constraint payload: {field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("coeffs", [None, 1.0, "ab", {"a": 1.0}])
+    def test_coeffs_not_a_list_is_malformed(self, coeffs):
+        with pytest.raises(ValueError, match=r"^malformed constraint payload: coeffs must be a list"):
+            constraint_from_dict({"coeffs": coeffs, "bound": 1.0, "relation": "lower"})
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValueError):

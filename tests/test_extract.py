@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlbounds import (
+    COEFF_EPS,
     Dataset,
     DegenerateConstraintError,
     Direction,
@@ -144,6 +147,35 @@ class TestExtractConstraint:
         )
         constraint = extract_constraint(net, Direction.LOWER)
         assert constraint.coeffs[0] == 0.0
+
+
+# Collapsed values that are 0 or lie 1e-6..1e6 from it: scaled by 2^j with
+# |j| <= 8 they stay exact and clear of COEFF_EPS, so the scaled network
+# drops the same coefficients as dust.
+_COLLAPSED = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
+_SCALES = st.builds(lambda sign, j: sign * 2.0**j, st.sampled_from([1.0, -1.0]), st.integers(-8, 8))
+
+
+class TestScaleInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(_COLLAPSED, min_size=1, max_size=4).filter(any),
+        offset=_COLLAPSED,
+        scale=_SCALES,
+        direction=st.sampled_from(Direction),
+    )
+    def test_scaled_collapse_gives_the_same_constraint(self, coeffs, offset, scale, direction):
+        assert 1e-6 * 2.0**-8 > COEFF_EPS
+        base = EqlNetwork(np.array([coeffs]), (ID,), np.array([1.0]), offset)
+        scaled = EqlNetwork(np.array([coeffs]), (ID,), np.array([scale]), scale * offset)
+        a, c = collapse_affine(scaled)
+        assert np.array_equal(a, scale * np.array(coeffs))
+        assert c == scale * offset
+        expected = extract_constraint(base, direction)
+        got = extract_constraint(scaled, direction)
+        assert np.array_equal(got.coeffs, expected.coeffs)
+        assert got.bound == expected.bound
+        assert got.relation is (expected.relation if scale > 0 else expected.relation.flipped())
 
 
 class TestViolationRate:
