@@ -59,11 +59,9 @@ from .network import (
 from .trainer import (
     DivergenceError,
     Gradients,
-    NonFiniteGradientError,
     configs_from_mapping,
     export_history_csv,
     gradients,
-    load_configs,
     train,
     train_multi,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "LinearCut",
     "LossBreakdown",
     "LossConfig",
-    "NonFiniteGradientError",
     "NonNumericError",
     "PAPER_PRESETS",
     "Primitive",
@@ -108,7 +105,6 @@ __all__ = [
     "generate",
     "gradients",
     "initialize",
-    "load_configs",
     "load_constraint",
     "load_dataset",
     "load_region_spec",

@@ -43,7 +43,6 @@ from .extract import DegenerateConstraintError, violation_report
 from .trainer import (
     CONFIG_KEYS,
     DivergenceError,
-    NonFiniteGradientError,
     configs_from_mapping,
     export_history_csv,
     train_multi,
@@ -235,7 +234,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         DivergenceError,
-        NonFiniteGradientError,
         DegenerateConstraintError,
         RejectionBudgetExceededError,
     ) as exc:

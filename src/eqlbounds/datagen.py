@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _all_finite, _check_integer, _frozen, read_json_object
+from .datamodel import Dataset, Direction, _all_finite, _check_integer, _check_keys, _check_number
+from .datamodel import _direction, _frozen, _numbers, read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -217,21 +218,30 @@ def region_spec_to_dict(spec: RegionSpec) -> dict:
 
 
 def region_spec_from_dict(payload: dict) -> RegionSpec:
+    """Rebuild a region spec from :func:`region_spec_to_dict` output.
+
+    ``linear_cuts``, ``quadratic_cap`` and a cut's ``direction`` may be left
+    out.  Every error is a ValueError prefixed ``malformed region spec:``.
+    """
     try:
-        cuts = tuple(
-            LinearCut(
-                np.asarray(c["coeffs"], dtype=float),
-                float(c["bound"]),
-                Direction(c.get("direction", "lower")),
-            )
-            for c in payload.get("linear_cuts", [])
-        )
+        _check_keys("region spec", payload, ("box", "linear_cuts", "quadratic_cap"))
+        cuts = payload.get("linear_cuts", [])
+        if not isinstance(cuts, list):
+            raise ValueError(f"linear_cuts must be a list, got {cuts!r}")
+        linear_cuts = []
+        for i, cut in enumerate(cuts):
+            name = f"linear_cuts[{i}]"
+            _check_keys(name, cut, ("coeffs", "bound", "direction"))
+            _check_number(f"{name}.bound", cut["bound"])
+            direction = _direction(f"{name}.direction", cut.get("direction", "lower"))
+            linear_cuts.append(LinearCut(_numbers(f"{name}.coeffs", cut["coeffs"]), cut["bound"], direction))
         cap = payload.get("quadratic_cap")
-        ball = None
         if cap is not None:
-            ball = BallCap(np.asarray(cap["center"], dtype=float), float(cap["radius"]))
-        return RegionSpec(np.asarray(payload["box"], dtype=float), cuts, ball)
-    except (KeyError, TypeError) as exc:
+            _check_keys("quadratic_cap", cap, ("center", "radius"))
+            _check_number("quadratic_cap.radius", cap["radius"])
+            cap = BallCap(_numbers("quadratic_cap.center", cap["center"]), cap["radius"])
+        return RegionSpec(_numbers("box", payload["box"], 2), tuple(linear_cuts), cap)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed region spec: {exc}") from exc
 
 

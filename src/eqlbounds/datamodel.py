@@ -443,17 +443,12 @@ def constraint_from_dict(payload: dict) -> LinearConstraint:
     ValueError naming the field.
     """
     try:
-        coeffs = payload["coeffs"]
-        bound = payload["bound"]
-        relation = Direction(payload["relation"])
-        if not isinstance(coeffs, (list, tuple, np.ndarray)):
-            raise ValueError(f"coeffs must be a list of numbers, got {coeffs!r}")
-        _check_number("bound", bound)
-        for i, value in enumerate(coeffs):
-            _check_number(f"coeffs[{i}]", value)
+        coeffs = _numbers("coeffs", payload["coeffs"])
+        _check_number("bound", payload["bound"])
+        relation = _direction("relation", payload["relation"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed constraint payload: {exc}") from exc
-    return LinearConstraint(np.asarray(coeffs, dtype=float), float(bound), relation)
+    return LinearConstraint(np.asarray(coeffs, dtype=float), float(payload["bound"]), relation)
 
 
 def _constraint_base(path: str | Path) -> Path:
@@ -512,12 +507,40 @@ def _check_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def _numbers(name: str, value, depth: int = 1):
+    """Return ``value`` if it is a list of numbers (of such lists at ``depth`` 2), naming any bad entry."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        if depth > 1:
+            _numbers(f"{name}[{i}]", item, depth - 1)
+        else:
+            _check_number(f"{name}[{i}]", item)
+    return value
+
+
 def _check_integer(name: str, value, least: int) -> None:
     """Reject a ``bool``, a non-integer or a value below ``least``, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_keys(name: str, payload, known) -> None:
+    """Reject a non-object or a key outside ``known``, naming the object."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be an object, got {payload!r}")
+    if unknown := set(payload) - set(known):
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+
+
+def _direction(name: str, value) -> Direction:
+    """Read a direction from its string value, naming the field."""
+    try:
+        return Direction(value)
+    except ValueError:
+        raise ValueError(f"{name} must be 'lower' or 'upper', got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .datamodel import (
     Dataset,
-    Direction,
     LossBreakdown,
     LossConfig,
     TrainConfig,
@@ -26,8 +25,9 @@ from .datamodel import (
     _RECORD_FIELDS,
     _RECORD_VALUES,
     _all_finite,
+    _check_keys,
+    _direction,
     _write_csv,
-    read_json_object,
 )
 from .extract import extract_constraint, violation_rate
 from .loss import loss_and_pred_grad
@@ -49,10 +49,6 @@ class DivergenceError(ArithmeticError):
 _PARAMS_DIVERGED = "parameters became non-finite at epoch {}"
 
 
-class NonFiniteGradientError(ArithmeticError):
-    """A gradient array contains a non-finite value."""
-
-
 @dataclass(eq=False)
 class Gradients:
     """Partial derivatives of the total loss for every parameter."""
@@ -67,34 +63,19 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
 
     The loss and ``dz/dpred`` come from :func:`loss_and_pred_grad`, which
     holds the percentile subset and the worst-error index fixed.  Masked
-    positions always receive gradient exactly zero.
+    positions always receive gradient exactly zero.  Non-finite values are
+    returned as computed; :func:`train` reports them as divergence.
     """
-    points = dataset.points
+    preds = forward_batch(net, dataset)
+    breakdown, dz_dpred = loss_and_pred_grad(preds, net, cfg)
 
-    # Overflow on a diverging run shows up as inf/nan and is reported through
-    # the explicit finiteness checks below, so numpy's warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        preds = forward_batch(net, dataset)
-        breakdown, dz_dpred = loss_and_pred_grad(preds, net, cfg)
-
-        # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
-        d_b_out = float(np.add.reduce(dz_dpred))
-        d_w_in, d_w_out = collapse_affine_grad(net, points.T @ dz_dpred, d_b_out)
-        d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
+    # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
+    d_b_out = float(np.add.reduce(dz_dpred))
+    d_w_in, d_w_out = collapse_affine_grad(net, dataset.points.T @ dz_dpred, d_b_out)
+    d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
 
     d_w_in[net.mask_in] = 0.0
     d_w_out[net.mask_out] = 0.0
-
-    # When the loss itself is non-finite the caller aborts on the breakdown
-    # (divergence with an epoch index), so only flag gradients that went bad
-    # while the loss still looked healthy.
-    if math.isfinite(breakdown.z):
-        for name, grad in (("d_w_in", d_w_in), ("d_w_out", d_w_out)):
-            if not _all_finite(grad):
-                raise NonFiniteGradientError(f"{name} contains non-finite values")
-        if not math.isfinite(d_b_out):
-            raise NonFiniteGradientError("d_b_out is non-finite")
-
     return breakdown, Gradients(d_w_in, d_w_out, d_b_out)
 
 
@@ -114,8 +95,8 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
     records: list[LossBreakdown] = []
-    # A step that overflows is reported as divergence below, so numpy's
-    # overflow warnings add nothing.
+    # A gradient or step that overflows is reported as divergence below, so
+    # numpy's overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
             breakdown, grads = gradients(net, dataset, loss_cfg)
@@ -177,20 +158,11 @@ def configs_from_mapping(payload: dict) -> tuple[LossConfig, TrainConfig]:
     direction is read from its string value; the config objects check
     every other value themselves.
     """
-    unknown = set(payload) - set(CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys("config", payload, CONFIG_KEYS)
     kwargs: dict[type, dict] = {LossConfig: {}, TrainConfig: {}}
     for key, value in payload.items():
         if key == "direction":
-            try:
-                value = Direction(value)
-            except ValueError:
-                raise ValueError(f"config key {key!r} must be 'lower' or 'upper', got {value!r}") from None
+            value = _direction(f"config key {key!r}", value)
         kwargs[CONFIG_KEYS[key]][key] = value
     return LossConfig(**kwargs[LossConfig]), TrainConfig(**kwargs[TrainConfig])
 
-
-def load_configs(path: str | Path) -> tuple[LossConfig, TrainConfig]:
-    """Read loss and training settings from one JSON file."""
-    return configs_from_mapping(read_json_object(path, "config"))

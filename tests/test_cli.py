@@ -14,8 +14,9 @@ import re
 from eqlbounds import LossConfig, TrainConfig, cli
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
-from eqlbounds import load_configs, load_constraint, load_region_spec
+from eqlbounds import configs_from_mapping, load_constraint, load_region_spec
 from eqlbounds.cli import main
+from eqlbounds.datamodel import read_json_object
 
 
 @pytest.fixture
@@ -92,6 +93,23 @@ class TestGen:
         out = tmp_path / "d.csv"
         assert main(["gen", "--spec", str(spec_path), "--n", "0", "--out", str(out)]) == 2
         assert "n must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"box": [["0", "1"]]},
+            {"box": [[0.0, 1.0]], "linear_cut": [{"coeffs": [1.0], "bound": 0.5}]},
+            {"box": [[0.0, 1.0]], "linear_cuts": [{"coeffs": [1.0], "bound": True}]},
+        ],
+        ids=["string-box", "misspelled-key", "bool-bound"],
+    )
+    def test_malformed_spec_is_input_error_writing_no_file(self, payload, tmp_path, capsys):
+        spec_path = tmp_path / "region.json"
+        spec_path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "d.csv"
+        assert main(["gen", "--spec", str(spec_path), "--n", "10", "--out", str(out)]) == 2
+        assert "malformed region spec" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_is_input_error_naming_seed(self, tmp_path, capsys):
@@ -377,7 +395,10 @@ class TestJsonFiles:
     # Each reader of a JSON file, with the command line that reaches it.
     READERS = {
         "spec": (load_region_spec, lambda path, data, out: ["gen", "--spec", path, "--n", "10", "--out", out]),
-        "config": (load_configs, lambda path, data, out: ["train", "--data", data, "--out-dir", out, "--config", path]),
+        "config": (
+            lambda path: configs_from_mapping(read_json_object(path, "config")),
+            lambda path, data, out: ["train", "--data", data, "--out-dir", out, "--config", path],
+        ),
         "constraint": (load_constraint, lambda path, data, out: ["eval", "--constraint", path, "--data", data]),
     }
 

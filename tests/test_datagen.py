@@ -1,6 +1,7 @@
 """Rejection sampling: membership, determinism, presets, budget."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,8 @@ from eqlbounds import (
     paper_dataset,
     save_region_spec,
 )
+
+from eqlbounds.datagen import region_spec_from_dict
 
 from _oracles import region_contains, scalar_sample
 
@@ -261,6 +264,54 @@ class TestRegionSpecFiles:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_region_spec(tmp_path / "absent.json")
+
+    def test_optional_parts_may_be_left_out(self):
+        spec = region_spec_from_dict({"box": [[0, 1], [-2, 3]], "linear_cuts": [{"coeffs": [1, 1], "bound": 1}]})
+        assert np.array_equal(spec.box, [[0.0, 1.0], [-2.0, 3.0]])
+        (cut,) = spec.linear_cuts
+        assert cut.direction is Direction.LOWER
+        assert cut.bound == 1.0
+        assert spec.quadratic_cap is None
+        bare = region_spec_from_dict({"box": [[0.0, 1.0]], "quadratic_cap": None})
+        assert bare.linear_cuts == () and bare.quadratic_cap is None
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"box": [["0", "1"], [0.0, 1.0]]}, "box[0][0]"),
+            ({"box": [[0.0, True], [0.0, 1.0]]}, "box[0][1]"),
+            ({"box": "unit square"}, "box"),
+            ({"box": [0.0, 1.0]}, "box[0]"),
+            ({"linear_cut": []}, "linear_cut"),
+            ({"linear_cuts": {"coeffs": [1.0, 1.0]}}, "linear_cuts"),
+            ({"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": True}]}, "linear_cuts[0].bound"),
+            ({"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": None}]}, "linear_cuts[0].bound"),
+            ({"linear_cuts": [{"coeffs": [1.0, "1"], "bound": 1.0}]}, "linear_cuts[0].coeffs[1]"),
+            ({"linear_cuts": [{"coeffs": 1.0, "bound": 1.0}]}, "linear_cuts[0].coeffs"),
+            ({"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": 1.0, "direction": "x"}]}, "linear_cuts[0].direction"),
+            ({"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": 1.0, "relation": "lower"}]}, "relation"),
+            ({"linear_cuts": [[1.0, 1.0]]}, "linear_cuts[0]"),
+            ({"linear_cuts": [{"coeffs": [1.0, 1.0]}]}, "bound"),
+            ({"quadratic_cap": {"center": [0.5, 0.5], "radius": "1"}}, "quadratic_cap.radius"),
+            ({"quadratic_cap": {"center": [0.5, False], "radius": 1.0}}, "quadratic_cap.center[1]"),
+            ({"quadratic_cap": {"center": [0.5, 0.5], "radius": 1.0, "radus": 1.0}}, "radus"),
+            ({"quadratic_cap": [0.5, 0.5, 1.0]}, "quadratic_cap"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_spec_is_rejected_naming_the_field(self, change, field):
+        payload = {"box": [[0.0, 1.0], [0.0, 1.0]], **change}
+        with pytest.raises(ValueError, match="^malformed region spec: .*" + re.escape(field)):
+            region_spec_from_dict(payload)
+
+    def test_integer_too_large_for_a_float_is_rejected(self):
+        # JSON reads 1e400 as inf, which the classes reject, but an integer literal stays an int.
+        with pytest.raises(ValueError, match="^malformed region spec: int too large"):
+            region_spec_from_dict({"box": [[0, 10**400]]})
+
+    def test_missing_box_is_rejected(self):
+        with pytest.raises(ValueError, match="^malformed region spec: 'box'"):
+            region_spec_from_dict({"linear_cuts": []})
 
 
 class TestUniformity:

@@ -535,6 +535,11 @@ class TestConstraintFiles:
         with pytest.raises(ValueError, match=r"^malformed constraint payload: coeffs must be a list"):
             constraint_from_dict({"coeffs": coeffs, "bound": 1.0, "relation": "lower"})
 
+    def test_unknown_relation_is_malformed_naming_the_field(self):
+        with pytest.raises(ValueError) as raised:
+            constraint_from_dict({"coeffs": [1.0], "bound": 1.0, "relation": "above"})
+        assert str(raised.value) == "malformed constraint payload: relation must be 'lower' or 'upper', got 'above'"
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_constraint(tmp_path / "absent.json")

@@ -15,7 +15,6 @@ from eqlbounds import (
     EqlNetwork,
     LossBreakdown,
     LossConfig,
-    NonFiniteGradientError,
     Primitive,
     TrainConfig,
     configs_from_mapping,
@@ -23,7 +22,6 @@ from eqlbounds import (
     forward_batch,
     gradients,
     initialize,
-    load_configs,
     loss_and_pred_grad,
     paper_dataset,
     save_dataset,
@@ -31,6 +29,7 @@ from eqlbounds import (
     train_multi,
 )
 from eqlbounds import cli
+from eqlbounds.datamodel import read_json_object
 
 from _oracles import central_difference
 
@@ -143,12 +142,14 @@ class TestGradients:
         with pytest.raises(EmptyDatasetError):
             gradients(net, Dataset(np.empty((0, 2))), LossConfig())
 
-    def test_overflowing_gradient_is_diagnosed(self):
+    def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
         net = EqlNetwork(np.array([[1e154]]), (ID,), np.array([1e-300]), 0.0)
         dataset = Dataset(np.array([[1e154]]))
-        with pytest.raises(NonFiniteGradientError, match="d_w_out"):
-            gradients(net, dataset, LossConfig(gamma=100.0))
+        with np.errstate(over="ignore"):
+            breakdown, grads = gradients(net, dataset, LossConfig(gamma=100.0))
+        assert np.isfinite(breakdown.z)
+        assert np.isinf(grads.d_w_out).any()
 
 
 class TestTrain:
@@ -255,6 +256,30 @@ class TestTrain:
         assert info.value.epoch == 1
         assert "epoch 1" in str(info.value)
 
+    # The first loss is finite, but its gradient overflows, so the first step
+    # leaves non-finite parameters and epoch 1 is the one that diverges.
+    OVERFLOWING_GRADIENT = np.array([[1.1e154, 9e153]])
+
+    @pytest.mark.parametrize("mask_threshold", [1e-3, None], ids=["masked", "unmasked"])
+    def test_overflowing_gradient_diverges_at_the_next_epoch(self, mask_threshold):
+        cfg = TrainConfig(epochs=2, learning_rate=1e-3, mask_threshold=mask_threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                train(Dataset(self.OVERFLOWING_GRADIENT), LossConfig(gamma=100.0), cfg)
+        assert info.value.epoch == 1
+        assert "epoch 1" in str(info.value)
+
+    def test_overflowing_gradient_exits_3_through_the_cli(self, tmp_path, capsys):
+        data, out_dir = tmp_path / "d.csv", tmp_path / "runs"
+        save_dataset(Dataset(self.OVERFLOWING_GRADIENT), data)
+        argv = ["train", "--data", str(data), "--out-dir", str(out_dir)]
+        argv += ["--gamma", "100", "--epochs", "2", "--learning-rate", "1e-3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3
+        assert "epoch 1" in capsys.readouterr().err
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
             train(Dataset(np.empty((0, 2))), LossConfig(), TrainConfig())
@@ -326,6 +351,11 @@ class TestConfigLoading:
         assert train_cfg.epochs == 10
         assert train_cfg.mask_threshold is None
 
+    def test_unknown_direction_rejected_naming_the_key(self):
+        with pytest.raises(ValueError) as raised:
+            configs_from_mapping({"direction": "sideways"})
+        assert str(raised.value) == "config key 'direction' must be 'lower' or 'upper', got 'sideways'"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="learning_rte"):
             configs_from_mapping({"learning_rte": 1e-3})
@@ -349,7 +379,7 @@ class TestConfigLoading:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 7.5, "runs": 2}), encoding="utf-8")
-        loss_cfg, train_cfg = load_configs(path)
+        loss_cfg, train_cfg = configs_from_mapping(read_json_object(path, "config"))
         assert loss_cfg.gamma == 7.5
         assert train_cfg.runs == 2
 
@@ -357,7 +387,7 @@ class TestConfigLoading:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_configs(path)
+            configs_from_mapping(read_json_object(path, "config"))
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_configs(path)
+            configs_from_mapping(read_json_object(path, "config"))
