@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _all_finite, _check_integer, _check_keys, _check_number
-from .datamodel import _direction, _frozen, _numbers, read_json_object
+from .datamodel import Dataset, Direction, _check_integer, _check_keys, _direction, _frozen, _real, _reals
+from .datamodel import read_json_object
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -38,13 +38,8 @@ class LinearCut:
     direction: Direction = Direction.LOWER
 
     def __post_init__(self) -> None:
-        a = np.array(self.coeffs, dtype=float)
-        if a.ndim != 1 or a.size < 1 or not _all_finite(a):
-            raise ValueError("cut coefficients must be a finite 1-D vector")
-        if not math.isfinite(self.bound):
-            raise ValueError("cut bound must be finite")
-        object.__setattr__(self, "coeffs", _frozen(a))
-        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "coeffs", _frozen(_reals("coeffs", self.coeffs)))
+        object.__setattr__(self, "bound", _real("bound", self.bound))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +50,10 @@ class BallCap:
     radius: float
 
     def __post_init__(self) -> None:
-        c = np.array(self.center, dtype=float)
-        if c.ndim != 1 or not _all_finite(c):
-            raise ValueError("ball center must be a finite 1-D vector")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", _frozen(c))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _frozen(_reals("center", self.center)))
+        object.__setattr__(self, "radius", _real("radius", self.radius))
+        if self.radius <= 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +65,9 @@ class RegionSpec:
     quadratic_cap: BallCap | None = None
 
     def __post_init__(self) -> None:
-        box = np.array(self.box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
+        box = _reals("box", self.box, depth=2)
+        if box.shape[1] != 2:
             raise ValueError(f"box must have shape (F, 2), got {box.shape}")
-        if not _all_finite(box):
-            raise ValueError("box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("every box row needs lower < upper")
         cuts = tuple(self.linear_cuts)
@@ -107,7 +97,12 @@ class RegionSpec:
         cap = self.quadratic_cap
         if cap is not None:
             delta = pts - cap.center
-            ok &= np.einsum("ij,ij->i", delta, delta) <= cap.radius**2
+            # Not radius * radius: it can differ from ** by an ulp, which would move sampled points.
+            try:
+                squared_radius = cap.radius**2
+            except OverflowError:
+                squared_radius = math.inf
+            ok &= np.einsum("ij,ij->i", delta, delta) <= squared_radius
         return ok
 
 
@@ -232,17 +227,23 @@ def region_spec_from_dict(payload: dict) -> RegionSpec:
         for i, cut in enumerate(cuts):
             name = f"linear_cuts[{i}]"
             _check_keys(name, cut, ("coeffs", "bound", "direction"))
-            _check_number(f"{name}.bound", cut["bound"])
             direction = _direction(f"{name}.direction", cut.get("direction", "lower"))
-            linear_cuts.append(LinearCut(_numbers(f"{name}.coeffs", cut["coeffs"]), cut["bound"], direction))
+            linear_cuts.append(_named(name, LinearCut, cut["coeffs"], cut["bound"], direction))
         cap = payload.get("quadratic_cap")
         if cap is not None:
             _check_keys("quadratic_cap", cap, ("center", "radius"))
-            _check_number("quadratic_cap.radius", cap["radius"])
-            cap = BallCap(_numbers("quadratic_cap.center", cap["center"]), cap["radius"])
-        return RegionSpec(_numbers("box", payload["box"], 2), tuple(linear_cuts), cap)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            cap = _named("quadratic_cap", BallCap, cap["center"], cap["radius"])
+        return RegionSpec(payload["box"], tuple(linear_cuts), cap)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed region spec: {exc}") from exc
+
+
+def _named(name: str, build, *args):
+    """``build(*args)``; a ValueError it raises gets ``name.`` put before the field it names."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
 
 
 def load_region_spec(path: str | Path) -> RegionSpec:

@@ -360,11 +360,7 @@ class LinearConstraint:
     relation: Direction
 
     def __post_init__(self) -> None:
-        a = np.array(self.coeffs, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError(f"coeffs must be a 1-D vector, got shape {a.shape}")
-        if not _all_finite(a) or not math.isfinite(self.bound):
-            raise ValueError("constraint contains non-finite values")
+        a = _reals("coeffs", self.coeffs)
         if not isinstance(self.relation, Direction):
             raise ValueError(f"relation must be a Direction, got {self.relation!r}")
         significant = (np.abs(a) >= COEFF_EPS).nonzero()[0]
@@ -376,7 +372,7 @@ class LinearConstraint:
                 f"constraint is not canonical: coefficient {lead} is {a[lead]!r}, expected 1.0"
             )
         object.__setattr__(self, "coeffs", _frozen(a))
-        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "bound", _real("bound", self.bound))
 
     @property
     def n_features(self) -> int:
@@ -438,17 +434,13 @@ def constraint_to_dict(constraint: LinearConstraint) -> dict:
 def constraint_from_dict(payload: dict) -> LinearConstraint:
     """Rebuild a constraint from :func:`constraint_to_dict` output.
 
-    A missing key, an unknown relation, a ``coeffs`` that is not a list
-    and a ``bool`` or non-number in ``bound`` or in a coefficient raise
-    ValueError naming the field.
+    A missing key, an unknown relation and every value that
+    :class:`LinearConstraint` rejects raise ValueError naming the field.
     """
     try:
-        coeffs = _numbers("coeffs", payload["coeffs"])
-        _check_number("bound", payload["bound"])
-        relation = _direction("relation", payload["relation"])
+        return LinearConstraint(payload["coeffs"], payload["bound"], _direction("relation", payload["relation"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed constraint payload: {exc}") from exc
-    return LinearConstraint(np.asarray(coeffs, dtype=float), float(payload["bound"]), relation)
 
 
 def _constraint_base(path: str | Path) -> Path:
@@ -480,16 +472,14 @@ def save_constraint(
 def read_json_object(path: str | Path, what: str) -> dict:
     """Read a JSON file whose top-level value must be an object.
 
-    Every failure (unreadable file, invalid JSON, any other top-level
-    value) raises ValueError naming the path; ``what`` says which kind of
-    file was expected.
+    Every failure (unreadable file, invalid JSON, nesting too deep, an int
+    past Python's digit limit, any other top-level value) raises ValueError
+    naming the path; ``what`` says which kind of file was expected.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")
     return payload
@@ -501,22 +491,32 @@ def load_constraint(path: str | Path) -> LinearConstraint:
     return constraint_from_dict(read_json_object(target, "constraint"))
 
 
-def _check_number(name: str, value) -> None:
-    """Reject a ``bool`` or a non-number, naming the field."""
+def _real(name: str, value) -> float:
+    """``value`` as a finite float; a ``bool``, a non-number, a number too large for a float
+    and a non-finite value raise ValueError naming the field, from code and from files alike.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
 
 
-def _numbers(name: str, value, depth: int = 1):
-    """Return ``value`` if it is a list of numbers (of such lists at ``depth`` 2), naming any bad entry."""
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    for i, item in enumerate(value):
-        if depth > 1:
-            _numbers(f"{name}[{i}]", item, depth - 1)
-        else:
-            _check_number(f"{name}[{i}]", item)
-    return value
+def _reals(name: str, values, depth: int = 1) -> np.ndarray:
+    """A non-empty list of numbers (of such lists at ``depth`` 2) as a float array, checked by :func:`_real`."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if depth > 1:
+        return np.array([_reals(f"{name}[{i}]", v, depth - 1) for i, v in enumerate(values)])
+    return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
 
 
 def _check_integer(name: str, value, least: int) -> None:
@@ -563,11 +563,9 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha1", "alpha2", "alpha3", "gamma", "l1", "l2"):
-            _check_number(name, getattr(self, name))
-        for name in ("alpha1", "alpha2", "alpha3", "l1", "l2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.alpha1 + self.alpha2 + self.alpha3 <= 0:
             raise ValueError("at least one alpha must be positive")
         if not (0 < self.gamma <= 100):
@@ -589,12 +587,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, least in (("epochs", 1), ("runs", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), least)
-        _check_number("learning_rate", self.learning_rate)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate))
+        if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.mask_threshold is not None:
-            _check_number("mask_threshold", self.mask_threshold)
-            if not (math.isfinite(self.mask_threshold) and self.mask_threshold >= 0):
+            object.__setattr__(self, "mask_threshold", _real("mask_threshold", self.mask_threshold))
+            if self.mask_threshold < 0:
                 raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
 
 

@@ -112,6 +112,16 @@ class TestGen:
         assert "malformed region spec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ball_radius_whose_square_overflows_keeps_the_whole_box(self, tmp_path):
+        spec_path = tmp_path / "region.json"
+        spec = {"box": [[0.0, 1.0]], "quadratic_cap": {"center": [0.5], "radius": 1e200}}
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen", "--spec", str(spec_path), "--n", "10", "--out", str(out)]) == 0
+        assert load_dataset(out).n_points == 10
+
     def test_negative_seed_is_input_error_naming_seed(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["gen", "--preset", "circle", "--seed", "-1", "--out", str(out)]) == 2
@@ -405,14 +415,36 @@ class TestJsonFiles:
     @pytest.mark.parametrize("kind", list(READERS))
     def test_non_object_is_rejected_naming_the_path(self, kind, square_low_csv, tmp_path, capsys):
         path = tmp_path / "payload.json"
-        path.write_text("[1, 2]\n", encoding="utf-8")
         loader, command = self.READERS[kind]
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            loader(path)
         out = tmp_path / "out"
-        assert main(command(str(path), str(square_low_csv), str(out))) == 2
-        assert str(path) in capsys.readouterr().err
-        assert not out.exists()
+        # A list, a list nested past the recursion limit, an int past Python's digit limit.
+        for body in ("[1, 2]\n", "[" * 10**5, "1" * 4301):
+            path.write_text(body, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                loader(path)
+            assert main(command(str(path), str(square_low_csv), str(out))) == 2
+            assert str(path) in capsys.readouterr().err
+            assert not out.exists()
+
+    # A 401-digit integer in each kind of file, and the field it lands in.
+    HUGE = {
+        "spec": ({"box": [[0, 10**400]]}, "box[0][1]"),
+        "config": ({"learning_rate": 10**400}, "learning_rate"),
+        "constraint": ({"coeffs": [1], "bound": 10**400, "relation": "lower"}, "bound"),
+    }
+
+    @pytest.mark.parametrize("kind", list(READERS))
+    def test_int_too_large_for_a_float_is_an_input_error_naming_the_field(
+        self, kind, square_low_csv, tmp_path, capsys
+    ):
+        payload, field = self.HUGE[kind]
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(self.READERS[kind][1](str(path), str(square_low_csv), str(out))) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert f"{field} must be finite, got a number too large for a float" in line
 
 
 class TestParser:

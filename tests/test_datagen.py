@@ -217,6 +217,28 @@ class TestRegionSpecValidation:
         with pytest.raises(ValueError):
             RegionSpec(box=[[0.0, 1.0]], quadratic_cap=BallCap([0.0, 0.0], 1.0))
 
+    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: LinearCut([v, 1.0], 0.0), "coeffs[0]"),
+            (lambda v: LinearCut([1.0, 1.0], v), "bound"),
+            (lambda v: BallCap([v, 0.0], 1.0), "center[0]"),
+            (lambda v: BallCap([0.0, 0.0], v), "radius"),
+            (lambda v: RegionSpec(box=[[v, 2.0]]), "box[0][0]"),
+        ],
+        ids=["cut-coeffs", "cut-bound", "cap-center", "cap-radius", "box"],
+    )
+    def test_rejects_bool_or_string_naming_the_field(self, build, field, value):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be a number, got {value!r}") + "$"):
+            build(value)
+
+    def test_ball_cap_compares_against_radius_to_the_power_two(self):
+        # radius**2 and radius * radius differ by an ulp for some radii; sampled points follow **.
+        r = next(r for r in np.linspace(1.0, 2.0, 10_001).tolist() if r**2 < r * r)
+        spec = RegionSpec(box=[[-2.0, 2.0]], quadratic_cap=BallCap([0.0], r))
+        assert not spec.membership_mask(np.array([[r]]))[0]
+
     def test_membership_mask_matches_contains(self):
         spec = RegionSpec(
             box=[[-2.0, 2.0], [-2.0, 2.0]],
@@ -296,6 +318,12 @@ class TestRegionSpecFiles:
             ({"quadratic_cap": {"center": [0.5, False], "radius": 1.0}}, "quadratic_cap.center[1]"),
             ({"quadratic_cap": {"center": [0.5, 0.5], "radius": 1.0, "radus": 1.0}}, "radus"),
             ({"quadratic_cap": [0.5, 0.5, 1.0]}, "quadratic_cap"),
+            pytest.param(
+                {"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": 10**400}]}, "linear_cuts[0].bound", id="huge-cut-bound"
+            ),
+            pytest.param(
+                {"quadratic_cap": {"center": [0.5, 0.5], "radius": 10**400}}, "quadratic_cap.radius", id="huge-radius"
+            ),
         ],
         ids=repr,
     )
@@ -306,7 +334,8 @@ class TestRegionSpecFiles:
 
     def test_integer_too_large_for_a_float_is_rejected(self):
         # JSON reads 1e400 as inf, which the classes reject, but an integer literal stays an int.
-        with pytest.raises(ValueError, match="^malformed region spec: int too large"):
+        message = "box[0][1] must be finite, got a number too large for a float"
+        with pytest.raises(ValueError, match="^malformed region spec: " + re.escape(message)):
             region_spec_from_dict({"box": [[0, 10**400]]})
 
     def test_missing_box_is_rejected(self):

@@ -488,6 +488,13 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             LinearConstraint(np.array([1.0]), 0.0, "lower")
 
+    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("field", ["bound", "coeffs[0]"])
+    def test_rejects_bool_or_string_naming_the_field(self, field, value):
+        coeffs, bound = ([value, 1.0], 0.0) if field == "coeffs[0]" else ([0.5, 1.0], value)
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            LinearConstraint(coeffs, bound, Direction.LOWER)
+
 
 class TestConstraintFiles:
     def test_save_writes_text_and_json(self, tmp_path):
@@ -529,6 +536,19 @@ class TestConstraintFiles:
         with pytest.raises(ValueError) as raised:
             constraint_from_dict(payload)
         assert str(raised.value) == f"malformed constraint payload: {field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["bound", "coeffs[0]"])
+    def test_int_too_large_for_a_float_is_malformed_naming_the_field(self, field):
+        payload = {"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower"}
+        if field == "bound":
+            payload["bound"] = 10**400
+        else:
+            payload["coeffs"] = [10**400, 1.0]
+        with pytest.raises(ValueError) as raised:
+            constraint_from_dict(payload)
+        assert str(raised.value) == (
+            f"malformed constraint payload: {field} must be finite, got a number too large for a float"
+        )
 
     @pytest.mark.parametrize("coeffs", [None, 1.0, "ab", {"a": 1.0}])
     def test_coeffs_not_a_list_is_malformed(self, coeffs):
@@ -579,6 +599,11 @@ class TestLossConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
             LossConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2", "alpha3", "gamma", "l1", "l2"])
+    def test_rejects_int_too_large_for_a_float_naming_it(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got a number too large for a float$"):
+            LossConfig(**{name: 10**400})
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             LossConfig().gamma = 1.0
@@ -627,6 +652,11 @@ class TestTrainConfig:
         ((name, value),) = kwargs.items()
         with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "mask_threshold"])
+    def test_rejects_int_too_large_for_a_float_naming_it(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got a number too large for a float$"):
+            TrainConfig(**{name: 10**400})
 
 
 class TestTrainReport:
