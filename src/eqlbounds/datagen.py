@@ -70,6 +70,10 @@ class RegionSpec:
             raise ValueError(f"box must have shape (F, 2), got {box.shape}")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("every box row needs lower < upper")
+        # The sampler draws lower + (upper - lower) * u, so the width must be a float too.
+        for i, (lo, hi) in enumerate(box.tolist()):
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box[{i}] must be narrower than the float range, got [{lo!r}, {hi!r}]")
         cuts = tuple(self.linear_cuts)
         f = box.shape[0]
         for cut in cuts:

@@ -507,7 +507,9 @@ def _real(name: str, value) -> float:
 
 
 def _reals(name: str, values, depth: int = 1) -> np.ndarray:
-    """A non-empty list of numbers (of such lists at ``depth`` 2) as a float array, checked by :func:`_real`."""
+    """A non-empty list of numbers (of such lists, all one length, at ``depth`` 2) as a float
+    array, checked by :func:`_real`.
+    """
     if isinstance(values, np.ndarray):
         values = values.tolist()
     if not isinstance(values, (list, tuple)):
@@ -515,7 +517,11 @@ def _reals(name: str, values, depth: int = 1) -> np.ndarray:
     if not values:
         raise ValueError(f"{name} must not be empty")
     if depth > 1:
-        return np.array([_reals(f"{name}[{i}]", v, depth - 1) for i, v in enumerate(values)])
+        rows = [_reals(f"{name}[{i}]", v, depth - 1) for i, v in enumerate(values)]
+        for i, row in enumerate(rows):
+            if row.shape != rows[0].shape:
+                raise ValueError(f"{name}[{i}] has length {len(row)}, but {name}[0] has length {len(rows[0])}")
+        return np.array(rows)
     return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
 
 

@@ -44,7 +44,14 @@ def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
     return p_arr - 0.0
 
 
-def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
+# The fewest errors for which p_gamma_subset takes its warm start.  On a
+# 2-vCPU Xeon (NumPy 2.4) the warm start is slower than the cold selection
+# at 4 096 errors, faster at 8 192, and takes about 0.3 of its time at
+# 2x10^5, for 5% subsets of a plane's errors after one small step.
+WARM_START_MIN_N = 8192
+
+
+def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) -> np.ndarray:
     """Indices of the top gamma percent largest errors, sorted ascending.
 
     The subset holds ``k = max(1, ceil(gamma * n / 100))`` indices; ties on
@@ -53,6 +60,19 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     number, so a NaN is taken only when fewer than ``k`` errors are
     numbers.  The result is what a stable sort of the negated errors gives,
     found in O(n) by selecting the k-th largest error, not by sorting.
+
+    ``near`` is a warm start: the subset an earlier call returned, for
+    errors that have moved little since.  It never changes the result, only
+    its cost.  With ``m`` the smallest error at ``near``, the ``k`` indices
+    of ``near`` already have errors ``>= m``, so every member of the subset
+    is among them or among the other errors ``>= m``; the k-th largest is
+    selected from those candidates alone.  That replaces the negated copy
+    and the partition of all ``n`` errors by one comparison pass over them,
+    plus work on the candidates, which number about ``k`` when the errors
+    barely moved.  The warm start is taken only at ``n >=
+    WARM_START_MIN_N``, when ``near`` is an integer vector of ``k``
+    strictly increasing indices in ``[0, n)`` and ``m`` is not NaN;
+    otherwise ``near`` is ignored.
     """
     e_arr = np.asarray(e, dtype=float)
     if e_arr.ndim != 1:
@@ -65,18 +85,33 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
     if k == n:
         return np.arange(n)
-    # Select on the negated errors: partition places NaN last, which is
-    # where the ranking wants it, so t is the k-th largest number, or NaN
-    # when fewer than k errors are numbers.
-    neg = np.negative(e_arr)
-    neg.partition(k - 1)
-    t = -neg[k - 1]
-    if math.isnan(t):
-        nan = np.isnan(e_arr)
-        keep = ~nan
-        keep[nan.nonzero()[0][: k - np.count_nonzero(keep)]] = True
-        return keep.nonzero()[0]
-    idx = (e_arr >= t).nonzero()[0]
+    # m, the smallest error at near, stays NaN unless the warm start applies.
+    m = math.nan
+    if near is not None and n >= WARM_START_MIN_N:
+        near = np.asarray(near)
+        if near.dtype.kind in "iu" and near.shape == (k,) and near[0] >= 0 and near[-1] < n:
+            near = near.astype(np.intp, copy=False)
+            if (near[1:] > near[:-1]).all():
+                at_near = e_arr[near]
+                m = at_near.min()
+    if math.isnan(m):
+        t = _kth_largest(e_arr, k)
+        if math.isnan(t):
+            nan = np.isnan(e_arr)
+            keep = ~nan
+            keep[nan.nonzero()[0][: k - np.count_nonzero(keep)]] = True
+            return keep.nonzero()[0]
+        idx = (e_arr >= t).nonzero()[0]
+    else:
+        above = e_arr >= m
+        above[near] = False
+        entrants = above.nonzero()[0]
+        cand = np.concatenate((near, entrants))
+        values = np.concatenate((at_near, e_arr[entrants]))
+        t = _kth_largest(values, k)
+        # Two ascending runs, near's and the entrants': a stable sort merges them.
+        idx = cand[values >= t]
+        idx.sort(kind="stable")
     if idx.size > k:
         # More errors tie with t than places remain: drop the highest-indexed.
         ties = (e_arr[idx] == t).nonzero()[0]
@@ -84,17 +119,34 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     return idx
 
 
-def loss_and_pred_grad(preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> tuple[LossBreakdown, np.ndarray]:
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """The k-th largest of ``values``, or NaN when fewer than ``k`` are numbers.
+
+    Selects on the negated values: partition places NaN last, which is
+    where the ranking wants it.
+    """
+    neg = np.negative(values)
+    neg.partition(k - 1)
+    return -neg[k - 1]
+
+
+def loss_and_pred_grad(
+    preds: np.ndarray, net: EqlNetwork, cfg: LossConfig, near: np.ndarray | None = None
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Compose the full loss and its derivative with respect to each prediction.
 
     The percentile subset and the worst-error index are computed once from
     the current errors and held fixed while differentiating; at a tie the
     lower index wins, which picks one member of the subgradient set.  The
     regularization term does not depend on the predictions.
+
+    Returns the breakdown, ``dz/dpred`` and the percentile subset.  ``near``
+    is passed to :func:`p_gamma_subset` as its warm start; a training loop
+    passes the subset the previous epoch returned.
     """
     e = directional_errors(preds, cfg.direction)
     n = e.size
-    idx = p_gamma_subset(e, cfg.gamma)
+    idx = p_gamma_subset(e, cfg.gamma, near)
     # The errors are s * (0 - preds), with s = +1 for LOWER and -1 for UPPER;
     # term_p squares them, so the sign does not matter.  e[worst] is e.max(),
     # NaN included.
@@ -116,4 +168,4 @@ def loss_and_pred_grad(preds: np.ndarray, net: EqlNetwork, cfg: LossConfig) -> t
     dz_dpred.fill(fill)
     dz_dpred[idx] = fill - (2.0 * cfg.alpha2 / n) * s * e_sub
     dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e_worst))
-    return breakdown, dz_dpred
+    return breakdown, dz_dpred, idx

@@ -51,23 +51,33 @@ _PARAMS_DIVERGED = "parameters became non-finite at epoch {}"
 
 @dataclass(eq=False)
 class Gradients:
-    """Partial derivatives of the total loss for every parameter."""
+    """Partial derivatives of the total loss for every parameter.
+
+    ``subset`` is the percentile subset the loss was evaluated with, held
+    fixed while differentiating; the next epoch's :func:`gradients` takes it
+    as its warm start.
+    """
 
     d_w_in: np.ndarray
     d_w_out: np.ndarray
     d_b_out: float
+    subset: np.ndarray
 
 
-def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossBreakdown, Gradients]:
+def gradients(
+    net: EqlNetwork, dataset: Dataset, cfg: LossConfig, near: np.ndarray | None = None
+) -> tuple[LossBreakdown, Gradients]:
     """Evaluate the loss and its exact gradient at the current parameters.
 
     The loss and ``dz/dpred`` come from :func:`loss_and_pred_grad`, which
-    holds the percentile subset and the worst-error index fixed.  Masked
-    positions always receive gradient exactly zero.  Non-finite values are
-    returned as computed; :func:`train` reports them as divergence.
+    holds the percentile subset and the worst-error index fixed; ``near``
+    is the subset's warm start (see :func:`~eqlbounds.loss.p_gamma_subset`)
+    and changes no result.  Masked positions always receive gradient
+    exactly zero.  Non-finite values are returned as computed; :func:`train`
+    reports them as divergence.
     """
     preds = forward_batch(net, dataset)
-    breakdown, dz_dpred = loss_and_pred_grad(preds, net, cfg)
+    breakdown, dz_dpred, subset = loss_and_pred_grad(preds, net, cfg, near)
 
     # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
     d_b_out = float(np.add.reduce(dz_dpred))
@@ -76,7 +86,7 @@ def gradients(net: EqlNetwork, dataset: Dataset, cfg: LossConfig) -> tuple[LossB
 
     d_w_in[net.mask_in] = 0.0
     d_w_out[net.mask_out] = 0.0
-    return breakdown, Gradients(d_w_in, d_w_out, d_b_out)
+    return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset)
 
 
 def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
@@ -85,7 +95,8 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     Each epoch records the loss breakdown at its start, then applies one
     descent step; when masking is enabled the step is followed by a mask
     pass, so a weight that ends an epoch below the threshold is zero for
-    every later epoch.
+    every later epoch.  Each epoch's percentile subset is the next epoch's
+    warm start; the first epoch starts cold.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking;
@@ -95,11 +106,13 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
     records: list[LossBreakdown] = []
+    near = None
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
-            breakdown, grads = gradients(net, dataset, loss_cfg)
+            breakdown, grads = gradients(net, dataset, loss_cfg, near)
+            near = grads.subset
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)

@@ -101,8 +101,10 @@ class TestGen:
             {"box": [["0", "1"]]},
             {"box": [[0.0, 1.0]], "linear_cut": [{"coeffs": [1.0], "bound": 0.5}]},
             {"box": [[0.0, 1.0]], "linear_cuts": [{"coeffs": [1.0], "bound": True}]},
+            {"box": [[0.0, 1.0], [0.0]]},
+            {"box": [[-1e308, 1e308]]},
         ],
-        ids=["string-box", "misspelled-key", "bool-bound"],
+        ids=["string-box", "misspelled-key", "bool-bound", "ragged-box", "box-wider-than-floats"],
     )
     def test_malformed_spec_is_input_error_writing_no_file(self, payload, tmp_path, capsys):
         spec_path = tmp_path / "region.json"

@@ -304,6 +304,8 @@ class TestRegionSpecFiles:
             ({"box": [[0.0, True], [0.0, 1.0]]}, "box[0][1]"),
             ({"box": "unit square"}, "box"),
             ({"box": [0.0, 1.0]}, "box[0]"),
+            ({"box": [[0.0, 1.0], [0.0]]}, "box[1] has length 1, but box[0] has length 2"),
+            ({"box": [[0.0, 1.0], [-1e308, 1e308]]}, "box[1] must be narrower than the float range"),
             ({"linear_cut": []}, "linear_cut"),
             ({"linear_cuts": {"coeffs": [1.0, 1.0]}}, "linear_cuts"),
             ({"linear_cuts": [{"coeffs": [1.0, 1.0], "bound": True}]}, "linear_cuts[0].bound"),

@@ -16,6 +16,7 @@ from eqlbounds import (
     loss_and_pred_grad,
     p_gamma_subset,
 )
+from eqlbounds.loss import WARM_START_MIN_N
 
 from _oracles import brute_force_p_gamma
 
@@ -139,6 +140,59 @@ class TestPGammaSubset:
         idx = p_gamma_subset(e, gamma)
         assert idx.dtype == np.int64
         np.testing.assert_array_equal(idx, np.sort(np.argsort(-e, kind="stable")[:k]))
+
+    # Above the warm-start gate.  The errors mix a coarse grid (ties, with
+    # -0.0 among them), +-inf and NaN in drawn shares.  ``near`` is either a
+    # true subset of a perturbed copy, possibly with NaN put at some of its
+    # indices, or an index array the warm start must refuse.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 200),
+        gamma=st.sampled_from([0.001, 1.0, 5.0, 25.0, 50.0, 90.0]),
+        nan_share=st.sampled_from([0.0, 0.001, 0.6, 0.999]),
+        inf_share=st.sampled_from([0.0, 0.001, 0.3]),
+        near_kind=st.sampled_from(
+            ["subset", "subset", "subset-nan", "duplicates", "unsorted", "short", "long", "out-of-range", "negative"]
+        ),
+        near_dtype=st.sampled_from([np.int64, np.int32, np.uint64]),
+        churn=st.sampled_from([0.0, 0.001, 0.05, 1.0]),
+    )
+    def test_warm_start_matches_cold_path_and_oracle(
+        self, seed, extra, gamma, nan_share, inf_share, near_kind, near_dtype, churn
+    ):
+        rng = np.random.default_rng(seed)
+        n = WARM_START_MIN_N + extra
+        k = min(n, max(1, math.ceil(gamma * n / 100.0)))
+        e = rng.integers(-40, 41, n) * 0.25
+        e[e == 0.0] = rng.choice([0.0, -0.0], np.count_nonzero(e == 0.0))
+        special = rng.random(n)
+        e[special < inf_share] = rng.choice([np.inf, -np.inf], np.count_nonzero(special < inf_share))
+        e[special > 1.0 - nan_share] = np.nan
+        previous = e.copy()
+        moved = rng.random(n) < churn
+        previous[moved] = rng.standard_normal(np.count_nonzero(moved)) * 10.0
+        near = p_gamma_subset(previous, gamma)
+        if near_kind == "subset-nan":
+            e[rng.choice(near, min(k, 3), replace=False)] = np.nan
+        elif near_kind == "duplicates":
+            near = np.sort(rng.choice(n, k))
+        elif near_kind == "unsorted":
+            near = rng.permutation(near)
+        elif near_kind == "short":
+            near = near[1:]
+        elif near_kind == "long":
+            near = np.sort(rng.choice(n, k + 1, replace=False))
+        elif near_kind == "out-of-range":
+            near = near.copy()
+            near[-1] = n
+        elif near_kind == "negative":
+            near = np.concatenate(([-1], near[1:]))
+        cold = p_gamma_subset(e, gamma)
+        warm = p_gamma_subset(e, gamma, near if near_kind == "negative" else near.astype(near_dtype))
+        assert warm.dtype == cold.dtype == np.intp
+        assert np.array_equal(warm, cold)
+        assert list(warm) == brute_force_p_gamma(e, gamma)
 
     def test_non_vector_rejected(self):
         for e in (np.zeros((2, 2)), np.float64(1.0)):
@@ -280,9 +334,10 @@ class TestLossTotal:
             y = rng.integers(-3, 4, n) * 0.5
             preds = rng.integers(-3, 4, n) * 0.25 - y
             net = reg_net(rng.standard_normal(3))
-            b, dz = loss_and_pred_grad(preds, net, cfg)
+            b, dz, subset = loss_and_pred_grad(preds, net, cfg)
             e = directional_errors(preds, cfg.direction)
             idx = p_gamma_subset(e, cfg.gamma)
+            assert np.array_equal(subset, idx)
             assert b.term_e == cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n
             # term_p divides by the full n; term_anchor takes the maximum first.
             residual = 0.0 - preds[idx]

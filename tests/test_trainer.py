@@ -13,13 +13,18 @@ from eqlbounds import (
     DivergenceError,
     EmptyDatasetError,
     EqlNetwork,
+    LinearCut,
     LossBreakdown,
     LossConfig,
     Primitive,
+    RegionSpec,
     TrainConfig,
+    apply_mask,
     configs_from_mapping,
     export_history_csv,
+    extract_constraint,
     forward_batch,
+    generate,
     gradients,
     initialize,
     loss_and_pred_grad,
@@ -27,8 +32,9 @@ from eqlbounds import (
     save_dataset,
     train,
     train_multi,
+    violation_rate,
 )
-from eqlbounds import cli
+from eqlbounds import cli, loss
 from eqlbounds.datamodel import read_json_object
 
 from _oracles import central_difference
@@ -283,6 +289,50 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
             train(Dataset(np.empty((0, 2))), LossConfig(), TrainConfig())
+
+
+class TestWarmStart:
+    def test_train_equals_a_loop_that_starts_every_epoch_cold(self, monkeypatch):
+        # 2x10^4 points are above the warm-start gate, so from the second
+        # epoch on train selects the subset from the previous one's.
+        spec = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+        dataset = generate(spec, 20_000, seed=0)
+        loss_cfg = LossConfig()
+        train_cfg = TrainConfig(epochs=30, learning_rate=1e-3, seed=2)
+        lr = train_cfg.learning_rate
+        net = initialize(dataset, seed=train_cfg.seed)
+        records, subsets = [], []
+        for _ in range(train_cfg.epochs):
+            breakdown, grads = gradients(net, dataset, loss_cfg, near=None)
+            records.append(breakdown)
+            subsets.append(grads.subset)
+            net.w_in = net.w_in - lr * grads.d_w_in
+            net.w_out = net.w_out - lr * grads.d_w_out
+            net.b_out = net.b_out - lr * grads.d_b_out
+            net = apply_mask(net, train_cfg.mask_threshold)
+        constraint = extract_constraint(net, loss_cfg.direction)
+
+        starts = []
+        cold_subset = loss.p_gamma_subset
+
+        def spy(e, gamma, near=None):
+            starts.append(near)
+            return cold_subset(e, gamma, near)
+
+        monkeypatch.setattr(loss, "p_gamma_subset", spy)
+        _, report = train(dataset, loss_cfg, train_cfg)
+
+        history = np.array([dataclasses.astuple(r) for r in report.records])
+        assert history.tobytes() == np.array([dataclasses.astuple(r) for r in records]).tobytes()
+        assert report.constraint.coeffs.tobytes() == constraint.coeffs.tobytes()
+        assert report.constraint.bound.hex() == constraint.bound.hex()
+        assert report.constraint.relation is constraint.relation
+        assert report.violation_rate == violation_rate(constraint, dataset)
+        # The first epoch starts cold; every later one from the subset before it.
+        assert starts[0] is None
+        assert all(np.array_equal(a, b) for a, b in zip(starts[1:], subsets))
+        # The subset moves, so the warm start has entrants to find.
+        assert any(not np.array_equal(a, b) for a, b in zip(subsets, subsets[1:]))
 
 
 class TestTrainMulti:
