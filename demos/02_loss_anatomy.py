@@ -55,12 +55,13 @@ print("worst 50% subset:", subset.tolist())
 
 # The three terms, written out exactly as the implementation computes
 # them, then compared with the breakdown from loss_and_pred_grad, which
-# also returns dz/dpred and the subset it used.
+# also returns dz/dpred (one shared value plus one per subset member) and
+# the subset it used.
 n = data.n_points
 mean_term = cfg.alpha1 * float(np.sum(errors)) / n
 percent_term = cfg.alpha2 * float(np.sum((0.0 - preds[subset]) ** 2)) / n
 anchor_term = cfg.alpha3 * abs(float(np.max(errors)))
-breakdown, _, loss_subset = loss_and_pred_grad(preds, net, cfg)
+breakdown, _, _, loss_subset = loss_and_pred_grad(preds, net, cfg)
 assert loss_subset.tolist() == subset.tolist()
 print(f"\nmean error term  {mean_term:+.6f}   (breakdown {breakdown.term_e:+.6f})")
 print(f"percentile term  {percent_term:+.6f}   (breakdown {breakdown.term_p:+.6f})")

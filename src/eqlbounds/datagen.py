@@ -89,24 +89,31 @@ class RegionSpec:
         return self.box.shape[0]
 
     def membership_mask(self, points: np.ndarray) -> np.ndarray:
-        """Membership of each row of an (N, F) array (box bounds inclusive, cuts strict)."""
+        """Membership of each row of an (N, F) array (box bounds inclusive, cuts strict).
+
+        Near the edge of the float range a cut's value or the squared
+        distance to the ball's center may overflow; an infinite value
+        compares with the bound as it should, and a NaN one (``inf - inf``)
+        puts its row outside the region, so neither warns.
+        """
         pts = np.asarray(points, dtype=float)
         ok = np.all(pts >= self.box[:, 0], axis=1) & np.all(pts <= self.box[:, 1], axis=1)
-        for cut in self.linear_cuts:
-            values = pts @ cut.coeffs
-            if cut.direction is Direction.LOWER:
-                ok &= cut.bound < values
-            else:
-                ok &= values < cut.bound
-        cap = self.quadratic_cap
-        if cap is not None:
-            delta = pts - cap.center
-            # Not radius * radius: it can differ from ** by an ulp, which would move sampled points.
-            try:
-                squared_radius = cap.radius**2
-            except OverflowError:
-                squared_radius = math.inf
-            ok &= np.einsum("ij,ij->i", delta, delta) <= squared_radius
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cut in self.linear_cuts:
+                values = pts @ cut.coeffs
+                if cut.direction is Direction.LOWER:
+                    ok &= cut.bound < values
+                else:
+                    ok &= values < cut.bound
+            cap = self.quadratic_cap
+            if cap is not None:
+                delta = pts - cap.center
+                # Not radius * radius: it can differ from ** by an ulp, which would move sampled points.
+                try:
+                    squared_radius = cap.radius**2
+                except OverflowError:
+                    squared_radius = math.inf
+                ok &= np.einsum("ij,ij->i", delta, delta) <= squared_radius
         return ok
 
 

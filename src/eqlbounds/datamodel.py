@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -93,10 +93,15 @@ class Dataset:
     construction.  Each feature name must be non-empty and free of
     surrounding whitespace: :func:`load_dataset` strips header cells and
     rejects empty ones, so only such names survive a save and reload.
+
+    ``column_means`` holds the mean of each feature column, computed once
+    on construction and frozen like the points; the gradient of the loss's
+    mean term is a multiple of it.
     """
 
     points: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    column_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -120,6 +125,13 @@ class Dataset:
                 raise DatasetError(f"feature {i} name {name!r} has surrounding whitespace")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "feature_names", names)
+        with np.errstate(over="ignore"):
+            means = pts.mean(axis=0)
+            if not _all_finite(means):
+                # A column sum overflowed.  The scaled values sum to the
+                # mean, which overflows only at the edge of the float range.
+                means = np.add.reduce(pts / n, axis=0)
+        object.__setattr__(self, "column_means", _frozen(means))
 
     @property
     def n_points(self) -> int:

@@ -61,7 +61,10 @@ def _violation_count(constraint: LinearConstraint, dataset: Dataset) -> int:
             f"constraint has {constraint.n_features} coefficients but the dataset "
             f"has {dataset.n_features} features"
         )
-    values = dataset.points @ constraint.coeffs
+    # An overflowing value compares as infinite; inf - inf gives NaN, which
+    # satisfies neither relation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = dataset.points @ constraint.coeffs
     if constraint.relation is Direction.LOWER:
         satisfied = values >= constraint.bound
     else:
@@ -73,7 +76,10 @@ def violation_rate(constraint: LinearConstraint, dataset: Dataset) -> float:
     """Percentage of dataset points that do not satisfy the constraint.
 
     Satisfaction is non-strict: a point exactly on the boundary counts as
-    satisfied.  The count is exact; only the final rate is a float.
+    satisfied.  The count is exact; only the final rate is a float.  A
+    point whose constraint value overflows counts by the infinity it
+    becomes; one whose value is ``inf - inf`` is NaN, satisfies neither
+    relation, and counts as a violation.  Neither warns.
     """
     return 100.0 * _violation_count(constraint, dataset) / dataset.n_points
 

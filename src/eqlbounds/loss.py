@@ -16,7 +16,8 @@ Three data terms plus regularization:
 The total ``z`` is the plain sum of the four terms.  All four are computed
 in one function, :func:`loss_and_pred_grad`, together with ``dz/dpred``; it
 returns them as the :class:`LossBreakdown` that a training report records
-for each epoch.
+for each epoch, and ``dz/dpred`` in sparse form: one value shared by every
+prediction plus one per member of the percentile subset.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
 
 def loss_and_pred_grad(
     preds: np.ndarray, net: EqlNetwork, cfg: LossConfig, near: np.ndarray | None = None
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
     """Compose the full loss and its derivative with respect to each prediction.
 
     The percentile subset and the worst-error index are computed once from
@@ -140,32 +141,46 @@ def loss_and_pred_grad(
     lower index wins, which picks one member of the subgradient set.  The
     regularization term does not depend on the predictions.
 
-    Returns the breakdown, ``dz/dpred`` and the percentile subset.  ``near``
-    is passed to :func:`p_gamma_subset` as its warm start; a training loop
-    passes the subset the previous epoch returned.
+    Returns the breakdown, ``dz/dpred`` in sparse form as ``fill`` and
+    ``d_sub``, and the percentile subset ``idx``.  ``dz/dpred`` is ``fill``
+    at every prediction, plus ``d_sub[j]`` at prediction ``idx[j]``: the
+    mean term gives every prediction the same ``fill = -alpha1 * s / n``,
+    and only the subset and the worst error have terms of their own.  So
+    nothing of length n is built for the derivative.
+
+    The worst error is the subset's largest, the first at a tie.  The
+    subset holds the k largest errors, the lower index first at a tie, so
+    this is the error at ``e.argmax()`` (``-0.0`` ties ``0.0``; ``+inf``
+    counts), except that a NaN error, which ``argmax`` ranks first, may lie
+    outside the subset.  Any NaN error makes ``term_e`` NaN, so then the
+    anchor term takes ``e[e.argmax()]``.  A NaN there makes ``d_sub``, and
+    with it the whole gradient, NaN, as in the dense chain rule.
+
+    ``near`` is passed to :func:`p_gamma_subset` as its warm start; a
+    training loop passes the subset the previous epoch returned.
     """
     e = directional_errors(preds, cfg.direction)
     n = e.size
     idx = p_gamma_subset(e, cfg.gamma, near)
     # The errors are s * (0 - preds), with s = +1 for LOWER and -1 for UPPER;
-    # term_p squares them, so the sign does not matter.  e[worst] is e.max(),
-    # NaN included.
+    # term_p squares them, so the sign does not matter.
     e_sub = e[idx]
-    worst = int(e.argmax())
-    e_worst = float(e[worst])
+    top = int(e_sub.argmax())
+    e_worst = float(e_sub[top])
     w = net.w_out
+    # The full sum, not a * mean(points) + c: a non-finite error anywhere
+    # must make z non-finite.
     t_e = cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n
+    if math.isnan(t_e):
+        e_worst = float(e[e.argmax()])
     t_p = cfg.alpha2 * float(e_sub @ e_sub) / n
     t_a = cfg.alpha3 * abs(e_worst)
     t_r = cfg.l1 * float(np.add.reduce(np.abs(w), axis=None)) + cfg.l2 * float(w @ w)
     breakdown = LossBreakdown(t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r)
 
-    # d(error)/d(pred) is -s.  Every index of the subset holds the fill value
-    # before the scatter, so writing fill - step equals subtracting step there.
+    # d(error)/d(pred) is -s.
     s = 1.0 if cfg.direction is Direction.LOWER else -1.0
     fill = -cfg.alpha1 * s / n
-    dz_dpred = np.empty(n)
-    dz_dpred.fill(fill)
-    dz_dpred[idx] = fill - (2.0 * cfg.alpha2 / n) * s * e_sub
-    dz_dpred[worst] += -cfg.alpha3 * s * float(np.sign(e_worst))
-    return breakdown, dz_dpred, idx
+    d_sub = (-2.0 * cfg.alpha2 / n * s) * e_sub
+    d_sub[top] += -cfg.alpha3 * s * float(np.sign(e_worst))
+    return breakdown, fill, d_sub, idx

@@ -75,13 +75,24 @@ def gradients(
     and changes no result.  Masked positions always receive gradient
     exactly zero.  Non-finite values are returned as computed; :func:`train`
     reports them as divergence.
+
+    Beyond the forward pass and the loss, the gradient costs one gather of
+    the subset's rows: ``dz/dpred`` is one shared value plus one per subset
+    member, and the shared value's share is a multiple of the dataset's
+    column means, so no pass over all N points is made for it.
     """
     preds = forward_batch(net, dataset)
-    breakdown, dz_dpred, subset = loss_and_pred_grad(preds, net, cfg, near)
+    breakdown, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg, near)
 
     # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
-    d_b_out = float(np.add.reduce(dz_dpred))
-    d_w_in, d_w_out = collapse_affine_grad(net, dataset.points.T @ dz_dpred, d_b_out)
+    # The shared value contributes fill * n times (column means, 1); the
+    # subset contributes its rows weighted by d_sub.
+    mean_weight = fill * dataset.n_points
+    d_b_out = float(np.add.reduce(d_sub)) + mean_weight
+    # take, not fancy indexing: at the paper's sizes it is the faster gather.
+    d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
+    d_coeffs += mean_weight * dataset.column_means
+    d_w_in, d_w_out = collapse_affine_grad(net, d_coeffs, d_b_out)
     d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
 
     d_w_in[net.mask_in] = 0.0

@@ -124,6 +124,21 @@ class TestGen:
             assert main(["gen", "--spec", str(spec_path), "--n", "10", "--out", str(out)]) == 0
         assert load_dataset(out).n_points == 10
 
+    def test_cut_value_that_overflows_does_not_warn(self, tmp_path):
+        # 10 * x overflows for x near the box's lower end, where the cut's
+        # value is -inf and the candidate is rejected, as it should be.
+        spec_path = tmp_path / "region.json"
+        spec = {"box": [[-1e308, 1e307]], "linear_cuts": [{"coeffs": [10.0], "bound": 0}]}
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        outs = {}
+        for action in ("error", "ignore"):
+            outs[action] = tmp_path / f"{action}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(["gen", "--spec", str(spec_path), "--n", "5", "--out", str(outs[action])]) == 0
+        assert outs["error"].read_bytes() == outs["ignore"].read_bytes()
+        assert (load_dataset(outs["error"]).points > 0).all()
+
     def test_negative_seed_is_input_error_naming_seed(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["gen", "--preset", "circle", "--seed", "-1", "--out", str(out)]) == 2
@@ -328,6 +343,20 @@ class TestEval:
         out = capsys.readouterr().out
         assert out.count("\n") == 1
         assert "1 of 2 points violate (50%): 0 <= X0" in out
+
+    def test_constraint_value_that_overflows_does_not_warn(self, tmp_path, capsys):
+        # 1.5e308 + 1e308 overflows to inf, which satisfies the constraint;
+        # -1.5e308 + 5 is finite and violates it.
+        data = tmp_path / "d.csv"
+        data.write_text("X0,X1\n1e308,1e308\n-1e308,5\n", encoding="utf-8")
+        cpath = tmp_path / "c.json"
+        save_constraint(LinearConstraint(np.array([1.5, 1.0]), 0.0, Direction.LOWER), cpath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["expression"] == "0 <= 1.5*X0 + X1"
+        assert (report["violations"], report["n"]) == (1, 2)
 
     def test_missing_constraint_file(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

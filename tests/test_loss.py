@@ -334,7 +334,7 @@ class TestLossTotal:
             y = rng.integers(-3, 4, n) * 0.5
             preds = rng.integers(-3, 4, n) * 0.25 - y
             net = reg_net(rng.standard_normal(3))
-            b, dz, subset = loss_and_pred_grad(preds, net, cfg)
+            b, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg)
             e = directional_errors(preds, cfg.direction)
             idx = p_gamma_subset(e, cfg.gamma)
             assert np.array_equal(subset, idx)
@@ -345,10 +345,48 @@ class TestLossTotal:
             assert b.term_anchor == cfg.alpha3 * abs(float(e.max()))
             w = net.w_out
             assert b.term_reg == cfg.l1 * float(np.add.reduce(np.abs(w), axis=None)) + cfg.l2 * float(w @ w)
-            # dz/dpred term by term, with the residual taken as preds - 0.
+            # dz/dpred term by term, with the residual taken as preds - 0: the
+            # subset's two terms are summed first, then added to the shared one.
             s = 1.0 if cfg.direction is Direction.LOWER else -1.0
-            expected = np.full(n, -cfg.alpha1 * s / n)
-            expected[idx] += (2.0 * cfg.alpha2 / n) * (preds[idx] - 0.0)
+            on_subset = (2.0 * cfg.alpha2 / n) * (preds[idx] - 0.0)
             worst = int(np.argmax(e))
-            expected[worst] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+            on_subset[np.searchsorted(idx, worst)] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+            expected = np.full(n, -cfg.alpha1 * s / n)
+            expected[idx] += on_subset
+            dz = np.full(n, fill)
+            dz[subset] += d_sub
             assert np.array_equal(dz, expected)
+
+    # The pool of TestPGammaSubset: ties, signed zeros, infinities and NaN.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        preds=st.lists(
+            st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.5]), st.floats()),
+            min_size=1,
+            max_size=250,
+        ),
+        gamma=st.sampled_from([1.0, 2.5, 5.0, 25.0, 50.0, 100.0]),
+        direction=st.sampled_from(list(Direction)),
+    )
+    def test_anchor_is_the_argmax_of_all_errors(self, preds, gamma, direction):
+        preds = np.array(preds)
+        n = preds.size
+        cfg = LossConfig(alpha1=0.5, alpha2=1.5, alpha3=0.75, gamma=gamma, direction=direction)
+        with np.errstate(all="ignore"):
+            b, fill, d_sub, idx = loss_and_pred_grad(preds, reg_net([1.0]), cfg)
+            e = directional_errors(preds, direction)
+            worst = int(e.argmax())
+            s = 1.0 if direction is Direction.LOWER else -1.0
+            assert fill == -cfg.alpha1 * s / n
+            assert np.array_equal(idx, p_gamma_subset(e, gamma))
+            assert np.array_equal([b.term_anchor], [cfg.alpha3 * abs(float(e[worst]))], equal_nan=True)
+            on_subset = (-2.0 * cfg.alpha2 / n * s) * e[idx]
+            pos = int(np.searchsorted(idx, worst))
+            if pos < idx.size and idx[pos] == worst:
+                on_subset[pos] += -cfg.alpha3 * s * float(np.sign(e[worst]))
+                assert np.array_equal(d_sub, on_subset, equal_nan=True)
+            else:
+                # Only a NaN error ranks outside the subset.  Its derivative
+                # is NaN, and so is the dense gradient; so must d_sub be.
+                assert math.isnan(e[worst])
+                assert np.isnan(d_sub).any()

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlbounds import (
     Dataset,
@@ -21,6 +23,7 @@ from eqlbounds import (
     TrainConfig,
     apply_mask,
     configs_from_mapping,
+    directional_errors,
     export_history_csv,
     extract_constraint,
     forward_batch,
@@ -34,10 +37,12 @@ from eqlbounds import (
     train_multi,
     violation_rate,
 )
-from eqlbounds import cli, loss
+from eqlbounds import cli, loss, trainer
 from eqlbounds.datamodel import read_json_object
+from eqlbounds.loss import WARM_START_MIN_N
+from eqlbounds.network import collapse_affine_grad
 
-from _oracles import central_difference
+from _oracles import brute_force_p_gamma, central_difference
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -147,6 +152,72 @@ class TestGradients:
         net = EqlNetwork(np.ones((1, 2)), (ID,), np.ones(1), 0.0)
         with pytest.raises(EmptyDatasetError):
             gradients(net, Dataset(np.empty((0, 2))), LossConfig())
+
+    # N on both sides of the warm-start gate.  On the grid, points and
+    # weights are small multiples of 0.5, so predictions, and so errors,
+    # tie often; all-constant networks tie every error.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        f=st.integers(1, 4),
+        h=st.integers(1, 4),
+        n=st.one_of(st.integers(1, 300), st.integers(WARM_START_MIN_N, WARM_START_MIN_N + 300)),
+        alphas=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0, 1.7])] * 3).filter(any),
+        gamma=st.sampled_from([1.0, 5.0, 25.0, 100.0]),
+        direction=st.sampled_from(list(Direction)),
+        grid=st.booleans(),
+        masked=st.booleans(),
+        warm=st.booleans(),
+    )
+    def test_equals_the_dense_chain_rule(self, seed, f, h, n, alphas, gamma, direction, grid, masked, warm):
+        rng = np.random.default_rng(seed)
+        prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
+        if grid:
+            points = rng.integers(-3, 4, (n, f)) * 1.0
+            w_in, w_out = rng.integers(-2, 3, (h, f)) * 0.5, rng.integers(-2, 3, h) * 0.5
+            b_out = float(rng.integers(-4, 5)) * 0.25
+        else:
+            points = rng.uniform(-5, 25, (n, f))
+            w_in, w_out, b_out = rng.standard_normal((h, f)), rng.standard_normal(h), float(rng.standard_normal())
+        mask_in = rng.random((h, f)) < (0.3 if masked else 0.0)
+        mask_out = rng.random(h) < (0.3 if masked else 0.0)
+        w_in[mask_in] = 0.0
+        w_out[mask_out] = 0.0
+        net = EqlNetwork(w_in, prims, w_out, b_out, mask_in, mask_out)
+        dataset = Dataset(points)
+        a1, a2, a3 = alphas
+        cfg = LossConfig(alpha1=a1, alpha2=a2, alpha3=a3, gamma=gamma, direction=direction)
+        near = None
+        if warm:
+            # The subset of a nearby network, as the previous epoch leaves it.
+            moved = EqlNetwork(w_in + 0.01 * rng.standard_normal((h, f)), prims, w_out, b_out)
+            near = gradients(moved, dataset, cfg)[1].subset
+
+        # dz/dpred as one dense vector, term by term, then the chain rule
+        # through preds = points @ a + c.
+        e = directional_errors(forward_batch(net, dataset), direction)
+        idx = brute_force_p_gamma(e, gamma)
+        worst = int(np.argmax(e))
+        s = 1.0 if direction is Direction.LOWER else -1.0
+        dz = np.full(n, -a1 * s / n)
+        dz[idx] += (-2.0 * a2 / n * s) * e[idx]
+        dz[worst] += -a3 * s * float(np.sign(e[worst]))
+        want_a, want_c = points.T @ dz, float(np.add.reduce(dz))
+
+        seen = []
+
+        def spy(net, d_coeffs, d_offset):
+            seen.append((d_coeffs.copy(), d_offset))
+            return collapse_affine_grad(net, d_coeffs, d_offset)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "collapse_affine_grad", spy)
+            _, grads = gradients(net, dataset, cfg, near)
+        [(got_a, got_c)] = seen
+        assert got_a.tolist() == pytest.approx(want_a.tolist(), rel=1e-12)
+        assert got_c == grads.d_b_out == pytest.approx(want_c, rel=1e-12)
+        assert np.array_equal(grads.subset, idx)
+        assert not grads.d_w_in[mask_in].any() and not grads.d_w_out[mask_out].any()
 
     def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
