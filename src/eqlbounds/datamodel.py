@@ -12,7 +12,7 @@ import io
 import json
 import math
 import numbers
-import re
+import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
@@ -145,185 +145,96 @@ class Dataset:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a CSV dataset (UTF-8, comma separated, mandatory header row).
 
-    The header names the feature columns; every later row must hold the
-    same number of finite numeric cells, each parsed by Python's ``float``
-    (surrounding whitespace, ``_`` digit separators and any spelling of
-    ``inf``/``nan`` are read the way ``float`` reads them).  Blank rows are
-    skipped, and a quoted cell keeps the line breaks it spans.  Errors,
-    decoding and csv errors included, name the file; they report the first
-    bad row or cell in file order, with rows counted from 1 starting at the
-    first row below the header.
+    The header is the first row that is not blank, read by ``csv``: a
+    quoted name keeps the commas and line breaks it holds, and every name
+    is stripped of surrounding whitespace.  Below it, every line that is
+    not empty is one data row of the header's width.  Body lines end at
+    ``\\r``, ``\\n`` or ``\\r\\n``, and their cells are split at every comma,
+    with no quoting.  A cell, stripped of surrounding whitespace, must be
+    ASCII without ``_`` and read by ``float`` as a finite number.  Errors,
+    decoding and csv errors included, name the file; a bad body reports
+    its first ragged row, non-numeric or non-finite cell in file order,
+    with rows counted from 1 below the header and blank lines skipped.
 
-    Cost: the file is read once, as bytes.  ``csv.reader`` reads the header
-    row from a text wrapper over them.  A plain body is checked on the
-    bytes and goes to NumPy's C reader, ``np.loadtxt``, from the same
-    wrapper; it builds no Python object per row, and float parsing is the
-    floor.  Plain means at least one data row, only ASCII digits, ``+-.eE``,
-    commas and line ends, no line longer than ``csv.field_size_limit()``
-    without its end, and a finite result as wide as the header.  The
-    bytes are dropped before :class:`Dataset` copies the array, so a plain
-    load allocates about twice the file size at its peak.  On a 2-vCPU
-    Xeon, a :func:`save_dataset` file of 10⁶ two-feature rows (38 MB)
-    loads in about 0.5 s, and the process peaks at 87 MB RSS, 32 MB of it
-    the interpreter with NumPy.
-    Every file :func:`save_dataset` writes is plain.  Everything else takes
-    the slow path: the decoded text split into lines, ``csv.reader`` row
-    lists, one ``np.fromiter`` over ``float`` and one ``isfinite`` check.
-    That covers quoted cells, whitespace, ``_``, ``inf``/``nan`` spellings,
-    non-ASCII text, a body with no data row, a header that holds a line end
-    ``csv`` does not know and any body that ``np.loadtxt`` rejects.  Both
-    paths accept the same files with the same errors.  Only when a check
-    fails does the error path walk the cells one by one to name the first
-    bad one.
+    Cost: ``csv.reader`` reads the header from the open file, and NumPy's
+    C reader, ``np.loadtxt``, reads the body from the path in chunks.  No
+    Python object is built per row or per cell; float parsing is the
+    floor.  The text is never held whole: the peak is the array NumPy
+    grows plus the copy :class:`Dataset` freezes, about twice the points'
+    bytes.  On a 2-vCPU Xeon, a :func:`save_dataset` file of 10⁶
+    two-feature rows (38 MB) loads in about 1.2 s, and the process peaks
+    at 61 MB RSS, 28 MB of it the interpreter with NumPy.  Only a failed
+    load runs the error pass, which reads the file again to name the fault.
     """
     path = Path(path)
+    data = None
     try:
-        raw = path.read_bytes()
+        with path.open(encoding="utf-8", newline="") as stream:
+            reader = csv.reader(stream)
+            header = [cell.strip() for cell in next(filter(None, reader), [])]
+            if header and all(header):
+                # NumPy decompresses a path by its suffix; a stream it reads
+                # as it is, line by line, from where the header ended.
+                body, skip = (stream, 0) if path.suffix in _COMPRESSED else (path, reader.line_num)
+                with warnings.catch_warnings():
+                    # An empty body warns; the checks below reject it.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(body, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    plain = _plain_data(raw)
-    if plain is None:
-        try:
-            lines = _csv_lines(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: {exc}") from exc
-    # Each input is dropped as soon as it is parsed, which keeps the peak
-    # memory of a large load down.
-    del raw
-    if plain is not None:
-        header, data = plain
-    else:
-        reader = csv.reader(lines)
-        try:
-            header = next(filter(None, reader), [])
-            # The whole body is read before the header is checked, so a csv
-            # error in the body still comes first.
-            rows = [row for row in reader if row]
-        except csv.Error as exc:
-            raise DatasetError(f"{path}: {exc}") from exc
-        del lines, reader
-    if not header:
-        raise EmptyDatasetError(f"{path}: file is empty")
-    header = [cell.strip() for cell in header]
-    if any(not name for name in header):
-        raise DatasetError(f"{path}: header has an empty column name")
-    if plain is None:
-        data = _row_data(path, rows, len(header))
+    except (ValueError, csv.Error):
+        pass  # Decoding, csv and cell errors alike: the error pass names them.
+    if data is None or data.shape[1] != len(header) or not len(data) or not _all_finite(data):
+        raise _first_fault(path)
     return Dataset(data, feature_names=tuple(header))
 
 
-# Line ends that ``str.splitlines`` knows and ``csv`` does not.
-_OTHER_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# The suffixes of the paths that NumPy opens as compressed files.
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _csv_lines(text: str) -> list[str]:
-    """The lines of ``text`` for ``csv.reader``, split where ``str.splitlines`` splits.
+def _first_fault(path: Path) -> DatasetError:
+    """The error for the first fault of the dataset file at ``path``, in file order.
 
-    A line keeps a ``\\r`` or ``\\n`` end, so a quoted cell that spans one
-    keeps it as ``csv.writer`` wrote it; every other line end is dropped.
+    This is the error pass of :func:`load_dataset` and its only per-cell
+    loop.  It decodes the whole file, so a decoding error gives its
+    position in the file, reads the header as the bulk read does, then
+    splits the body into lines and cells as NumPy's C reader does.
     """
-    lines = text.splitlines(keepends=True)
-    return [line[:-1] if line[-1] in _OTHER_LINE_ENDS else line for line in lines]
-
-
-# Every byte a plain CSV body may hold, and the first one of a data row.
-_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
-_ROW_BYTE = re.compile(rb"[^\r\n]")
-
-
-def _plain_data(raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The header row and the plain body of the CSV bytes ``raw``, read by ``np.loadtxt``, or None.
-
-    None sends :func:`load_dataset` to its slow path.  The header lines are
-    split at ``\\r``, ``\\n`` and ``\\r\\n`` only; a header that holds another
-    line end, fails to decode or raises a csv error is left to the slow
-    path, which splits and reports it as before.  On a plain body
-    ``csv.reader`` splits at every comma and ``float`` reads each cell as
-    the C reader does, so whatever this accepts the slow path accepts with
-    the same bits, and whatever it refuses the slow path handles as before.
-    """
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as stream:
-        # csv.reader takes one line at a time; ``head`` keeps those it took.
-        head: list[str] = []
-        reader = csv.reader(head.append(line) or line for line in stream)
-        try:
-            header = next(filter(None, reader), [])
-        except (UnicodeDecodeError, csv.Error):
-            return None
-        head_text = "".join(head)
-        if not set(_OTHER_LINE_ENDS).isdisjoint(head_text):
-            return None
-        head_bytes = head_text.encode("utf-8")
-        start = len(head_bytes)
-        # Deleting the plain bytes leaves the header's own others only if
-        # the body holds none.
-        if raw.translate(None, _PLAIN_BYTES) != head_bytes.translate(None, _PLAIN_BYTES):
-            return None
-        if _ROW_BYTE.search(raw, start) is None or not _lines_fit(raw, start, csv.field_size_limit()):
-            return None
-        try:
-            data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            return None
-    if data.shape[1] != len(header) or not _all_finite(data):
-        return None
-    return header, data
-
-
-def _lines_fit(raw: bytes, start: int, limit: int) -> bool:
-    """Whether no line of ``raw[start:]`` is longer than ``limit`` bytes without its end.
-
-    ``start`` must begin a line.  Each step looks at the next ``limit + 1``
-    bytes: with no line end among them the line is too long; otherwise
-    every line that starts before the last of them fits, and the next step
-    starts after it.  A body of short lines takes one step per ``limit``
-    bytes, and no step copies.
-    """
-    while len(raw) - start > limit:
-        stop = start + limit + 1
-        last = max(raw.rfind(b"\n", start, stop), raw.rfind(b"\r", start, stop))
-        if last < 0:
-            return False
-        start = last + 1
-    return True
-
-
-def _row_data(path: Path, rows: list[list[str]], n_cols: int) -> np.ndarray:
-    """The data ``rows`` that ``csv.reader`` split, converted by ``float``: the slow path.
-
-    One row-length pass, one ``np.fromiter`` over every cell and one
-    ``isfinite`` check; no Python code runs per cell unless a check fails.
-    """
-    if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows below the header")
-    data = None
-    if set(map(len, rows)) == {n_cols}:
-        try:
-            data = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * n_cols)
-        except ValueError:
-            pass
-    if data is None or not np.isfinite(data).all():
-        raise _first_bad_cell(path, rows, n_cols)
-    return data.reshape(len(rows), n_cols)
-
-
-def _first_bad_cell(path: Path, rows: list[list[str]], n_cols: int) -> DatasetError:
-    """The error for the first ragged row or bad cell of the data ``rows``, in file order.
-
-    This is the error path of :func:`load_dataset` and its only per-cell
-    loop; it runs only after the bulk parse has found a fault.
-    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        return DatasetError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        return DatasetError(f"{path}: {exc}")
+    lines = io.StringIO(text, newline="")
+    try:
+        header = next(filter(None, csv.reader(lines)), [])
+    except csv.Error as exc:
+        return DatasetError(f"{path}: {exc}")
+    if not header:
+        return EmptyDatasetError(f"{path}: file is empty")
+    if not all(cell.strip() for cell in header):
+        return DatasetError(f"{path}: header has an empty column name")
+    rows = filter(None, (line.rstrip("\r\n") for line in lines))
+    r = 0
     for r, row in enumerate(rows, start=1):
-        if len(row) != n_cols:
-            return RaggedRowError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
-        for c, cell in enumerate(row, start=1):
+        cells = row.split(",")
+        if len(cells) != len(header):
+            return RaggedRowError(f"{path}: row {r} has {len(cells)} cells, expected {len(header)}")
+        for c, cell in enumerate(map(str.strip, cells), start=1):
             try:
+                # NumPy reads what float reads, but only ASCII and no "_".
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError
                 value = float(cell)
             except ValueError:
-                return NonNumericError(f"{path}: non-numeric value {cell.strip()!r} at row {r}, col {c}")
+                return NonNumericError(f"{path}: non-numeric value {cell!r} at row {r}, col {c}")
             if not math.isfinite(value):
                 return NonNumericError(f"{path}: non-finite value at row {r}, col {c}")
-    raise AssertionError(f"{path}: the bulk parse failed but no cell is bad")
+    if r == 0:
+        return EmptyDatasetError(f"{path}: no data rows below the header")
+    raise AssertionError(f"{path}: the bulk read failed but no line is bad")
 
 
 # Data rows written per block: large enough to amortize the write call,

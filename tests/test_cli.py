@@ -243,8 +243,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "body",
-        [b"X0\n1\xe9\n", b"X0\n" + b"0" * csv.field_size_limit() + b"1\n"],
-        ids=["not-utf-8", "cell-past-the-csv-field-limit"],
+        [b"X0\n1\xe9\n", b"X" * (csv.field_size_limit() + 1) + b"\n1\n"],
+        ids=["not-utf-8", "header-cell-past-the-csv-field-limit"],
     )
     def test_unreadable_data_file_is_input_error_naming_it(self, tmp_path, capsys, body):
         data = tmp_path / "d.csv"
