@@ -43,9 +43,9 @@ print(f"\nexactly-zero coefficients in the masked constraint: "
       f"{[data.feature_names[i] for i in zeroed]}")
 assert zeroed.size > 0
 
-# Inside the network, the frozen positions are visible as mask flags.
-print(f"input-weight mask rows with any frozen entry: "
-      f"{int(masked_net.mask_in.any(axis=1).sum())} of {masked_net.mask_in.shape[0]}")
-print(f"output-weight mask: {masked_net.mask_out.tolist()}")
+# Inside the network, a frozen weight is one that is exactly zero.
+for label, net in (("masked", masked_net), ("unmasked", plain_net)):
+    print(f"zero weights, {label}: {int((net.w_in == 0.0).sum())} of {net.w_in.size} "
+          f"input, {int((net.w_out == 0.0).sum())} of {net.w_out.size} output")
 print(f"violation rates: masked {masked.violation_rate:.2f}%, "
       f"unmasked {plain.violation_rate:.2f}%")

@@ -115,6 +115,8 @@ class Dataset:
         if not _all_finite(pts):
             raise DatasetError("points contain non-finite values")
         names = self.feature_names
+        if isinstance(names, str):
+            raise DatasetError(f"feature_names must be a sequence of names, not the string {names!r}")
         names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
         if len(names) != f:
             raise DatasetError(f"expected {f} feature names, got {len(names)}")
@@ -125,11 +127,12 @@ class Dataset:
                 raise DatasetError(f"feature {i} name {name!r} has surrounding whitespace")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "feature_names", names)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             means = pts.mean(axis=0)
             if not _all_finite(means):
-                # A column sum overflowed.  The scaled values sum to the
-                # mean, which overflows only at the edge of the float range.
+                # A column sum overflowed, to inf or, with both signs, to NaN.
+                # The scaled values sum to the mean, which overflows only at
+                # the edge of the float range.
                 means = np.add.reduce(pts / n, axis=0)
         object.__setattr__(self, "column_means", _frozen(means))
 
@@ -321,8 +324,11 @@ def constraint_text(constraint: LinearConstraint, feature_names: Sequence[str] |
     """Render a constraint as human-readable text, e.g. ``2.1469 <= 0.4772*X0 + X1``.
 
     Zero coefficients are elided and unit coefficients print as the bare
-    feature name.
+    feature name.  ``feature_names`` is a sequence of names; a plain string
+    is rejected, not read one character per name.
     """
+    if isinstance(feature_names, str):
+        raise ValueError(f"feature_names must be a sequence of names, not the string {feature_names!r}")
     names = (
         default_feature_names(constraint.n_features)
         if feature_names is None

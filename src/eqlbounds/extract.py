@@ -17,6 +17,7 @@ from .datamodel import (
     Dataset,
     Direction,
     LinearConstraint,
+    _real,
     constraint_to_dict,
     constraint_text,
 )
@@ -104,6 +105,7 @@ def prune(constraint: LinearConstraint, rel_threshold: float) -> LinearConstrain
     invariant, so pruning an already-pruned constraint with the same
     threshold changes nothing.
     """
+    rel_threshold = _real("rel_threshold", rel_threshold)
     if not (0 <= rel_threshold < 1):
         raise ValueError(f"rel_threshold must lie in [0, 1), got {rel_threshold}")
     a = np.array(constraint.coeffs, dtype=float)

@@ -51,25 +51,23 @@ DEFAULT_PRIMITIVES = (
 class EqlNetwork:
     """Plain value object holding the parameters of one network.
 
-    ``mask_in``/``mask_out`` mark weights frozen at exactly zero; a masked
-    position must hold the value 0.0.  The output bias is never masked.
-    Training code works on its own private copy.
+    No mask is stored: masking sets a weight to exactly 0.0 (see
+    :func:`apply_mask`), and under masking training keeps every zero weight
+    at zero.  The output bias is never masked.  Training code works on its
+    own private copy.
 
-    Construction copies the four arrays and checks, in this order: the
-    shapes, the primitives, that every parameter is finite, and that every
-    masked weight is zero.  Each value check costs two array calls per
-    weight layer (``isfinite`` then a count; a gather of the masked weights
-    then ``count_nonzero``), with no Python loop over weights.  Training
-    with masking builds one network per epoch, so at the paper's sizes
-    these calls are a visible share of an epoch.
+    Construction copies the two weight arrays and checks, in this order:
+    the shapes, the primitives, and that every parameter is finite.  The
+    finiteness check costs two array calls per weight layer (``isfinite``
+    then a count), with no Python loop over weights.  Training with
+    masking builds one network per epoch, so at the paper's sizes these
+    calls are a visible share of an epoch.
     """
 
     w_in: np.ndarray
     primitives: tuple[Primitive, ...]
     w_out: np.ndarray
     b_out: float
-    mask_in: np.ndarray | None = None
-    mask_out: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w_in = np.array(self.w_in, dtype=float)
@@ -86,22 +84,10 @@ class EqlNetwork:
             raise ValueError(f"primitives must be {h} Primitive values")
         if not (_all_finite(w_in) and _all_finite(w_out) and math.isfinite(self.b_out)):
             raise ValueError("network parameters contain non-finite values")
-        mask_in = (
-            np.zeros((h, f), dtype=bool) if self.mask_in is None else np.array(self.mask_in, dtype=bool)
-        )
-        mask_out = (
-            np.zeros(h, dtype=bool) if self.mask_out is None else np.array(self.mask_out, dtype=bool)
-        )
-        if mask_in.shape != (h, f) or mask_out.shape != (h,):
-            raise ValueError("mask shapes must match the weight shapes")
-        if np.count_nonzero(w_in[mask_in]) or np.count_nonzero(w_out[mask_out]):
-            raise ValueError("masked weights must be exactly zero")
         self.w_in = w_in
         self.primitives = prims
         self.w_out = w_out
         self.b_out = float(self.b_out)
-        self.mask_in = mask_in
-        self.mask_out = mask_out
 
     @property
     def n_units(self) -> int:
@@ -209,26 +195,22 @@ def initialize(
 def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
     """Freeze small weights at exactly zero; returns a new network.
 
-    A weight is masked when its magnitude falls below ``threshold`` or it
-    is exactly zero already; positions masked earlier stay masked.  The
-    output bias is never masked.  Applying the same threshold twice is a
-    no-op the second time.
+    A weight is set to +0.0 when its magnitude falls below ``threshold``
+    or it is zero already (``-0.0`` included), so a zero weight stays zero
+    whatever the threshold.  The output bias is never masked.  Applying
+    the same threshold twice is a no-op the second time.
 
-    Per weight layer this is one comparison, one ``|`` with the old mask
-    and one ``where``: for ``threshold > 0``, ``|w| < threshold`` already
-    holds at ``w == 0``, and ``threshold == 0`` compares ``w == 0``.  The
-    new network then runs the checks of :class:`EqlNetwork`, so a
-    non-finite weight that stays unmasked raises ``ValueError``.
+    Per weight layer this is one comparison and one ``where``: for
+    ``threshold > 0``, ``|w| < threshold`` already holds at ``w == 0``, and
+    ``threshold == 0`` compares ``w == 0``.  The new network then runs the
+    checks of :class:`EqlNetwork`, so a non-finite weight raises
+    ``ValueError``.  A ``bool`` threshold is rejected.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    w_in, mask_in = _freeze(net.w_in, net.mask_in, threshold)
-    w_out, mask_out = _freeze(net.w_out, net.mask_out, threshold)
-    return EqlNetwork(w_in, net.primitives, w_out, net.b_out, mask_in, mask_out)
+    if isinstance(threshold, bool) or not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    return EqlNetwork(_freeze(net.w_in, threshold), net.primitives, _freeze(net.w_out, threshold), net.b_out)
 
 
-def _freeze(weights: np.ndarray, mask: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def _freeze(weights: np.ndarray, threshold: float) -> np.ndarray:
     small = np.abs(weights) < threshold if threshold > 0 else weights == 0.0
-    new_mask = mask | small
-    return np.where(new_mask, 0.0, weights), new_mask
-
+    return np.where(small, 0.0, weights)

@@ -31,7 +31,7 @@ from .datamodel import (
 )
 from .extract import extract_constraint, violation_rate
 from .loss import loss_and_pred_grad
-from .network import EqlNetwork, apply_mask, collapse_affine_grad, forward_batch, initialize
+from .network import EqlNetwork, apply_mask, collapse_affine, collapse_affine_grad, forward_batch, initialize
 
 
 class DivergenceError(ArithmeticError):
@@ -72,9 +72,10 @@ def gradients(
     The loss and ``dz/dpred`` come from :func:`loss_and_pred_grad`, which
     holds the percentile subset and the worst-error index fixed; ``near``
     is the subset's warm start (see :func:`~eqlbounds.loss.p_gamma_subset`)
-    and changes no result.  Masked positions always receive gradient
-    exactly zero.  Non-finite values are returned as computed; :func:`train`
-    reports them as divergence.
+    and changes no result.  The gradient is the raw one, also at weights
+    that masking froze at zero; :func:`train` zeroes those entries itself.
+    Non-finite values are returned as computed; :func:`train` reports them
+    as divergence.
 
     Beyond the forward pass and the loss, the gradient costs one gather of
     the subset's rows: ``dz/dpred`` is one shared value plus one per subset
@@ -94,9 +95,6 @@ def gradients(
     d_coeffs += mean_weight * dataset.column_means
     d_w_in, d_w_out = collapse_affine_grad(net, d_coeffs, d_b_out)
     d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
-
-    d_w_in[net.mask_in] = 0.0
-    d_w_out[net.mask_out] = 0.0
     return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset)
 
 
@@ -106,12 +104,17 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     Each epoch records the loss breakdown at its start, then applies one
     descent step; when masking is enabled the step is followed by a mask
     pass, so a weight that ends an epoch below the threshold is zero for
-    every later epoch.  Each epoch's percentile subset is the next epoch's
-    warm start; the first epoch starts cold.
+    every later epoch.  A frozen weight is one that is exactly zero: under
+    masking the gradient of every zero weight is zeroed before the step.
+    So an initial weight drawn as exactly 0.0 (probability 2**-53 per
+    draw) is frozen from epoch 0 on.  Each epoch's percentile subset is the
+    next epoch's warm start; the first epoch starts cold.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking;
-    after the final step that epoch is ``train_cfg.epochs``.
+    after the final step that epoch is ``train_cfg.epochs``, and it is
+    also raised when the final parameters are finite but their affine
+    collapse is not.
     """
     net = initialize(dataset, seed=train_cfg.seed)
     lr = train_cfg.learning_rate
@@ -128,6 +131,9 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
             records.append(breakdown)
+            if threshold is not None:
+                grads.d_w_in[net.w_in == 0.0] = 0.0
+                grads.d_w_out[net.w_out == 0.0] = 0.0
             net.w_in = net.w_in - lr * grads.d_w_in
             net.w_out = net.w_out - lr * grads.d_w_out
             net.b_out = net.b_out - lr * grads.d_b_out
@@ -138,10 +144,12 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
                     # The threshold is valid and apply_mask zeroes every masked
                     # weight, so the one check left to fail is finiteness.
                     raise DivergenceError(epoch + 1, _PARAMS_DIVERGED.format(epoch + 1)) from exc
-    # Non-finite parameters always give a non-finite loss, so only the final
-    # step can leave them unreported.
-    if not (_all_finite(net.w_in) and _all_finite(net.w_out) and math.isfinite(net.b_out)):
-        raise DivergenceError(train_cfg.epochs, _PARAMS_DIVERGED.format(train_cfg.epochs))
+        # Only the final step can leave a non-finite loss unreported.  Every
+        # parameter enters the collapse, so this also catches a non-finite
+        # parameter, and a collapse that overflows from finite ones.
+        coeffs, offset = collapse_affine(net)
+        if not (_all_finite(coeffs) and math.isfinite(offset)):
+            raise DivergenceError(train_cfg.epochs)
     constraint = extract_constraint(net, loss_cfg.direction)
     rate = violation_rate(constraint, dataset)
     report = TrainReport(tuple(records), constraint, rate, train_cfg.seed)

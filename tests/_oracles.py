@@ -17,11 +17,19 @@ from eqlbounds import (
     Dataset,
     DatasetError,
     Direction,
+    DivergenceError,
     EmptyDatasetError,
+    EqlNetwork,
     NonNumericError,
     Primitive,
     RaggedRowError,
     RejectionBudgetExceededError,
+    TrainReport,
+    collapse_affine,
+    extract_constraint,
+    gradients,
+    initialize,
+    violation_rate,
 )
 
 
@@ -45,18 +53,64 @@ def brute_force_p_gamma(e, gamma):
     return sorted(sorted(range(n), key=rank)[:k])
 
 
-def freeze(weights, mask, threshold):
-    """Masking rule of ``apply_mask`` as first written, with three terms.
+def freeze(weights, threshold):
+    """Masking rule of ``apply_mask`` as first written, with two terms.
 
-    A weight is masked when it was masked before, when its magnitude is
-    below ``threshold``, or when it is exactly zero; masked weights become
-    0.0.  Returns the new weights and the new mask.
+    A weight is masked when its magnitude is below ``threshold`` or it is
+    exactly zero; masked weights become 0.0.
     """
-    new_mask = mask | (np.abs(weights) < threshold) | (weights == 0.0)
-    return np.where(new_mask, 0.0, weights), new_mask
+    masked = (np.abs(weights) < threshold) | (weights == 0.0)
+    return np.where(masked, 0.0, weights)
 
 
-def network_checks(w_in, primitives, w_out, b_out, mask_in=None, mask_out=None):
+def masked_train(dataset, loss_cfg, train_cfg):
+    """``train`` as first written, with explicit boolean masks.
+
+    Each layer keeps a mask of its frozen weights, which only grows: after
+    every step the weights that are masked, small or exactly zero join it
+    and become 0.0, and before every step the gradient at a masked position
+    is set to zero.  The masks start empty, so an initial weight of exactly
+    0.0 takes one step before it is frozen.  Returns the final weights
+    ``(w_in, w_out, b_out)`` and the ``TrainReport``.
+    """
+    net = initialize(dataset, seed=train_cfg.seed)
+    prims, w_in, w_out, b_out = net.primitives, net.w_in, net.w_out, net.b_out
+    lr, threshold = train_cfg.learning_rate, train_cfg.mask_threshold
+    mask_in = np.zeros(w_in.shape, dtype=bool)
+    mask_out = np.zeros(w_out.shape, dtype=bool)
+    records, near = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            breakdown, grads = gradients(EqlNetwork(w_in, prims, w_out, b_out), dataset, loss_cfg, near)
+            near = grads.subset
+            if not math.isfinite(breakdown.z):
+                raise DivergenceError(epoch)
+            records.append(breakdown)
+            d_w_in, d_w_out = grads.d_w_in.copy(), grads.d_w_out.copy()
+            d_w_in[mask_in] = 0.0
+            d_w_out[mask_out] = 0.0
+            w_in = w_in - lr * d_w_in
+            w_out = w_out - lr * d_w_out
+            b_out = b_out - lr * grads.d_b_out
+            if threshold is not None:
+                mask_in |= (np.abs(w_in) < threshold) | (w_in == 0.0)
+                mask_out |= (np.abs(w_out) < threshold) | (w_out == 0.0)
+                w_in = np.where(mask_in, 0.0, w_in)
+                w_out = np.where(mask_out, 0.0, w_out)
+                if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
+                    raise DivergenceError(epoch + 1)
+        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
+            raise DivergenceError(train_cfg.epochs)
+        final = EqlNetwork(w_in, prims, w_out, b_out)
+        coeffs, offset = collapse_affine(final)
+        if not (np.isfinite(coeffs).all() and math.isfinite(offset)):
+            raise DivergenceError(train_cfg.epochs)
+    constraint = extract_constraint(final, loss_cfg.direction)
+    report = TrainReport(tuple(records), constraint, violation_rate(constraint, dataset), train_cfg.seed)
+    return (w_in, w_out, b_out), report
+
+
+def network_checks(w_in, primitives, w_out, b_out):
     """Checks of ``EqlNetwork`` construction as first written, in order.
 
     Raises the ``ValueError`` the constructor raises for the same input;
@@ -76,12 +130,6 @@ def network_checks(w_in, primitives, w_out, b_out, mask_in=None, mask_out=None):
         raise ValueError(f"primitives must be {h} Primitive values")
     if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
         raise ValueError("network parameters contain non-finite values")
-    mask_in = np.zeros((h, f), dtype=bool) if mask_in is None else np.array(mask_in, dtype=bool)
-    mask_out = np.zeros(h, dtype=bool) if mask_out is None else np.array(mask_out, dtype=bool)
-    if mask_in.shape != (h, f) or mask_out.shape != (h,):
-        raise ValueError("mask shapes must match the weight shapes")
-    if (w_in[mask_in] != 0.0).any() or (w_out[mask_out] != 0.0).any():
-        raise ValueError("masked weights must be exactly zero")
 
 
 def central_difference(fn, x0, step=1e-6):

@@ -286,6 +286,15 @@ class TestTrain:
             assert main(args) == 3
         assert "non-finite at epoch 1" in capsys.readouterr().err
 
+    def test_overflowing_affine_collapse_after_the_last_step_exits_3(self, square_low_csv, tmp_path, capsys):
+        # The last step leaves finite weights whose affine collapse overflows;
+        # the loss at epoch 6 would be non-finite, so that epoch diverges.
+        args = self.train_args(square_low_csv, tmp_path / "r", epochs=6, learning_rate=0.3, seed=24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 3
+        assert capsys.readouterr().err == "error: loss became non-finite at epoch 6\n"
+
     def test_all_weights_masked_exits_3(self, square_low_csv, tmp_path, capsys):
         args = self.train_args(square_low_csv, tmp_path / "r", seed=24, mask_threshold=10.0)
         assert main(args) == 3

@@ -93,18 +93,22 @@ def _csv_texts(draw):
     n_cols = draw(st.integers(1, 3))
     name = st.sampled_from(["X0", "X1", " a ", "b,c", 'q"d', "", "Z"])
     header = [_csv_field(draw(name), draw(st.booleans())) for _ in range(n_cols)]
-    lines = [",".join(header)]
-    in_grammar = True
+    lines, in_body_grammar = [",".join(header)], [True]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
             lines.append("")
+            in_body_grammar.append(True)
             continue
         width = n_cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
         cells = [_csv_field(draw(_CELL_TOKENS), draw(st.booleans())) for _ in range(max(width, 0))]
-        in_grammar = in_grammar and all(map(_in_body_grammar, cells))
+        in_body_grammar.append(all(map(_in_body_grammar, cells)))
         lines.append(",".join(cells))
     text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
-    return text, in_grammar
+    # The first line that is not blank is the header, whatever it holds: a
+    # header of one empty, unquoted name is a blank line, and then the first
+    # body row that is not blank becomes the header.
+    header_at = next((i for i, line in enumerate(lines) if line), len(lines))
+    return text, all(in_body_grammar[header_at + 1 :])
 
 
 # Unquoted cells of the plain alphabet ``0-9 + - . e E``, the only cells
@@ -252,6 +256,7 @@ class TestLoadDataset:
 
     @settings(max_examples=400, deadline=None)
     @given(drawn=_csv_texts())
+    @example(drawn=('\n"0.0"\n0.0', True))
     def test_matches_cell_by_cell_reader(self, tmp_path_factory, drawn):
         text, in_grammar = drawn
         path = tmp_path_factory.mktemp("csv") / "d.csv"
@@ -479,6 +484,18 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 2)), feature_names=("A",))
 
+    def test_column_means_when_the_column_sum_overflows_both_ways(self):
+        # The sum meets inf and -inf, which is NaN, not inf.
+        big = sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = Dataset(np.array([big, big] + [-big] * 6)[:, None])
+        assert ds.column_means.tolist() == [-big / 2]
+
+    def test_rejects_a_string_of_names_naming_the_field(self):
+        with pytest.raises(DatasetError, match="^feature_names must be a sequence of names, not the string 'XY'$"):
+            Dataset(np.ones((2, 2)), feature_names="XY")
+
     # Names that load_dataset could not give back: it rejects an empty
     # header cell and strips the others.
     @pytest.mark.parametrize(
@@ -536,6 +553,11 @@ class TestConstraintText:
     def test_zero_coefficient_elided(self):
         c = LinearConstraint(np.array([0.0, 1.0]), 0.0, Direction.UPPER)
         assert constraint_text(c) == "X1 <= 0"
+
+    def test_rejects_a_string_of_names_naming_the_field(self):
+        c = LinearConstraint(np.array([0.5, 1.0]), 0.0, Direction.UPPER)
+        with pytest.raises(ValueError, match="^feature_names must be a sequence of names, not the string 'XY'$"):
+            constraint_text(c, "XY")
 
     def test_negative_coefficient_joiner(self):
         c = LinearConstraint(np.array([-2.5, 1.0]), 1.0, Direction.LOWER)

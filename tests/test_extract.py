@@ -142,8 +142,6 @@ class TestExtractConstraint:
             (ID, ID),
             np.array([0.8, 0.0]),
             -1.0,
-            mask_in=np.array([[True, False], [False, False]]),
-            mask_out=np.array([False, True]),
         )
         constraint = extract_constraint(net, Direction.LOWER)
         assert constraint.coeffs[0] == 0.0
@@ -283,6 +281,15 @@ class TestPrune:
             prune(constraint, 1.0)
         with pytest.raises(ValueError):
             prune(constraint, -0.01)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.1", "'0.1'"), (None, "None"), (True, "True")],
+        ids=["string", "none", "bool"],
+    )
+    def test_non_number_threshold_names_itself(self, bad, message):
+        with pytest.raises(ValueError, match=f"^rel_threshold must be a number, got {message}$"):
+            prune(self.canonical([1.0, 1.0]), bad)
 
     def test_pruning_everything_but_lead_keeps_constraint_valid(self):
         constraint = self.canonical([1e-4, 1.0])

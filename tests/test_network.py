@@ -1,5 +1,6 @@
 """Forward evaluation, seeded initialization, and magnitude masking."""
 
+import dataclasses
 import math
 import sys
 
@@ -17,6 +18,7 @@ from eqlbounds import (
     EqlNetwork,
     Primitive,
     apply_mask,
+    collapse_affine,
     forward_batch,
     initialize,
 )
@@ -25,8 +27,8 @@ ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
 
 
-def make_net(w_in, primitives, w_out, b_out, **kwargs):
-    return EqlNetwork(np.array(w_in, dtype=float), tuple(primitives), np.array(w_out, dtype=float), b_out, **kwargs)
+def make_net(w_in, primitives, w_out, b_out):
+    return EqlNetwork(np.array(w_in, dtype=float), tuple(primitives), np.array(w_out, dtype=float), b_out)
 
 
 class TestForward:
@@ -105,6 +107,28 @@ class TestForward:
             assert forward_batch(net, data).tobytes() == forward_batch(net, data.points).tobytes()
 
 
+class TestCollapse:
+    PARAMETERS = [("w_in", (i, j)) for i in range(2) for j in range(2)] + [("w_out", 0), ("w_out", 1), ("b_out", None)]
+
+    # train's last divergence check reads only the collapse, so a non-finite
+    # parameter must reach it, also where a constant unit's flag or a zero
+    # readout weight multiplies it.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("w_out", [[1.0, 1.0], [0.0, 0.0]], ids=["unit-readout", "zero-readout"])
+    @pytest.mark.parametrize("field, index", PARAMETERS)
+    def test_every_parameter_reaches_it(self, field, index, w_out, bad):
+        net = make_net([[1.0, 2.0], [3.0, 4.0]], (ID, CONST), w_out, 0.5)
+        if field == "b_out":
+            net.b_out = bad
+        else:
+            values = getattr(net, field).copy()
+            values[index] = bad
+            setattr(net, field, values)
+        with np.errstate(invalid="ignore"):
+            coeffs, offset = collapse_affine(net)
+        assert not (np.isfinite(coeffs).all() and math.isfinite(offset))
+
+
 class TestInitialize:
     def square_data(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -152,10 +176,10 @@ class TestInitialize:
             net = initialize(ds, seed=0)
         assert net.b_out == 4.0
 
-    def test_mask_starts_all_false(self):
+    def test_no_weight_starts_frozen(self):
         net = initialize(self.square_data(), seed=0)
-        assert not net.mask_in.any()
-        assert not net.mask_out.any()
+        assert np.all(net.w_in != 0.0)
+        assert np.all(net.w_out != 0.0)
 
     def test_custom_primitives_set_width(self):
         net = initialize(self.square_data(), primitives=(ID, CONST, ID), seed=0)
@@ -184,30 +208,32 @@ class TestApplyMask:
         net = make_net([[0.5, 0.5], [0.4, -0.3]], (ID, ID), [0.0005, 0.8], 0.1)
         masked = apply_mask(net, 0.001)
         assert np.array_equal(masked.w_out, [0.0, 0.8])
-        assert np.array_equal(masked.mask_out, [True, False])
-        assert not masked.mask_in.any()
+        assert np.array_equal(masked.w_in, net.w_in)
 
     def test_threshold_zero_masks_only_exact_zeros(self):
-        net = make_net([[0.0, 1e-300]], (ID,), [0.2], 0.0)
+        net = make_net([[-0.0, 1e-300]], (ID,), [0.2], 0.0)
         masked = apply_mask(net, 0.0)
-        assert np.array_equal(masked.mask_in, [[True, False]])
-        assert masked.w_in[0, 1] == 1e-300
+        assert same_bits(masked.w_in, np.array([[0.0, 1e-300]]))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.001])
+    def test_negative_zero_becomes_positive_zero(self, threshold):
+        net = make_net([[-0.0, 0.5]], (ID,), [-0.0], 0.0)
+        masked = apply_mask(net, threshold)
+        assert same_bits(masked.w_in, np.array([[0.0, 0.5]]))
+        assert same_bits(masked.w_out, np.array([0.0]))
 
     def test_idempotent(self):
         net = make_net([[0.0002, 0.9], [0.4, -0.0001]], (ID, ID), [0.7, 0.0003], 0.3)
         once = apply_mask(net, 0.001)
         twice = apply_mask(once, 0.001)
-        assert np.array_equal(once.w_in, twice.w_in)
-        assert np.array_equal(once.mask_in, twice.mask_in)
-        assert np.array_equal(once.w_out, twice.w_out)
-        assert np.array_equal(once.mask_out, twice.mask_out)
+        assert same_bits(once.w_in, twice.w_in)
+        assert same_bits(once.w_out, twice.w_out)
 
     def test_earlier_mask_survives_smaller_threshold(self):
         net = make_net([[0.0005, 0.9]], (ID,), [0.8], 0.0)
         coarse = apply_mask(net, 0.01)
         fine = apply_mask(coarse, 1e-9)
-        assert fine.mask_in[0, 0]
-        assert fine.w_in[0, 0] == 0.0
+        assert same_bits(fine.w_in, np.array([[0.0, 0.9]]))
 
     def test_bias_never_masked(self):
         net = make_net([[0.5]], (ID,), [0.5], 1e-9)
@@ -219,11 +245,16 @@ class TestApplyMask:
         with pytest.raises(ValueError):
             apply_mask(net, -0.1)
 
+    @pytest.mark.parametrize("threshold", [True, False])
+    def test_bool_threshold_rejected(self, threshold):
+        net = make_net([[0.5]], (ID,), [0.5], 0.0)
+        with pytest.raises(ValueError, match=f"threshold must be a finite number >= 0, got {threshold}"):
+            apply_mask(net, threshold)
+
     def test_original_untouched(self):
         net = make_net([[0.0005]], (ID,), [0.5], 0.0)
         apply_mask(net, 0.001)
         assert net.w_in[0, 0] == 0.0005
-        assert not net.mask_in.any()
 
 
 # Signed zeros, subnormals, values on either side of the thresholds below,
@@ -235,13 +266,11 @@ thresholds = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, sys.float_info.max]) | st.
 
 @st.composite
 def raw_layers(draw):
-    """Weights and masks of one network, masked weights not necessarily zero."""
+    """The two weight layers of one network, non-finite values included."""
     h, f = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     return (
         draw(hnp.arrays(float, (h, f), elements=weight_values)),
         draw(hnp.arrays(float, h, elements=weight_values)),
-        draw(hnp.arrays(bool, (h, f))),
-        draw(hnp.arrays(bool, h)),
     )
 
 
@@ -258,73 +287,54 @@ def same_bits(a, b):
 
 
 class TestRewrittenChecksMatchOracles:
-    """``apply_mask`` and ``EqlNetwork`` against the three-term freeze and the first-written checks."""
+    """``apply_mask`` and ``EqlNetwork`` against the two-term freeze and the first-written checks."""
 
     @settings(max_examples=400, deadline=None)
     @given(layers=raw_layers(), threshold=thresholds)
     @example(
-        layers=(
-            np.array([[-0.0, 5e-324], [math.nan, 1e-3]]),
-            np.array([math.inf, -0.0]),
-            np.array([[False, False], [True, False]]),
-            np.array([True, False]),
-        ),
+        layers=(np.array([[-0.0, 5e-324], [math.nan, 1e-3]]), np.array([math.inf, -0.0])),
         threshold=0.0,
     )
     def test_apply_mask_is_bit_identical(self, layers, threshold):
-        w_in, w_out, mask_in, mask_out = layers
+        w_in, w_out = layers
         prims = (ID,) * w_in.shape[0]
         # Training assigns stepped weights to the fields without a check, so
-        # apply_mask can see non-finite values and nonzero masked weights.
-        net = EqlNetwork(np.zeros_like(w_in), prims, np.zeros_like(w_out), 0.25, mask_in, mask_out)
+        # apply_mask can see non-finite values.
+        net = EqlNetwork(np.zeros_like(w_in), prims, np.zeros_like(w_out), 0.25)
         net.w_in, net.w_out = w_in, w_out
-        exp_in, exp_mask_in = freeze(w_in, mask_in, threshold)
-        exp_out, exp_mask_out = freeze(w_out, mask_out, threshold)
-        expected = outcome(network_checks, exp_in, prims, exp_out, 0.25, exp_mask_in, exp_mask_out)
+        exp_in, exp_out = freeze(w_in, threshold), freeze(w_out, threshold)
+        expected = outcome(network_checks, exp_in, prims, exp_out, 0.25)
         kind, got = outcome(apply_mask, net, threshold)
         if expected[0] != "ok":
             assert (kind, got) == expected
             return
         assert kind == "ok", got
-        assert same_bits(got.w_in, exp_in) and same_bits(got.mask_in, exp_mask_in)
-        assert same_bits(got.w_out, exp_out) and same_bits(got.mask_out, exp_mask_out)
+        assert same_bits(got.w_in, exp_in) and same_bits(got.w_out, exp_out)
         assert got.b_out == 0.25
 
     @settings(max_examples=400, deadline=None)
     @given(layers=raw_layers(), b_out=weight_values)
     def test_constructor_raises_what_the_oracle_raises(self, layers, b_out):
-        w_in, w_out, mask_in, mask_out = layers
+        w_in, w_out = layers
         prims = (ID,) * w_in.shape[0]
-        expected = outcome(network_checks, w_in, prims, w_out, b_out, mask_in, mask_out)
-        kind, got = outcome(EqlNetwork, w_in, prims, w_out, b_out, mask_in, mask_out)
+        expected = outcome(network_checks, w_in, prims, w_out, b_out)
+        kind, got = outcome(EqlNetwork, w_in, prims, w_out, b_out)
         assert kind == expected[0]
         if kind != "ok":
             assert got == expected[1]
 
     @pytest.mark.parametrize(
         "where, bad",
-        [(name, bad) for name in ("w_in", "w_out", "b_out") for bad in (math.nan, math.inf, -math.inf)]
-        + [("masked w_in", 1.0), ("masked w_out", 1.0)],
+        [(name, bad) for name in ("w_in", "w_out", "b_out") for bad in (math.nan, math.inf, -math.inf)],
     )
     def test_each_check_names_its_cause(self, where, bad):
-        args = {
-            "w_in": np.array([[0.5, 0.0]]),
-            "w_out": np.array([0.25]),
-            "b_out": 0.125,
-            "mask_in": np.array([[False, True]]),
-            "mask_out": np.array([False]),
-        }
+        args = {"w_in": np.array([[0.5, 0.0]]), "w_out": np.array([0.25]), "b_out": 0.125}
         if where == "b_out":
             args["b_out"] = bad
-        elif where == "masked w_in":
-            args["w_in"] = np.array([[0.5, bad]])
-        elif where == "masked w_out":
-            args["w_out"] = np.array([bad])
-            args["mask_out"] = np.array([True])
         else:
             args[where] = args[where].copy()
             args[where].flat[0] = bad
-        call = (args["w_in"], (ID,), args["w_out"], args["b_out"], args["mask_in"], args["mask_out"])
+        call = (args["w_in"], (ID,), args["w_out"], args["b_out"])
         kind, message = outcome(network_checks, *call)
         assert kind is ValueError
         with pytest.raises(ValueError) as info:
@@ -333,17 +343,14 @@ class TestRewrittenChecksMatchOracles:
 
 
 class TestNetworkValidation:
-    def test_masked_entries_must_be_zero(self):
-        with pytest.raises(ValueError, match="masked"):
-            make_net([[0.5]], (ID,), [1.0], 0.0, mask_in=np.array([[True]]))
+    def test_parameters_are_the_four_fields(self):
+        assert [f.name for f in dataclasses.fields(EqlNetwork)] == ["w_in", "primitives", "w_out", "b_out"]
 
     def test_shape_mismatches(self):
         with pytest.raises(ValueError):
             make_net([[1.0]], (ID, ID), [1.0], 0.0)
         with pytest.raises(ValueError):
             make_net([[1.0]], (ID,), [1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            make_net([[1.0]], (ID,), [1.0], 0.0, mask_out=np.zeros(3, dtype=bool))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

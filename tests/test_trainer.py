@@ -42,7 +42,7 @@ from eqlbounds.datamodel import read_json_object
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
-from _oracles import brute_force_p_gamma, central_difference
+from _oracles import brute_force_p_gamma, central_difference, masked_train
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -89,25 +89,27 @@ class TestGradients:
         _, grads = gradients(net, dataset, cfg)
         assert np.array_equal(grads.d_w_out, 2.0 * 0.3 * net.w_out)
 
-    def test_masked_positions_get_zero_gradient(self):
+    @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3, None], ids=["zero", "small", "unmasked"])
+    def test_zero_weights_are_frozen_from_epoch_0_under_masking(self, mask_threshold):
+        # gradients returns the raw gradient at zero weights; train zeroes it
+        # under masking, so a zero weight never takes a step.
         rng = np.random.default_rng(2)
-        w_in = rng.standard_normal((3, 2))
-        w_in[1, 0] = 0.0
-        w_out = rng.standard_normal(3)
-        w_out[2] = 0.0
-        net = EqlNetwork(
-            w_in,
-            (ID, ID, ID),
-            w_out,
-            0.5,
-            mask_in=np.array([[False, False], [True, False], [False, False]]),
-            mask_out=np.array([False, False, True]),
-        )
         dataset = Dataset(rng.uniform(-5, 25, size=(20, 2)))
-        _, grads = gradients(net, dataset, LossConfig())
-        assert grads.d_w_in[1, 0] == 0.0
-        assert grads.d_w_out[2] == 0.0
-        assert np.any(grads.d_w_in != 0.0)
+
+        def start(dataset, seed):
+            net = initialize(dataset, seed=seed)
+            net.w_in[1, 0] = 0.0
+            net.w_out[2] = -0.0
+            return net
+
+        _, grads = gradients(start(dataset, 0), dataset, LossConfig())
+        assert grads.d_w_in[1, 0] != 0.0 and grads.d_w_out[2] != 0.0
+        cfg = TrainConfig(epochs=3, learning_rate=1e-3, mask_threshold=mask_threshold, seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "initialize", start)
+            net, _ = train(dataset, LossConfig(), cfg)
+        frozen = mask_threshold is not None
+        assert bool(net.w_in[1, 0] == 0.0) is frozen and bool(net.w_out[2] == 0.0) is frozen
 
     def test_matches_finite_differences_everywhere(self):
         rng = np.random.default_rng(17)
@@ -166,10 +168,10 @@ class TestGradients:
         gamma=st.sampled_from([1.0, 5.0, 25.0, 100.0]),
         direction=st.sampled_from(list(Direction)),
         grid=st.booleans(),
-        masked=st.booleans(),
+        zeros=st.booleans(),
         warm=st.booleans(),
     )
-    def test_equals_the_dense_chain_rule(self, seed, f, h, n, alphas, gamma, direction, grid, masked, warm):
+    def test_equals_the_dense_chain_rule(self, seed, f, h, n, alphas, gamma, direction, grid, zeros, warm):
         rng = np.random.default_rng(seed)
         prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
         if grid:
@@ -179,11 +181,9 @@ class TestGradients:
         else:
             points = rng.uniform(-5, 25, (n, f))
             w_in, w_out, b_out = rng.standard_normal((h, f)), rng.standard_normal(h), float(rng.standard_normal())
-        mask_in = rng.random((h, f)) < (0.3 if masked else 0.0)
-        mask_out = rng.random(h) < (0.3 if masked else 0.0)
-        w_in[mask_in] = 0.0
-        w_out[mask_out] = 0.0
-        net = EqlNetwork(w_in, prims, w_out, b_out, mask_in, mask_out)
+        w_in[rng.random((h, f)) < (0.3 if zeros else 0.0)] = 0.0
+        w_out[rng.random(h) < (0.3 if zeros else 0.0)] = 0.0
+        net = EqlNetwork(w_in, prims, w_out, b_out)
         dataset = Dataset(points)
         a1, a2, a3 = alphas
         cfg = LossConfig(alpha1=a1, alpha2=a2, alpha3=a3, gamma=gamma, direction=direction)
@@ -217,7 +217,10 @@ class TestGradients:
         assert got_a.tolist() == pytest.approx(want_a.tolist(), rel=1e-12)
         assert got_c == grads.d_b_out == pytest.approx(want_c, rel=1e-12)
         assert np.array_equal(grads.subset, idx)
-        assert not grads.d_w_in[mask_in].any() and not grads.d_w_out[mask_out].any()
+        # Every weight, zero or not, gets the raw chain-rule gradient.
+        raw_in, raw_out = collapse_affine_grad(net, got_a, got_c)
+        raw_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
+        assert np.array_equal(grads.d_w_in, raw_in) and np.array_equal(grads.d_w_out, raw_out)
 
     def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
@@ -298,20 +301,21 @@ class TestTrain:
     def test_mask_permanence_via_prefix_replay(self):
         dataset = paper_dataset("square-high", seed=0)
         loss_cfg = LossConfig()
-        short_net, _ = train(
-            dataset, loss_cfg, TrainConfig(epochs=150, learning_rate=1e-3, seed=8)
-        )
-        long_net, _ = train(
-            dataset, loss_cfg, TrainConfig(epochs=400, learning_rate=1e-3, seed=8)
-        )
-        # Determinism makes the 400-epoch run replay the 150-epoch run's
-        # trajectory, so anything masked at epoch 150 must still be masked
-        # and exactly zero at epoch 400.
-        assert short_net.mask_in.any() or short_net.mask_out.any()
-        assert np.all(long_net.mask_in[short_net.mask_in])
-        assert np.all(long_net.mask_out[short_net.mask_out])
-        assert np.all(long_net.w_in[short_net.mask_in] == 0.0)
-        assert np.all(long_net.w_out[short_net.mask_out] == 0.0)
+        # Determinism makes a t-epoch run the prefix of every longer run, so
+        # the zero patterns after t = 1, 2, ... epochs are the run's own
+        # epoch by epoch: a weight that is zero once stays zero.
+        frozen = None
+        for epochs in range(1, 61):
+            net, _ = train(dataset, loss_cfg, TrainConfig(epochs=epochs, learning_rate=1e-3, seed=8))
+            zero = np.concatenate([net.w_in.ravel(), net.w_out]) == 0.0
+            if frozen is not None:
+                assert np.all(zero[frozen]), f"a frozen weight moved at epoch {epochs}"
+            frozen = zero
+            plain, _ = train(
+                dataset, loss_cfg, TrainConfig(epochs=epochs, learning_rate=1e-3, mask_threshold=None, seed=8)
+            )
+            assert np.all(plain.w_in != 0.0) and np.all(plain.w_out != 0.0)
+        assert frozen.any()
 
     def test_divergence_reports_epoch(self):
         dataset = paper_dataset("square-high", seed=0)
@@ -377,6 +381,8 @@ class TestWarmStart:
             breakdown, grads = gradients(net, dataset, loss_cfg, near=None)
             records.append(breakdown)
             subsets.append(grads.subset)
+            grads.d_w_in[net.w_in == 0.0] = 0.0
+            grads.d_w_out[net.w_out == 0.0] = 0.0
             net.w_in = net.w_in - lr * grads.d_w_in
             net.w_out = net.w_out - lr * grads.d_w_out
             net.b_out = net.b_out - lr * grads.d_b_out
@@ -404,6 +410,47 @@ class TestWarmStart:
         assert all(np.array_equal(a, b) for a, b in zip(starts[1:], subsets))
         # The subset moves, so the warm start has entrants to find.
         assert any(not np.array_equal(a, b) for a, b in zip(subsets, subsets[1:]))
+
+
+def _bits(weights, report):
+    """Every number a run leaves behind, as bytes: weights, records, constraint, rate."""
+    w_in, w_out, b_out = weights
+    history = np.array([dataclasses.astuple(r) for r in report.records])
+    c = report.constraint
+    return (
+        w_in.tobytes(),
+        w_out.tobytes(),
+        b_out.hex(),
+        history.tobytes(),
+        c.coeffs.tobytes(),
+        c.bound.hex(),
+        c.relation,
+        report.violation_rate.hex(),
+    )
+
+
+class TestMatchesExplicitMasks:
+    """``train``, which freezes zero weights, against the loop that kept boolean masks."""
+
+    # square-low has 100 points and square-high 2 000, below the warm-start
+    # gate; the cut square is drawn above it.
+    @pytest.mark.parametrize("mask_threshold", [None, 0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize(
+        "name, epochs, seeds",
+        [("square-low", 200, (8, 24, 25)), ("square-high", 200, (8, 24, 38)), ("cut-square", 40, (0, 8))],
+    )
+    def test_same_bits(self, name, epochs, seeds, mask_threshold):
+        if name == "cut-square":
+            spec = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+            dataset = generate(spec, WARM_START_MIN_N + 500, seed=0)
+        else:
+            dataset = paper_dataset(name, seed=0)
+        loss_cfg = LossConfig(gamma=2.5 if name == "square-low" else 5.0)
+        for seed in seeds:
+            cfg = TrainConfig(epochs=epochs, learning_rate=1e-3, mask_threshold=mask_threshold, seed=seed)
+            want = _bits(*masked_train(dataset, loss_cfg, cfg))
+            net, report = train(dataset, loss_cfg, cfg)
+            assert _bits((net.w_in, net.w_out, net.b_out), report) == want, f"seed {seed}"
 
 
 class TestTrainMulti:
