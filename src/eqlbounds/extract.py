@@ -25,7 +25,11 @@ from .network import EqlNetwork, collapse_affine
 
 
 class DegenerateConstraintError(ArithmeticError):
-    """Every collapsed coefficient is numerically zero."""
+    """No finite canonical inequality exists for the collapsed coefficients.
+
+    Either every coefficient is numerically zero, or dividing through by
+    the lead coefficient overflows.
+    """
 
 
 def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> LinearConstraint:
@@ -33,6 +37,8 @@ def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> Line
 
     Coefficients below COEFF_EPS are zeroed first; they are numerical dust
     and keeping them would let a tiny divisor inflate them into fake terms.
+    A lead just above COEFF_EPS can still overflow the others or the bound;
+    that raises :class:`DegenerateConstraintError`, without a warning.
     """
     a = np.array(coeffs, dtype=float)
     a[np.abs(a) < COEFF_EPS] = 0.0
@@ -43,11 +49,18 @@ def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> Line
         )
     lead = nonzero[-1]
     divisor = a[lead]
-    a = a / divisor
+    with np.errstate(over="ignore"):
+        a = a / divisor
+        bound = bound / divisor
     a[lead] = 1.0
+    if not (np.isfinite(a).all() and np.isfinite(bound)):
+        raise DegenerateConstraintError(
+            f"dividing by the lead coefficient {float(divisor)!r} (index {lead}) overflows; "
+            "no finite constraint can be formed"
+        )
     if divisor < 0:
         relation = relation.flipped()
-    return LinearConstraint(a, bound / divisor, relation)
+    return LinearConstraint(a, bound, relation)
 
 
 def extract_constraint(net: EqlNetwork, direction: Direction) -> LinearConstraint:

@@ -14,10 +14,11 @@ Three data terms plus regularization:
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
 The total ``z`` is the plain sum of the four terms.  All four are computed
-in one function, :func:`loss_and_pred_grad`, together with ``dz/dpred``; it
-returns them as the :class:`LossBreakdown` that a training report records
-for each epoch, and ``dz/dpred`` in sparse form: one value shared by every
-prediction plus one per member of the percentile subset.
+in one function, :func:`loss_from_errors`, from the directional errors and
+together with ``dz/dpred`` (:func:`loss_and_pred_grad` is the same from the
+predictions); it returns them as the :class:`LossBreakdown` that a training
+report records for each epoch, and ``dz/dpred`` in sparse form: one value
+shared by every prediction plus one per member of the percentile subset.
 """
 
 from __future__ import annotations
@@ -35,14 +36,24 @@ def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
 
     LOWER (seeking ``bound <= f(x)``) uses ``0 - preds``; UPPER uses
     ``preds - 0``.  ``0 - preds`` is a subtraction, not a negation, so a
-    prediction of ``-0.0`` gives the error ``+0.0``.
+    prediction of ``-0.0`` gives the error ``+0.0``.  The errors are a new
+    array; ``preds`` is never written to.
     """
-    p_arr = np.asarray(preds, dtype=float)
+    p_arr = np.array(preds, dtype=float)
     if p_arr.ndim != 1:
         raise ValueError(f"preds must be a vector, got shape {p_arr.shape}")
+    return _errors_in_place(p_arr, direction)
+
+
+def _errors_in_place(preds: np.ndarray, direction: Direction) -> np.ndarray:
+    """Overwrite a float vector of predictions with its directional errors.
+
+    The one definition of the errors.  UPPER makes no pass: ``p - 0.0`` is
+    ``p`` bit for bit, ``-0.0`` and NaN included.
+    """
     if direction is Direction.LOWER:
-        return np.subtract(0.0, p_arr)
-    return p_arr - 0.0
+        np.subtract(0.0, preds, out=preds)
+    return preds
 
 
 # The fewest errors for which p_gamma_subset takes its warm start.  On a
@@ -136,6 +147,21 @@ def loss_and_pred_grad(
 ) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
     """Compose the full loss and its derivative with respect to each prediction.
 
+    This is :func:`loss_from_errors` on ``directional_errors(preds,
+    cfg.direction)``; ``preds`` is never written to.
+    """
+    return loss_from_errors(directional_errors(preds, cfg.direction), net, cfg, near)
+
+
+def loss_from_errors(
+    e: np.ndarray, net: EqlNetwork, cfg: LossConfig, near: np.ndarray | None = None
+) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
+    """The full loss and ``dz/dpred`` from the directional errors ``e``.
+
+    ``e`` is what :func:`directional_errors` gives for ``cfg.direction``;
+    it is read, never written to, so the caller's array comes back
+    unchanged.
+
     The percentile subset and the worst-error index are computed once from
     the current errors and held fixed while differentiating; at a tie the
     lower index wins, which picks one member of the subgradient set.  The
@@ -159,7 +185,7 @@ def loss_and_pred_grad(
     ``near`` is passed to :func:`p_gamma_subset` as its warm start; a
     training loop passes the subset the previous epoch returned.
     """
-    e = directional_errors(preds, cfg.direction)
+    e = np.asarray(e, dtype=float)
     n = e.size
     idx = p_gamma_subset(e, cfg.gamma, near)
     # The errors are s * (0 - preds), with s = +1 for LOWER and -1 for UPPER;

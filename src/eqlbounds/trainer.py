@@ -30,7 +30,7 @@ from .datamodel import (
     _write_csv,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import loss_and_pred_grad
+from .loss import _errors_in_place, loss_from_errors
 from .network import EqlNetwork, apply_mask, collapse_affine, collapse_affine_grad, forward_batch, initialize
 
 
@@ -69,21 +69,24 @@ def gradients(
 ) -> tuple[LossBreakdown, Gradients]:
     """Evaluate the loss and its exact gradient at the current parameters.
 
-    The loss and ``dz/dpred`` come from :func:`loss_and_pred_grad`, which
-    holds the percentile subset and the worst-error index fixed; ``near``
-    is the subset's warm start (see :func:`~eqlbounds.loss.p_gamma_subset`)
-    and changes no result.  The gradient is the raw one, also at weights
-    that masking froze at zero; :func:`train` zeroes those entries itself.
-    Non-finite values are returned as computed; :func:`train` reports them
-    as divergence.
+    The loss and ``dz/dpred`` come from
+    :func:`~eqlbounds.loss.loss_from_errors`, which holds the percentile
+    subset and the worst-error index fixed; ``near`` is the subset's warm
+    start (see :func:`~eqlbounds.loss.p_gamma_subset`) and changes no
+    result.  The gradient is the raw one, also at weights that masking
+    froze at zero; :func:`train` zeroes those entries itself.  Non-finite
+    values are returned as computed; :func:`train` reports them as
+    divergence.
 
     Beyond the forward pass and the loss, the gradient costs one gather of
     the subset's rows: ``dz/dpred`` is one shared value plus one per subset
     member, and the shared value's share is a multiple of the dataset's
-    column means, so no pass over all N points is made for it.
+    column means, so no pass over all N points is made for it.  The errors
+    overwrite the predictions array that :func:`forward_batch` returned,
+    which no one else holds, so they cost no N-length array of their own.
     """
-    preds = forward_batch(net, dataset)
-    breakdown, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg, near)
+    e = _errors_in_place(forward_batch(net, dataset), cfg.direction)
+    breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
 
     # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
     # The shared value contributes fill * n times (column means, 1); the

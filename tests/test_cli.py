@@ -11,7 +11,7 @@ import pytest
 
 import re
 
-from eqlbounds import LossConfig, TrainConfig, cli
+from eqlbounds import EqlNetwork, LossConfig, Primitive, TrainConfig, cli, trainer
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
 from eqlbounds import configs_from_mapping, load_constraint, load_region_spec
@@ -294,6 +294,23 @@ class TestTrain:
             warnings.simplefilter("error")
             assert main(args) == 3
         assert capsys.readouterr().err == "error: loss became non-finite at epoch 6\n"
+
+    def test_overflowing_canonical_form_exits_3(self, tmp_path, capsys, monkeypatch):
+        # The fit ends near a = (1e301, 1e-8): finite, but dividing by the
+        # lead 1e-8 overflows.  X0 ~ 1e-301 keeps the predictions near 1, and
+        # the tiny rate keeps the step from moving the lead.
+        rng = np.random.default_rng(0)
+        points = np.column_stack([rng.uniform(1e-301, 3e-301, 200), rng.uniform(0.0, 1.0, 200)])
+        save_dataset(Dataset(points), tmp_path / "d.csv")
+
+        def fit(dataset, seed):
+            return EqlNetwork(np.array([[1e301, 1e-8]]), (Primitive.IDENTITY,), np.array([1.0]), 0.0)
+
+        monkeypatch.setattr(trainer, "initialize", fit)
+        args = self.train_args(tmp_path / "d.csv", tmp_path / "r", epochs=1, learning_rate=1e-12) + ["--no-mask"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: dividing by the lead coefficient") and "overflows" in err
 
     def test_all_weights_masked_exits_3(self, square_low_csv, tmp_path, capsys):
         args = self.train_args(square_low_csv, tmp_path / "r", seed=24, mask_threshold=10.0)

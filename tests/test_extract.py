@@ -100,6 +100,17 @@ class TestExtractConstraint:
         with pytest.raises(DegenerateConstraintError):
             extract_constraint(net, Direction.LOWER)
 
+    # A lead just above COEFF_EPS scales the other coefficient, or the bound,
+    # past the float range; that is a degenerate fit, not an input error,
+    # and it gives no warning.
+    @pytest.mark.parametrize(
+        "w_in, b_out", [([[1e301, 1e-8]], 0.0), ([[0.0, 1e-8]], 1e301)], ids=["coefficient", "bound"]
+    )
+    def test_overflowing_canonical_form_is_degenerate(self, w_in, b_out):
+        net = EqlNetwork(np.array(w_in), (ID,), np.array([1.0]), b_out)
+        with pytest.raises(DegenerateConstraintError, match=r"lead coefficient 1e-08 \(index 1\) overflows"):
+            extract_constraint(net, Direction.LOWER)
+
     def test_dust_coefficients_dropped_before_scaling(self):
         # The trailing coefficient is far below the significance cutoff, so
         # the middle one becomes the canonical lead instead.

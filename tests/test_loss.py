@@ -14,6 +14,7 @@ from eqlbounds import (
     Primitive,
     directional_errors,
     loss_and_pred_grad,
+    loss_from_errors,
     p_gamma_subset,
 )
 from eqlbounds.loss import WARM_START_MIN_N
@@ -390,3 +391,27 @@ class TestLossTotal:
                 # is NaN, and so is the dense gradient; so must d_sub be.
                 assert math.isnan(e[worst])
                 assert np.isnan(d_sub).any()
+
+
+class TestCallerArraysUnchanged:
+    """No public loss function writes to an array its caller passed in."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("n", [40, WARM_START_MIN_N + 40], ids=["cold", "warm"])
+    def test_inputs_come_back_bit_identical(self, direction, n):
+        rng = np.random.default_rng(n)
+        preds = rng.integers(-3, 4, n) * 0.25 + rng.standard_normal(n) * (rng.random(n) < 0.5)
+        preds[rng.random(n) < 0.1] = -0.0
+        cfg = LossConfig(gamma=5.0, direction=direction)
+        net = reg_net([0.5, -1.0])
+        e = directional_errors(preds, direction)
+        near = p_gamma_subset(e + 0.01 * rng.standard_normal(n), cfg.gamma)
+        calls = {
+            "directional_errors": lambda: directional_errors(preds, direction),
+            "loss_and_pred_grad": lambda: loss_and_pred_grad(preds, net, cfg, near),
+            "loss_from_errors": lambda: loss_from_errors(e, net, cfg, near),
+        }
+        for name, call in calls.items():
+            kept = preds.tobytes(), e.tobytes(), near.tobytes(), net.w_out.tobytes()
+            call()
+            assert (preds.tobytes(), e.tobytes(), near.tobytes(), net.w_out.tobytes()) == kept, name

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from eqlbounds import (
     DivergenceError,
     EmptyDatasetError,
     EqlNetwork,
+    Gradients,
     LinearCut,
     LossBreakdown,
     LossConfig,
@@ -410,6 +412,86 @@ class TestWarmStart:
         assert all(np.array_equal(a, b) for a, b in zip(starts[1:], subsets))
         # The subset moves, so the warm start has entrants to find.
         assert any(not np.array_equal(a, b) for a, b in zip(subsets, subsets[1:]))
+
+
+class TestInPlaceErrors:
+    """``gradients`` overwrites forward_batch's array with the errors; the public path copies it."""
+
+    CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+
+    @staticmethod
+    def public_path(preds, net, dataset, cfg, near):
+        """The gather of ``gradients``, on what public ``loss_and_pred_grad`` gives for ``preds``."""
+        breakdown, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg, near)
+        mean_weight = fill * dataset.n_points
+        d_b_out = float(np.add.reduce(d_sub)) + mean_weight
+        d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
+        d_coeffs += mean_weight * dataset.column_means
+        d_w_in, d_w_out = collapse_affine_grad(net, d_coeffs, d_b_out)
+        d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
+        return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset)
+
+    @staticmethod
+    def as_bytes(breakdown, grads):
+        history = np.array(dataclasses.astuple(breakdown)).tobytes()
+        return history, grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes()
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("n", [600, WARM_START_MIN_N + 600], ids=["cold", "warm"])
+    @pytest.mark.parametrize("on_cut", [True, False], ids=["on-the-cut", "perturbed"])
+    def test_same_bits_as_the_public_path(self, direction, n, on_cut, monkeypatch):
+        rng = np.random.default_rng(n)
+        # One row in six lies on the cut x0 + 2*x1 = 4, on a grid, so the
+        # network on the cut predicts exactly 0.0 there, many times over.
+        t = rng.integers(-4, 5, n // 6) * 1.0
+        on = np.column_stack([4.0 - 2.0 * t, t])
+        points = np.vstack([generate(self.CUT_SQUARE, n - t.size, seed=0).points, on])
+        dataset = Dataset(points[rng.permutation(n)])
+        w_in = np.array([[1.0, 2.0], [0.5, -1.0]])
+        if not on_cut:
+            w_in = w_in + 0.01 * rng.standard_normal(w_in.shape)
+        net = EqlNetwork(w_in, (ID, CONST), np.array([1.0, 0.0]), -4.0)
+        cfg = LossConfig(direction=direction)
+
+        # forward_batch never gives -0.0 (an offset of +0.0 or a nonzero
+        # one rules it out), so half of the exact zeros are made -0.0 here.
+        def signed_zeros(net, points):
+            preds = forward_batch(net, points)
+            zeros = (preds == 0.0).nonzero()[0]
+            preds[zeros[::2]] = -0.0
+            return preds
+
+        monkeypatch.setattr(trainer, "forward_batch", signed_zeros)
+        preds = signed_zeros(net, dataset)
+        if on_cut:
+            zeros = preds[preds == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+        moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.primitives, net.w_out, net.b_out)
+        near = gradients(moved, dataset, cfg)[1].subset
+        got = self.as_bytes(*gradients(net, dataset, cfg, near))
+        assert got == self.as_bytes(*self.public_path(preds, net, dataset, cfg, near))
+
+    def test_a_warm_epoch_keeps_one_n_length_float_array(self):
+        # From the warm start on, the selection makes no N-length float
+        # array, so the predictions, overwritten by the errors, are the
+        # only one; a copy for the errors would double the peak.
+        dataset = generate(self.CUT_SQUARE, 50_000, seed=0)
+        net = initialize(dataset, seed=0)
+        for direction in Direction:
+            cfg = LossConfig(direction=direction)
+            near = gradients(net, dataset, cfg)[1].subset
+            started = not tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                gradients(net, dataset, cfg, near)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert peak < 1.5 * 8 * dataset.n_points, direction
 
 
 def _bits(weights, report):
