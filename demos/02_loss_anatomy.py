@@ -22,7 +22,7 @@ from eqlbounds import (
     directional_errors,
     forward_batch,
     gradients,
-    loss_and_pred_grad,
+    loss_from_errors,
     p_gamma_subset,
 )
 
@@ -54,14 +54,14 @@ subset = p_gamma_subset(errors, cfg.gamma)
 print("worst 50% subset:", subset.tolist())
 
 # The three terms, written out exactly as the implementation computes
-# them, then compared with the breakdown from loss_and_pred_grad, which
+# them, then compared with the breakdown from loss_from_errors, which
 # also returns dz/dpred (one shared value plus one per subset member) and
 # the subset it used.
 n = data.n_points
 mean_term = cfg.alpha1 * float(np.sum(errors)) / n
 percent_term = cfg.alpha2 * float(np.sum((0.0 - preds[subset]) ** 2)) / n
 anchor_term = cfg.alpha3 * abs(float(np.max(errors)))
-breakdown, _, _, loss_subset = loss_and_pred_grad(preds, net, cfg)
+breakdown, _, _, loss_subset = loss_from_errors(errors, net, cfg)
 assert loss_subset.tolist() == subset.tolist()
 print(f"\nmean error term  {mean_term:+.6f}   (breakdown {breakdown.term_e:+.6f})")
 print(f"percentile term  {percent_term:+.6f}   (breakdown {breakdown.term_p:+.6f})")
@@ -79,7 +79,8 @@ step = 1e-6
 def loss_at(w_out_0):
     shifted = EqlNetwork(net.w_in, net.primitives,
                          np.array([w_out_0, net.w_out[1]]), net.b_out)
-    return loss_and_pred_grad(forward_batch(shifted, data.points), shifted, cfg)[0].z
+    shifted_errors = directional_errors(forward_batch(shifted, data.points), cfg.direction)
+    return loss_from_errors(shifted_errors, shifted, cfg)[0].z
 
 
 fd = (loss_at(net.w_out[0] + step) - loss_at(net.w_out[0] - step)) / (2 * step)

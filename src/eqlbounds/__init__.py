@@ -46,7 +46,7 @@ from .extract import (
     violation_rate,
     violation_report,
 )
-from .loss import directional_errors, loss_and_pred_grad, loss_from_errors, p_gamma_subset
+from .loss import directional_errors, loss_from_errors, p_gamma_subset
 from .network import (
     DEFAULT_PRIMITIVES,
     EqlNetwork,
@@ -108,7 +108,6 @@ __all__ = [
     "load_constraint",
     "load_dataset",
     "load_region_spec",
-    "loss_and_pred_grad",
     "loss_from_errors",
     "p_gamma_subset",
     "paper_dataset",

@@ -15,7 +15,6 @@ import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -372,11 +371,16 @@ def constraint_from_dict(payload: dict) -> LinearConstraint:
         raise ValueError(f"malformed constraint payload: {exc}") from exc
 
 
-def _constraint_base(path: str | Path) -> Path:
+def _constraint_file(path: str | Path, suffix: str) -> Path:
+    """The ``suffix`` file of the pair that ``path`` names.
+
+    A trailing ``.txt``/``.json`` is stripped and ``suffix`` appended, so
+    every dotted part of a base name such as ``fit.seed24`` is kept.
+    """
     path = Path(path)
     if path.suffix in (".json", ".txt"):
-        return path.with_suffix("")
-    return path
+        path = path.with_suffix("")
+    return path.with_name(path.name + suffix)
 
 
 def save_constraint(
@@ -389,13 +393,8 @@ def save_constraint(
     ``path`` may be the base name or either of the two file names; a
     trailing ``.txt``/``.json`` suffix is stripped before writing the pair.
     """
-    base = _constraint_base(path)
-    base.with_suffix(".txt").write_text(
-        constraint_text(constraint, feature_names) + "\n", encoding="utf-8"
-    )
-    base.with_suffix(".json").write_text(
-        json.dumps(constraint_to_dict(constraint)) + "\n", encoding="utf-8"
-    )
+    _constraint_file(path, ".txt").write_text(constraint_text(constraint, feature_names) + "\n", encoding="utf-8")
+    _constraint_file(path, ".json").write_text(json.dumps(constraint_to_dict(constraint)) + "\n", encoding="utf-8")
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -416,8 +415,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
 
 def load_constraint(path: str | Path) -> LinearConstraint:
     """Read a constraint from the JSON half of a saved pair."""
-    target = _constraint_base(path).with_suffix(".json")
-    return constraint_from_dict(read_json_object(target, "constraint"))
+    return constraint_from_dict(read_json_object(_constraint_file(path, ".json"), "constraint"))
 
 
 def _real(name: str, value) -> float:
@@ -552,19 +550,13 @@ _RECORD_VALUES = attrgetter(*_RECORD_FIELDS)
 
 @dataclass(frozen=True, eq=False)
 class TrainReport:
-    """Outcome of one training run: history, constraint, score, seed."""
+    """Outcome of one training run: history, constraint, score, seed.
+
+    :func:`~eqlbounds.trainer.train` builds it, with one finite record per
+    epoch and a finite violation rate.
+    """
 
     records: tuple[LossBreakdown, ...]
     constraint: LinearConstraint
     violation_rate: float
     seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
-            raise ValueError("a training report needs at least one epoch record")
-        # Record by record, value by value, with no Python frame per record.
-        if not all(map(math.isfinite, chain.from_iterable(map(_RECORD_VALUES, self.records)))):
-            raise ValueError("epoch records contain non-finite values")
-        if not math.isfinite(self.violation_rate):
-            raise ValueError("violation_rate must be finite")

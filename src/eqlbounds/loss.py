@@ -14,9 +14,9 @@ Three data terms plus regularization:
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
 The total ``z`` is the plain sum of the four terms.  All four are computed
-in one function, :func:`loss_from_errors`, from the directional errors and
-together with ``dz/dpred`` (:func:`loss_and_pred_grad` is the same from the
-predictions); it returns them as the :class:`LossBreakdown` that a training
+in one function, :func:`loss_from_errors`, from the directional errors that
+:func:`directional_errors` gives for the predictions, and together with
+``dz/dpred``; it returns them as the :class:`LossBreakdown` that a training
 report records for each epoch, and ``dz/dpred`` in sparse form: one value
 shared by every prediction plus one per member of the percentile subset.
 """
@@ -140,17 +140,6 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     neg = np.negative(values)
     neg.partition(k - 1)
     return -neg[k - 1]
-
-
-def loss_and_pred_grad(
-    preds: np.ndarray, net: EqlNetwork, cfg: LossConfig, near: np.ndarray | None = None
-) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
-    """Compose the full loss and its derivative with respect to each prediction.
-
-    This is :func:`loss_from_errors` on ``directional_errors(preds,
-    cfg.direction)``; ``preds`` is never written to.
-    """
-    return loss_from_errors(directional_errors(preds, cfg.direction), net, cfg, near)
 
 
 def loss_from_errors(

@@ -90,21 +90,8 @@ class EqlNetwork:
         self.b_out = float(self.b_out)
 
     @property
-    def n_units(self) -> int:
-        return self.w_in.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.w_in.shape[1]
-
-    @property
-    def is_identity(self) -> np.ndarray:
-        """Boolean per unit: True for identity units, False for constants.
-
-        The array is read-only and shared by every network with the same
-        primitives.
-        """
-        return _unit_flags(tuple(self.primitives))[0]
 
 
 @functools.lru_cache(maxsize=64)

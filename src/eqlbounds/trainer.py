@@ -118,7 +118,11 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     after the final step that epoch is ``train_cfg.epochs``, and it is
     also raised when the final parameters are finite but their affine
     collapse is not.
+
+    ``train_cfg.runs`` must be 1; :func:`train_multi` fits several seeds.
     """
+    if train_cfg.runs != 1:
+        raise ValueError(f"train fits one seed, got runs={train_cfg.runs}; use train_multi for several")
     net = initialize(dataset, seed=train_cfg.seed)
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold

@@ -27,10 +27,11 @@ from eqlbounds import (
     Primitive,
     TrainConfig,
     collapse_affine,
+    directional_errors,
     extract_constraint,
     forward_batch,
     gradients,
-    loss_and_pred_grad,
+    loss_from_errors,
     p_gamma_subset,
     paper_dataset,
     train,
@@ -66,7 +67,7 @@ def _criterion(capsys, number, label, body):
 
 def loss_value(net, dataset, cfg):
     preds = forward_batch(net, dataset.points)
-    return loss_and_pred_grad(preds, net, cfg)[0].z
+    return loss_from_errors(directional_errors(preds, cfg.direction), net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):

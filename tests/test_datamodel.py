@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eqlbounds import (
+    DEFAULT_PRIMITIVES,
     BallCap,
     Dataset,
     DatasetError,
@@ -33,12 +34,12 @@ from eqlbounds import (
     constraint_text,
     constraint_to_dict,
     generate,
-    initialize,
     load_constraint,
     load_dataset,
     save_constraint,
     save_dataset,
 )
+from eqlbounds.network import _unit_flags
 
 from _oracles import csv_load
 
@@ -528,7 +529,9 @@ OWNED_ARRAYS = {
     "LinearCut.coeffs": lambda: LinearCut([1.0, 2.0], 4.0).coeffs,
     "BallCap.center": lambda: BallCap([0.0, 0.0], 1.0).center,
     "RegionSpec.box": lambda: RegionSpec([[0.0, 1.0], [0.0, 2.0]]).box,
-    "EqlNetwork.is_identity": lambda: initialize(Dataset([[0.0, 1.0], [2.0, 3.0]])).is_identity,
+    "_unit_flags.is_identity": lambda: _unit_flags(DEFAULT_PRIMITIVES)[0],
+    "_unit_flags.identity": lambda: _unit_flags(DEFAULT_PRIMITIVES)[1],
+    "_unit_flags.is_constant": lambda: _unit_flags(DEFAULT_PRIMITIVES)[2],
 }
 
 
@@ -627,6 +630,21 @@ class TestConstraintFiles:
             assert np.array_equal(loaded.coeffs, c.coeffs)
             assert loaded.bound == c.bound
             assert loaded.relation is c.relation
+
+    def test_dotted_base_names_keep_their_last_part(self, tmp_path):
+        pair = {
+            "fit.seed24": LinearConstraint(np.array([0.5, 1.0]), 1.0, Direction.LOWER),
+            "fit.seed25": LinearConstraint(np.array([2.0, 1.0]), -3.0, Direction.UPPER),
+        }
+        for base, c in pair.items():
+            save_constraint(c, tmp_path / base)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fit.seed24.json", "fit.seed24.txt", "fit.seed25.json", "fit.seed25.txt"
+        ]
+        for base, c in pair.items():
+            for name in (base, base + ".json", base + ".txt"):
+                loaded = load_constraint(tmp_path / name)
+                assert (loaded.coeffs.tolist(), loaded.bound, loaded.relation) == (c.coeffs.tolist(), c.bound, c.relation)
 
     def test_dict_round_trip(self):
         c = LinearConstraint(np.array([0.25, 1.0]), -7.0, Direction.UPPER)
@@ -774,23 +792,11 @@ class TestTrainConfig:
 
 
 class TestTrainReport:
-    def record(self, z=1.0):
-        return LossBreakdown(z, 0.1, 0.2, 0.3, 0.4)
+    def record(self):
+        return LossBreakdown(1.0, 0.1, 0.2, 0.3, 0.4)
 
     def test_holds_records(self):
         c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
         report = TrainReport((self.record(), self.record()), c, 2.5, seed=7)
         assert len(report.records) == 2
         assert report.seed == 7
-
-    def test_rejects_empty_history(self):
-        c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
-        with pytest.raises(ValueError):
-            TrainReport((), c, 0.0, seed=0)
-
-    def test_rejects_non_finite_values(self):
-        c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
-        with pytest.raises(ValueError):
-            TrainReport((self.record(z=float("inf")),), c, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            TrainReport((self.record(),), c, float("nan"), seed=0)

@@ -13,7 +13,6 @@ from eqlbounds import (
     LossConfig,
     Primitive,
     directional_errors,
-    loss_and_pred_grad,
     loss_from_errors,
     p_gamma_subset,
 )
@@ -34,12 +33,12 @@ def reg_net(w_out):
 def isolated_breakdown(preds, **cfg):
     """The loss breakdown with the output weight 1.0 and no regularization."""
     cfg = LossConfig(**{"l1": 0.0, "l2": 0.0, **cfg})
-    return loss_and_pred_grad(np.asarray(preds, dtype=float), reg_net([1.0]), cfg)[0]
+    return loss_from_errors(directional_errors(preds, cfg.direction), reg_net([1.0]), cfg)[0]
 
 
 def reg_term(net, l1, l2):
     """The regularization term of the loss at a perfect fit."""
-    return loss_and_pred_grad(np.zeros(1), net, LossConfig(l1=l1, l2=l2))[0].term_reg
+    return loss_from_errors(np.zeros(1), net, LossConfig(l1=l1, l2=l2))[0].term_reg
 
 
 class TestDirectionalErrors:
@@ -260,7 +259,7 @@ class TestTermReg:
 class TestLossTotal:
     def test_single_point_hand_value(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.5, alpha3=0.5, gamma=100.0, l1=0.0, l2=0.0)
-        breakdown = loss_and_pred_grad(np.array([2.0]), reg_net([1.0]), cfg)[0]
+        breakdown = loss_from_errors(directional_errors([2.0], cfg.direction), reg_net([1.0]), cfg)[0]
         assert breakdown.term_e == -2.0
         assert breakdown.term_p == 2.0
         assert breakdown.term_anchor == 1.0
@@ -269,14 +268,14 @@ class TestLossTotal:
 
     def test_perfect_fit_leaves_only_regularization(self):
         cfg = LossConfig()
-        breakdown = loss_and_pred_grad(np.zeros(3), reg_net([1.0, -2.0]), cfg)[0]
+        breakdown = loss_from_errors(np.zeros(3), reg_net([1.0, -2.0]), cfg)[0]
         assert breakdown.z == breakdown.term_reg
         assert breakdown.term_reg == pytest.approx(0.40, abs=1e-15)
 
     def test_reduces_to_mean_error(self):
         cfg = LossConfig(alpha1=1.0, alpha2=0.0, alpha3=0.0, l1=0.0, l2=0.0)
         preds = np.array([1.0, 2.0, 6.0])
-        breakdown = loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0]
+        breakdown = loss_from_errors(directional_errors(preds, cfg.direction), reg_net([1.0]), cfg)[0]
         assert breakdown.z == -3.0
 
     def test_z_is_sum_of_terms(self):
@@ -293,18 +292,19 @@ class TestLossTotal:
                 l2=float(rng.uniform(0, 0.2)),
             )
             y, preds = rng.standard_normal(n), rng.standard_normal(n)
-            b = loss_and_pred_grad(preds - y, reg_net(rng.standard_normal(3)), cfg)[0]
+            e = directional_errors(preds - y, cfg.direction)
+            b = loss_from_errors(e, reg_net(rng.standard_normal(3)), cfg)[0]
             assert abs(b.z - (b.term_e + b.term_p + b.term_anchor + b.term_reg)) <= 1e-12
 
     def test_data_terms_permutation_invariant(self):
         rng = np.random.default_rng(29)
         cfg = LossConfig(gamma=20.0)
         y, preds = rng.standard_normal(25), rng.standard_normal(25)
-        preds = preds - y
+        e = directional_errors(preds - y, cfg.direction)
         perm = rng.permutation(25)
         net = reg_net([0.5, -0.5])
-        a = loss_and_pred_grad(preds, net, cfg)[0]
-        b = loss_and_pred_grad(preds[perm], net, cfg)[0]
+        a = loss_from_errors(e, net, cfg)[0]
+        b = loss_from_errors(e[perm], net, cfg)[0]
         assert a.term_e == pytest.approx(b.term_e, rel=1e-12)
         assert a.term_p == pytest.approx(b.term_p, rel=1e-12)
         assert a.term_anchor == b.term_anchor
@@ -314,9 +314,10 @@ class TestLossTotal:
         # LOWER errors are -preds, so the largest error belongs to the
         # smallest prediction.
         cfg = LossConfig(gamma=25.0)
-        assert list(p_gamma_subset(directional_errors(preds, cfg.direction), cfg.gamma)) == [1]
+        e = directional_errors(preds, cfg.direction)
+        assert list(p_gamma_subset(e, cfg.gamma)) == [1]
         # term_p squares the subset's one error, which is 0; index 3 would give 0.005.
-        assert loss_and_pred_grad(preds, reg_net([1.0]), cfg)[0].term_p == 0.0
+        assert loss_from_errors(e, reg_net([1.0]), cfg)[0].term_p == 0.0
 
     def test_breakdown_equals_public_terms_exactly_with_ties(self):
         rng = np.random.default_rng(31)
@@ -335,8 +336,8 @@ class TestLossTotal:
             y = rng.integers(-3, 4, n) * 0.5
             preds = rng.integers(-3, 4, n) * 0.25 - y
             net = reg_net(rng.standard_normal(3))
-            b, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg)
             e = directional_errors(preds, cfg.direction)
+            b, fill, d_sub, subset = loss_from_errors(e, net, cfg)
             idx = p_gamma_subset(e, cfg.gamma)
             assert np.array_equal(subset, idx)
             assert b.term_e == cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n
@@ -374,8 +375,8 @@ class TestLossTotal:
         n = preds.size
         cfg = LossConfig(alpha1=0.5, alpha2=1.5, alpha3=0.75, gamma=gamma, direction=direction)
         with np.errstate(all="ignore"):
-            b, fill, d_sub, idx = loss_and_pred_grad(preds, reg_net([1.0]), cfg)
             e = directional_errors(preds, direction)
+            b, fill, d_sub, idx = loss_from_errors(e, reg_net([1.0]), cfg)
             worst = int(e.argmax())
             s = 1.0 if direction is Direction.LOWER else -1.0
             assert fill == -cfg.alpha1 * s / n
@@ -408,7 +409,6 @@ class TestCallerArraysUnchanged:
         near = p_gamma_subset(e + 0.01 * rng.standard_normal(n), cfg.gamma)
         calls = {
             "directional_errors": lambda: directional_errors(preds, direction),
-            "loss_and_pred_grad": lambda: loss_and_pred_grad(preds, net, cfg, near),
             "loss_from_errors": lambda: loss_from_errors(e, net, cfg, near),
         }
         for name, call in calls.items():

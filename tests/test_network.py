@@ -22,6 +22,7 @@ from eqlbounds import (
     forward_batch,
     initialize,
 )
+from eqlbounds.network import _unit_flags
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -183,7 +184,7 @@ class TestInitialize:
 
     def test_custom_primitives_set_width(self):
         net = initialize(self.square_data(), primitives=(ID, CONST, ID), seed=0)
-        assert net.n_units == 3
+        assert net.w_in.shape[0] == 3
         assert net.primitives == (ID, CONST, ID)
 
     def test_empty_dataset_rejected(self):
@@ -357,9 +358,13 @@ class TestNetworkValidation:
             make_net([[np.inf]], (ID,), [1.0], 0.0)
 
     def test_is_identity_is_read_only_and_shared_safely(self):
-        net = make_net(np.ones((3, 2)), (ID, CONST, ID), [1.0, 2.0, 3.0], 0.0)
-        other = make_net(np.ones((3, 2)), (ID, CONST, ID), [1.0, 2.0, 3.0], 0.0)
-        with pytest.raises(ValueError):
-            net.is_identity[1] = True
-        assert list(other.is_identity) == [True, False, True]
-        assert forward_batch(other, np.array([[1.0, 1.0]]))[0] == 10.0
+        for flags in _unit_flags(DEFAULT_PRIMITIVES):
+            with pytest.raises(ValueError):
+                flags[0] = not flags[0]
+        assert [flags.tolist() for flags in _unit_flags(DEFAULT_PRIMITIVES)] == [
+            [True, True, False, False],
+            [1.0, 1.0, 0.0, 0.0],
+            [False, False, True, True],
+        ]
+        net = make_net(np.ones((4, 2)), DEFAULT_PRIMITIVES, [1.0, 2.0, 3.0, 4.0], 0.0)
+        assert forward_batch(net, np.array([[1.0, 1.0]]))[0] == 13.0

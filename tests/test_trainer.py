@@ -32,7 +32,7 @@ from eqlbounds import (
     generate,
     gradients,
     initialize,
-    loss_and_pred_grad,
+    loss_from_errors,
     paper_dataset,
     save_dataset,
     train,
@@ -52,7 +52,7 @@ CONST = Primitive.CONSTANT
 
 def loss_value(net, dataset, cfg):
     preds = forward_batch(net, dataset.points)
-    return loss_and_pred_grad(preds, net, cfg)[0].z
+    return loss_from_errors(directional_errors(preds, cfg.direction), net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):
@@ -421,8 +421,9 @@ class TestInPlaceErrors:
 
     @staticmethod
     def public_path(preds, net, dataset, cfg, near):
-        """The gather of ``gradients``, on what public ``loss_and_pred_grad`` gives for ``preds``."""
-        breakdown, fill, d_sub, subset = loss_and_pred_grad(preds, net, cfg, near)
+        """The gather of ``gradients``, on what the public loss gives for ``preds``."""
+        e = directional_errors(preds, cfg.direction)
+        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
         mean_weight = fill * dataset.n_points
         d_b_out = float(np.add.reduce(d_sub)) + mean_weight
         d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
@@ -547,6 +548,11 @@ class TestTrainMulti:
         assert np.array_equal(net.w_in, solo_net.w_in)
         assert report.records == solo_report.records
         assert report.violation_rate == solo_report.violation_rate
+
+    def test_train_refuses_several_runs_naming_train_multi(self):
+        dataset = paper_dataset("square-low", seed=0)
+        with pytest.raises(ValueError, match=r"^train fits one seed, got runs=2; use train_multi for several$"):
+            train(dataset, LossConfig(gamma=2.5), TrainConfig(epochs=5, learning_rate=1e-3, runs=2))
 
     def test_runs_are_seeded_consecutively_and_sorted(self):
         dataset = paper_dataset("square-low", seed=0)
