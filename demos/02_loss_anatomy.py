@@ -29,10 +29,11 @@ from eqlbounds import (
 # ---------------------------------------------------------------------------
 # A four-point dataset on a line and a network that is already an affine
 # function: one identity unit (slope) and one constant unit (offset).
+# w_in holds one row per identity unit; a constant unit has no input weights.
 # ---------------------------------------------------------------------------
 data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
 net = EqlNetwork(
-    w_in=np.array([[0.5], [0.0]]),
+    w_in=np.array([[0.5]]),
     primitives=(Primitive.IDENTITY, Primitive.CONSTANT),
     w_out=np.array([1.0, -2.0]),
     b_out=1.0,

@@ -40,6 +40,8 @@ class LinearCut:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _frozen(_reals("coeffs", self.coeffs)))
         object.__setattr__(self, "bound", _real("bound", self.bound))
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
 
 
 @dataclass(frozen=True, eq=False)

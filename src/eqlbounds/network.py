@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, _all_finite, _check_integer, _frozen
+from .datamodel import Dataset, _all_finite, _check_integer, _frozen, _real
 
 
 class Primitive(Enum):
@@ -51,17 +51,19 @@ DEFAULT_PRIMITIVES = (
 class EqlNetwork:
     """Plain value object holding the parameters of one network.
 
+    ``w_in`` has one row per identity unit, in primitive order: a constant
+    unit outputs 1 whatever its input, so it has no input weights.  With no
+    identity unit ``w_in`` is ``(0, F)``, which still gives F.
+
     No mask is stored: masking sets a weight to exactly 0.0 (see
     :func:`apply_mask`), and under masking training keeps every zero weight
     at zero.  The output bias is never masked.  Training code works on its
     own private copy.
 
-    Construction copies the two weight arrays and checks, in this order:
-    the shapes, the primitives, and that every parameter is finite.  The
-    finiteness check costs two array calls per weight layer (``isfinite``
-    then a count), with no Python loop over weights.  Training with
-    masking builds one network per epoch, so at the paper's sizes these
-    calls are a visible share of an epoch.
+    Construction copies the two weight arrays and checks the primitives,
+    the shapes, that every weight is finite (two array calls per layer and
+    no Python loop: training with masking builds one network per epoch),
+    and the output bias by the package's rule for numbers.
     """
 
     w_in: np.ndarray
@@ -73,21 +75,19 @@ class EqlNetwork:
         w_in = np.array(self.w_in, dtype=float)
         w_out = np.array(self.w_out, dtype=float)
         prims = tuple(self.primitives)
-        if w_in.ndim != 2:
-            raise ValueError(f"w_in must be 2-D (units x features), got shape {w_in.shape}")
-        h, f = w_in.shape
-        if h < 1 or f < 1:
-            raise ValueError("network needs at least one unit and one feature")
-        if w_out.shape != (h,):
-            raise ValueError(f"w_out must have shape ({h},), got {w_out.shape}")
-        if len(prims) != h or not all(map(isinstance, prims, repeat(Primitive))):
-            raise ValueError(f"primitives must be {h} Primitive values")
-        if not (_all_finite(w_in) and _all_finite(w_out) and math.isfinite(self.b_out)):
-            raise ValueError("network parameters contain non-finite values")
+        if not prims or not all(map(isinstance, prims, repeat(Primitive))):
+            raise ValueError("primitives must be one or more Primitive values")
+        n_identity = prims.count(Primitive.IDENTITY)
+        if w_in.ndim != 2 or w_in.shape[0] != n_identity or w_in.shape[1] < 1:
+            raise ValueError(f"w_in needs one row per identity unit, shape ({n_identity}, F >= 1), got {w_in.shape}")
+        if w_out.shape != (len(prims),):
+            raise ValueError(f"w_out must have shape ({len(prims)},), got {w_out.shape}")
+        if not (_all_finite(w_in) and _all_finite(w_out)):
+            raise ValueError("network weights contain non-finite values")
+        self.b_out = _real("b_out", self.b_out)
         self.w_in = w_in
         self.primitives = prims
         self.w_out = w_out
-        self.b_out = float(self.b_out)
 
     @property
     def n_features(self) -> int:
@@ -95,29 +95,26 @@ class EqlNetwork:
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_flags(primitives: tuple[Primitive, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-unit flags, read-only and shared: identity (bool), identity as 0.0/1.0, constant (bool).
-
-    Multiplying by the float flags gives the same bits as multiplying by
-    the boolean ones, without a cast on every call.
-    """
+def _unit_flags(primitives: tuple[Primitive, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit flags, read-only and shared: identity (bool), constant (bool)."""
     is_identity = np.array([p is Primitive.IDENTITY for p in primitives])
-    return _frozen(is_identity), _frozen(is_identity.astype(float)), _frozen(~is_identity)
+    return _frozen(is_identity), _frozen(~is_identity)
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
     """Return (a, c) with ``forward_batch(net, points) == points @ a + c``; constant units fold into ``c``."""
-    _, identity, is_constant = _unit_flags(tuple(net.primitives))
-    coeffs = (net.w_out * identity) @ net.w_in
+    is_identity, is_constant = _unit_flags(tuple(net.primitives))
+    coeffs = net.w_out[is_identity] @ net.w_in
     offset = net.b_out + float(np.add.reduce(net.w_out[is_constant]))
     return coeffs, offset
 
 
 def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float) -> tuple[np.ndarray, np.ndarray]:
     """Chain rule through :func:`collapse_affine`: (dL/da, dL/dc) to (dL/dw_in, dL/dw_out); dL/db_out is dL/dc."""
-    is_identity, identity, _ = _unit_flags(tuple(net.primitives))
-    d_w_in = (net.w_out * identity)[:, None] * d_coeffs
-    d_w_out = np.where(is_identity, net.w_in @ d_coeffs, d_offset)
+    is_identity, _ = _unit_flags(tuple(net.primitives))
+    d_w_in = np.multiply.outer(net.w_out[is_identity], d_coeffs)
+    d_w_out = np.full(net.w_out.shape, d_offset)
+    d_w_out[is_identity] = net.w_in @ d_coeffs
     return d_w_in, d_w_out
 
 
@@ -149,7 +146,9 @@ def initialize(
     """Seeded initialization from the dataset's value range.
 
     Both weight layers draw Xavier-uniform values: the symbolic layer with
-    fan (F, H), the readout with fan (H, 1).  The output bias draws
+    fan (F, H), the readout with fan (H, 1).  The symbolic layer is drawn
+    for all H units and keeps the identity units' rows, so which units are
+    constant does not change the random stream.  The output bias draws
     uniformly between half the smallest and half the largest value in the
     dataset; a degenerate range (all values identical) pins the bias to
     half that value and emits a warning.  The result depends only on the
@@ -158,11 +157,9 @@ def initialize(
     _check_integer("seed", seed, 0)
     prims = tuple(primitives)
     h, f = len(prims), dataset.n_features
-    if h < 1:
-        raise ValueError("need at least one symbolic unit")
     rng = np.random.default_rng(seed)
     limit_in = math.sqrt(6.0 / (f + h))
-    w_in = rng.uniform(-limit_in, limit_in, size=(h, f))
+    w_in = rng.uniform(-limit_in, limit_in, size=(h, f))[[p is Primitive.IDENTITY for p in prims]]
     limit_out = math.sqrt(6.0 / (h + 1))
     w_out = rng.uniform(-limit_out, limit_out, size=h)
     lo = 0.5 * float(dataset.points.min())
@@ -191,10 +188,11 @@ def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
     ``threshold > 0``, ``|w| < threshold`` already holds at ``w == 0``, and
     ``threshold == 0`` compares ``w == 0``.  The new network then runs the
     checks of :class:`EqlNetwork`, so a non-finite weight raises
-    ``ValueError``.  A ``bool`` threshold is rejected.
+    ``ValueError``.  The threshold follows the package's rule for numbers.
     """
-    if isinstance(threshold, bool) or not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    threshold = _real("threshold", threshold)
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     return EqlNetwork(_freeze(net.w_in, threshold), net.primitives, _freeze(net.w_out, threshold), net.b_out)
 
 

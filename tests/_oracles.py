@@ -111,25 +111,43 @@ def masked_train(dataset, loss_cfg, train_cfg):
 
 
 def network_checks(w_in, primitives, w_out, b_out):
-    """Checks of ``EqlNetwork`` construction as first written, in order.
+    """Checks of ``EqlNetwork`` construction, written out one by one, in order.
 
     Raises the ``ValueError`` the constructor raises for the same input;
-    returns None when the network is valid.
+    returns None when the network is valid.  ``b_out`` is a float here.
     """
     w_in = np.array(w_in, dtype=float)
     w_out = np.array(w_out, dtype=float)
     prims = tuple(primitives)
-    if w_in.ndim != 2:
-        raise ValueError(f"w_in must be 2-D (units x features), got shape {w_in.shape}")
-    h, f = w_in.shape
-    if h < 1 or f < 1:
-        raise ValueError("network needs at least one unit and one feature")
-    if w_out.shape != (h,):
-        raise ValueError(f"w_out must have shape ({h},), got {w_out.shape}")
-    if len(prims) != h or not all(isinstance(p, Primitive) for p in prims):
-        raise ValueError(f"primitives must be {h} Primitive values")
-    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
-        raise ValueError("network parameters contain non-finite values")
+    if len(prims) == 0 or not all(isinstance(p, Primitive) for p in prims):
+        raise ValueError("primitives must be one or more Primitive values")
+    n_identity = sum(1 for p in prims if p is Primitive.IDENTITY)
+    if w_in.ndim != 2 or w_in.shape[0] != n_identity or w_in.shape[1] == 0:
+        raise ValueError(f"w_in needs one row per identity unit, shape ({n_identity}, F >= 1), got {w_in.shape}")
+    if w_out.shape != (len(prims),):
+        raise ValueError(f"w_out must have shape ({len(prims)},), got {w_out.shape}")
+    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+        raise ValueError("network weights contain non-finite values")
+    if not math.isfinite(b_out):
+        raise ValueError(f"b_out must be finite, got {b_out!r}")
+
+
+def identity_rows(w_in, primitives):
+    """The rows of a full-height (H, F) symbolic layer that a network holds: the identity units'."""
+    return np.asarray(w_in)[[p is Primitive.IDENTITY for p in primitives]]
+
+
+def initial_draws(dataset, primitives, seed):
+    """``initialize``'s random draws, one number at a time: the full (H, F)
+    symbolic layer, then the readout, then the output bias.
+    """
+    rng = np.random.default_rng(seed)
+    h, f = len(primitives), dataset.n_features
+    limit_in, limit_out = math.sqrt(6.0 / (f + h)), math.sqrt(6.0 / (h + 1))
+    w_in = np.array([[rng.uniform(-limit_in, limit_in) for _ in range(f)] for _ in range(h)])
+    w_out = np.array([rng.uniform(-limit_out, limit_out) for _ in range(h)])
+    b_out = float(rng.uniform(0.5 * float(dataset.points.min()), 0.5 * float(dataset.points.max())))
+    return w_in, w_out, b_out
 
 
 def central_difference(fn, x0, step=1e-6):
@@ -140,13 +158,14 @@ def central_difference(fn, x0, step=1e-6):
 def network_output(net, x):
     """Evaluate the network on one point unit by unit, in pure Python.
 
-    An identity unit outputs the weighted sum of the inputs, a constant unit
-    outputs 1; the readout weights the unit outputs and adds the bias.
+    An identity unit outputs the weighted sum of the inputs with its row of
+    ``w_in``, a constant unit outputs 1; the readout weights the unit
+    outputs and adds the bias.
     """
-    units = []
-    for weights, primitive in zip(net.w_in, net.primitives):
+    units, rows = [], iter(net.w_in)
+    for primitive in net.primitives:
         if primitive is Primitive.IDENTITY:
-            units.append(sum(float(w) * float(v) for w, v in zip(weights, x)))
+            units.append(sum(float(w) * float(v) for w, v in zip(next(rows), x)))
         elif primitive is Primitive.CONSTANT:
             units.append(1.0)
         else:

@@ -39,7 +39,7 @@ from eqlbounds import (
     violation_rate,
 )
 
-from _oracles import brute_force_p_gamma, network_output, recount_violations
+from _oracles import brute_force_p_gamma, identity_rows, network_output, recount_violations
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -102,7 +102,8 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
             h = int(rng.integers(1, 6))
             prims = tuple(ID if rng.random() < 0.7 else CONST for _ in range(h))
             w_out = rng.choice([-1.0, 1.0], size=h) * rng.uniform(0.1, 1.5, size=h)
-            net = EqlNetwork(rng.standard_normal((h, f)), prims, w_out, float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), prims)
+            net = EqlNetwork(w_in, prims, w_out, float(rng.standard_normal()))
             dataset = Dataset(rng.uniform(-3, 3, size=(n, f)))
             cfg = LossConfig(
                 alpha1=float(rng.uniform(0.05, 1.5)),
@@ -128,11 +129,11 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
                 continue
 
             _, grads = gradients(net, dataset, cfg)
+            for i, j in np.ndindex(w_in.shape):
+                want = fd(net, dataset, cfg, "w_in", (i, j))
+                got = grads.d_w_in[i, j]
+                assert abs(got - want) <= 1e-5 * max(abs(got), abs(want)) + 1e-8
             for i in range(h):
-                for j in range(f):
-                    want = fd(net, dataset, cfg, "w_in", (i, j))
-                    got = grads.d_w_in[i, j]
-                    assert abs(got - want) <= 1e-5 * max(abs(got), abs(want)) + 1e-8
                 want = fd(net, dataset, cfg, "w_out", i)
                 got = grads.d_w_out[i]
                 assert abs(got - want) <= 1e-5 * max(abs(got), abs(want)) + 1e-8
@@ -176,7 +177,7 @@ def test_criterion_3_extraction_matches_forward(capsys):
             f = int(rng.integers(1, 5))
             prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
             net = EqlNetwork(
-                rng.standard_normal((h, f)),
+                identity_rows(rng.standard_normal((h, f)), prims),
                 prims,
                 rng.standard_normal(h),
                 float(rng.standard_normal()),
@@ -211,7 +212,7 @@ def test_criterion_4_violation_rate_matches_recount(capsys):
             # A couple of random affine networks per preset as well.
             for _ in range(3):
                 net = EqlNetwork(
-                    rng.standard_normal((3, data.n_features)),
+                    rng.standard_normal((3, data.n_features))[:2],
                     (ID, ID, CONST),
                     rng.standard_normal(3),
                     float(rng.standard_normal()),

@@ -233,6 +233,13 @@ class TestRegionSpecValidation:
         with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be a number, got {value!r}") + "$"):
             build(value)
 
+    # A string direction once passed, and membership_mask kept the opposite side.
+    @pytest.mark.parametrize("direction", ["lower", "upper", None, 1])
+    def test_cut_direction_must_be_a_direction(self, direction):
+        with pytest.raises(ValueError) as info:
+            LinearCut([1.0, 2.0], 4.0, direction)
+        assert str(info.value) == f"direction must be a Direction, got {direction!r}"
+
     def test_ball_cap_compares_against_radius_to_the_power_two(self):
         # radius**2 and radius * radius differ by an ulp for some radii; sampled points follow **.
         r = next(r for r in np.linspace(1.0, 2.0, 10_001).tolist() if r**2 < r * r)

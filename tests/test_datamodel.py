@@ -530,8 +530,7 @@ OWNED_ARRAYS = {
     "BallCap.center": lambda: BallCap([0.0, 0.0], 1.0).center,
     "RegionSpec.box": lambda: RegionSpec([[0.0, 1.0], [0.0, 2.0]]).box,
     "_unit_flags.is_identity": lambda: _unit_flags(DEFAULT_PRIMITIVES)[0],
-    "_unit_flags.identity": lambda: _unit_flags(DEFAULT_PRIMITIVES)[1],
-    "_unit_flags.is_constant": lambda: _unit_flags(DEFAULT_PRIMITIVES)[2],
+    "_unit_flags.is_constant": lambda: _unit_flags(DEFAULT_PRIMITIVES)[1],
 }
 
 

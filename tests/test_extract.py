@@ -27,7 +27,7 @@ from eqlbounds import (
     violation_report,
 )
 
-from _oracles import network_output, recount_violations
+from _oracles import identity_rows, network_output, recount_violations
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -38,7 +38,7 @@ def random_net(rng, h=None, f=None):
     f = f or int(rng.integers(1, 5))
     prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
     return EqlNetwork(
-        rng.standard_normal((h, f)),
+        identity_rows(rng.standard_normal((h, f)), prims),
         prims,
         rng.standard_normal(h),
         float(rng.standard_normal()),
@@ -57,7 +57,7 @@ class TestCollapseAffine:
                 assert np.max(np.abs(computed - expected)) <= 1e-9
 
     def test_constant_units_feed_offset(self):
-        net = EqlNetwork(np.array([[2.0], [9.0]]), (ID, CONST), np.array([3.0, 5.0]), 1.5)
+        net = EqlNetwork(np.array([[2.0]]), (ID, CONST), np.array([3.0, 5.0]), 1.5)
         a, c = collapse_affine(net)
         assert np.array_equal(a, [6.0])
         assert c == 6.5
@@ -68,7 +68,7 @@ class TestExtractConstraint:
         # Identity unit carrying slopes [0.9544, 2.0] at readout weight 0.5
         # collapses to a = [0.4772, 1.0]; constants bring c to -2.1469.
         net = EqlNetwork(
-            np.array([[0.9544, 2.0], [0.0, 0.0]]),
+            np.array([[0.9544, 2.0]]),
             (ID, CONST),
             np.array([0.5, -3.1469]),
             1.0,
@@ -84,7 +84,7 @@ class TestExtractConstraint:
         # Collapses to a = [0, -2], c = 4: dividing by -2 turns the sought
         # lower bound into "X1 <= 2".
         net = EqlNetwork(
-            np.array([[0.0, -2.0], [0.0, 0.0]]),
+            np.array([[0.0, -2.0]]),
             (ID, CONST),
             np.array([1.0, 3.0]),
             1.0,
@@ -96,7 +96,7 @@ class TestExtractConstraint:
         assert constraint_text(constraint) == "X1 <= 2"
 
     def test_zero_network_is_degenerate(self):
-        net = EqlNetwork(np.zeros((2, 2)), (ID, CONST), np.zeros(2), 5.0)
+        net = EqlNetwork(np.zeros((1, 2)), (ID, CONST), np.zeros(2), 5.0)
         with pytest.raises(DegenerateConstraintError):
             extract_constraint(net, Direction.LOWER)
 

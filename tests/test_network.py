@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import freeze, network_checks
+from _oracles import freeze, identity_rows, initial_draws, network_checks
 from eqlbounds import (
     DEFAULT_PRIMITIVES,
     Dataset,
@@ -43,12 +43,13 @@ class TestForward:
         assert forward_batch(net, np.array([[1.5, 9.0]]))[0] == 3.0
 
     def test_identity_plus_constant(self):
-        net = make_net([[1.0, 1.0], [0.0, 0.0]], (ID, CONST), [2.0, 5.0], 1.0)
+        net = make_net([[1.0, 1.0]], (ID, CONST), [2.0, 5.0], 1.0)
         assert forward_batch(net, np.array([[1.0, 2.0]]))[0] == 12.0
 
-    def test_constant_unit_ignores_its_weights(self):
-        net = make_net([[100.0, -100.0]], (CONST,), [2.0], 1.0)
-        assert forward_batch(net, np.array([[3.0, 4.0]]))[0] == 3.0
+    def test_all_constant_network_holds_no_input_weights(self):
+        net = make_net(np.empty((0, 2)), (CONST, CONST), [2.0, 0.5], 1.0)
+        assert net.n_features == 2
+        assert forward_batch(net, np.array([[3.0, 4.0], [-7.0, 1e6]])).tolist() == [3.5, 3.5]
 
     def test_batch_matches_single(self):
         net = make_net([[2.0, 0.0]], (ID,), [1.0], 0.0)
@@ -63,7 +64,8 @@ class TestForward:
 
     def test_identical_rows_give_constant_vector(self):
         rng = np.random.default_rng(0)
-        net = make_net(rng.standard_normal((3, 2)), (ID, CONST, ID), rng.standard_normal(3), 0.7)
+        prims = (ID, CONST, ID)
+        net = make_net(identity_rows(rng.standard_normal((3, 2)), prims), prims, rng.standard_normal(3), 0.7)
         rows = np.tile(rng.standard_normal(2), (5, 1))
         out = forward_batch(net, rows)
         assert np.all(out == out[0])
@@ -74,7 +76,8 @@ class TestForward:
             h = int(rng.integers(1, 5))
             f = int(rng.integers(1, 4))
             prims = tuple(ID if rng.random() < 0.5 else CONST for _ in range(h))
-            net = make_net(rng.standard_normal((h, f)), prims, rng.standard_normal(h), float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), prims)
+            net = make_net(w_in, prims, rng.standard_normal(h), float(rng.standard_normal()))
             x1, x2 = rng.standard_normal(f), rng.standard_normal(f)
             a = float(rng.uniform(-1, 2))
             mixed = forward_batch(net, (a * x1 + (1 - a) * x2)[None, :])[0]
@@ -103,22 +106,22 @@ class TestForward:
         for _ in range(20):
             h, f, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 300))
             prims = tuple(ID if rng.random() < 0.5 else CONST for _ in range(h))
-            net = make_net(rng.standard_normal((h, f)), prims, rng.standard_normal(h), float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), prims)
+            net = make_net(w_in, prims, rng.standard_normal(h), float(rng.standard_normal()))
             data = Dataset(rng.uniform(-50.0, 50.0, size=(n, f)))
             assert forward_batch(net, data).tobytes() == forward_batch(net, data.points).tobytes()
 
 
 class TestCollapse:
-    PARAMETERS = [("w_in", (i, j)) for i in range(2) for j in range(2)] + [("w_out", 0), ("w_out", 1), ("b_out", None)]
+    PARAMETERS = [("w_in", (0, 0)), ("w_in", (0, 1)), ("w_out", 0), ("w_out", 1), ("b_out", None)]
 
     # train's last divergence check reads only the collapse, so a non-finite
-    # parameter must reach it, also where a constant unit's flag or a zero
-    # readout weight multiplies it.
+    # parameter must reach it, also where a zero readout weight multiplies it.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("w_out", [[1.0, 1.0], [0.0, 0.0]], ids=["unit-readout", "zero-readout"])
     @pytest.mark.parametrize("field, index", PARAMETERS)
     def test_every_parameter_reaches_it(self, field, index, w_out, bad):
-        net = make_net([[1.0, 2.0], [3.0, 4.0]], (ID, CONST), w_out, 0.5)
+        net = make_net([[1.0, 2.0]], (ID, CONST), w_out, 0.5)
         if field == "b_out":
             net.b_out = bad
         else:
@@ -158,7 +161,7 @@ class TestInitialize:
         ds = self.square_data()
         for seed in range(20):
             net = initialize(ds, seed=seed)
-            assert net.w_in.shape == (4, 2)
+            assert net.w_in.shape == (2, 2)
             # fan (F=2, H=4) gives a unit bound for the symbolic layer.
             assert np.all(np.abs(net.w_in) <= 1.0)
             assert np.all(np.abs(net.w_out) <= math.sqrt(6.0 / 5.0))
@@ -184,8 +187,21 @@ class TestInitialize:
 
     def test_custom_primitives_set_width(self):
         net = initialize(self.square_data(), primitives=(ID, CONST, ID), seed=0)
-        assert net.w_in.shape[0] == 3
+        assert net.w_in.shape == (2, 2) and net.w_out.shape == (3,)
         assert net.primitives == (ID, CONST, ID)
+
+    # The symbolic layer is drawn for every unit and keeps the identity
+    # units' rows, so the readout and the bias see the same stream as when
+    # every row was kept.
+    @pytest.mark.parametrize("prims", [DEFAULT_PRIMITIVES, (ID, CONST, ID)], ids=["default", "id-const-id"])
+    @pytest.mark.parametrize("seed", [0, 7, 24])
+    def test_keeps_the_random_stream(self, prims, seed):
+        ds = self.square_data()
+        w_in, w_out, b_out = initial_draws(ds, prims, seed)
+        net = initialize(ds, primitives=prims, seed=seed)
+        assert same_bits(net.w_in, identity_rows(w_in, prims))
+        assert same_bits(net.w_out, w_out)
+        assert net.b_out.hex() == b_out.hex()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -246,11 +262,29 @@ class TestApplyMask:
         with pytest.raises(ValueError):
             apply_mask(net, -0.1)
 
-    @pytest.mark.parametrize("threshold", [True, False])
-    def test_bool_threshold_rejected(self, threshold):
+    # The threshold is read by the package's one rule for numbers.
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [
+            (True, "threshold must be a number, got True"),
+            (False, "threshold must be a number, got False"),
+            ("0.1", "threshold must be a number, got '0.1'"),
+            (math.inf, "threshold must be finite, got inf"),
+            (math.nan, "threshold must be finite, got nan"),
+            (10**400, "threshold must be finite, got a number too large for a float"),
+            (-0.1, "threshold must be >= 0, got -0.1"),
+        ],
+        ids=["true", "false", "string", "inf", "nan", "too-large", "negative"],
+    )
+    def test_threshold_follows_the_rule_for_numbers(self, threshold, message):
         net = make_net([[0.5]], (ID,), [0.5], 0.0)
-        with pytest.raises(ValueError, match=f"threshold must be a finite number >= 0, got {threshold}"):
+        with pytest.raises(ValueError) as info:
             apply_mask(net, threshold)
+        assert str(info.value) == message
+
+    def test_integer_threshold_accepted(self):
+        net = make_net([[0.5, 2.0]], (ID,), [1.0], 0.0)
+        assert same_bits(apply_mask(net, 1).w_in, np.array([[0.0, 2.0]]))
 
     def test_original_untouched(self):
         net = make_net([[0.0005]], (ID,), [0.5], 0.0)
@@ -266,12 +300,18 @@ thresholds = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, sys.float_info.max]) | st.
 
 
 @st.composite
-def raw_layers(draw):
-    """The two weight layers of one network, non-finite values included."""
-    h, f = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+def raw_layers(draw, any_rows=False):
+    """Primitives and the two weight layers of one network, non-finite values included.
+
+    ``w_in`` has one row per identity unit, or with ``any_rows`` 0 to 4 rows.
+    """
+    prims = tuple(draw(st.lists(st.sampled_from([ID, CONST]), min_size=1, max_size=4)))
+    rows = draw(st.integers(0, 4)) if any_rows else prims.count(ID)
+    f = draw(st.integers(1, 3))
     return (
-        draw(hnp.arrays(float, (h, f), elements=weight_values)),
-        draw(hnp.arrays(float, h, elements=weight_values)),
+        prims,
+        draw(hnp.arrays(float, (rows, f), elements=weight_values)),
+        draw(hnp.arrays(float, len(prims), elements=weight_values)),
     )
 
 
@@ -293,12 +333,12 @@ class TestRewrittenChecksMatchOracles:
     @settings(max_examples=400, deadline=None)
     @given(layers=raw_layers(), threshold=thresholds)
     @example(
-        layers=(np.array([[-0.0, 5e-324], [math.nan, 1e-3]]), np.array([math.inf, -0.0])),
+        layers=((ID, ID), np.array([[-0.0, 5e-324], [math.nan, 1e-3]]), np.array([math.inf, -0.0])),
         threshold=0.0,
     )
+    @example(layers=((CONST, CONST), np.empty((0, 2)), np.array([5e-324, -0.0])), threshold=1e-3)
     def test_apply_mask_is_bit_identical(self, layers, threshold):
-        w_in, w_out = layers
-        prims = (ID,) * w_in.shape[0]
+        prims, w_in, w_out = layers
         # Training assigns stepped weights to the fields without a check, so
         # apply_mask can see non-finite values.
         net = EqlNetwork(np.zeros_like(w_in), prims, np.zeros_like(w_out), 0.25)
@@ -314,10 +354,9 @@ class TestRewrittenChecksMatchOracles:
         assert got.b_out == 0.25
 
     @settings(max_examples=400, deadline=None)
-    @given(layers=raw_layers(), b_out=weight_values)
+    @given(layers=raw_layers(any_rows=True), b_out=weight_values)
     def test_constructor_raises_what_the_oracle_raises(self, layers, b_out):
-        w_in, w_out = layers
-        prims = (ID,) * w_in.shape[0]
+        prims, w_in, w_out = layers
         expected = outcome(network_checks, w_in, prims, w_out, b_out)
         kind, got = outcome(EqlNetwork, w_in, prims, w_out, b_out)
         assert kind == expected[0]
@@ -357,14 +396,43 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             make_net([[np.inf]], (ID,), [1.0], 0.0)
 
+    @pytest.mark.parametrize(
+        "prims, rows",
+        [(DEFAULT_PRIMITIVES, 2), ((ID, CONST, ID), 2), ((CONST,), 0)],
+        ids=["default", "id-const-id", "const"],
+    )
+    def test_full_height_w_in_rejected_naming_the_identity_count(self, prims, rows):
+        h = len(prims)
+        message = rf"^w_in needs one row per identity unit, shape \({rows}, F >= 1\), got \({h}, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            make_net(np.ones((h, 2)), prims, np.ones(h), 0.0)
+
+    # b_out is read by the package's one rule for numbers.
+    @pytest.mark.parametrize(
+        "b_out, message",
+        [
+            ("1.0", "b_out must be a number, got '1.0'"),
+            (True, "b_out must be a number, got True"),
+            (10**400, "b_out must be finite, got a number too large for a float"),
+        ],
+        ids=["string", "bool", "too-large"],
+    )
+    def test_b_out_follows_the_rule_for_numbers(self, b_out, message):
+        with pytest.raises(ValueError) as info:
+            make_net([[0.5]], (ID,), [0.5], b_out)
+        assert str(info.value) == message
+
+    def test_integer_b_out_becomes_a_float(self):
+        net = make_net([[0.5]], (ID,), [0.5], 3)
+        assert type(net.b_out) is float and net.b_out == 3.0
+
     def test_is_identity_is_read_only_and_shared_safely(self):
         for flags in _unit_flags(DEFAULT_PRIMITIVES):
             with pytest.raises(ValueError):
                 flags[0] = not flags[0]
         assert [flags.tolist() for flags in _unit_flags(DEFAULT_PRIMITIVES)] == [
             [True, True, False, False],
-            [1.0, 1.0, 0.0, 0.0],
             [False, False, True, True],
         ]
-        net = make_net(np.ones((4, 2)), DEFAULT_PRIMITIVES, [1.0, 2.0, 3.0, 4.0], 0.0)
+        net = make_net(np.ones((2, 2)), DEFAULT_PRIMITIVES, [1.0, 2.0, 3.0, 4.0], 0.0)
         assert forward_batch(net, np.array([[1.0, 1.0]]))[0] == 13.0

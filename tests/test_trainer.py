@@ -44,7 +44,7 @@ from eqlbounds.datamodel import read_json_object
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
-from _oracles import brute_force_p_gamma, central_difference, masked_train
+from _oracles import brute_force_p_gamma, central_difference, identity_rows, masked_train
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -75,7 +75,7 @@ def fd_gradient(net, dataset, cfg, which, index, step=1e-6):
 
 class TestGradients:
     def test_bias_gradient_of_zero_weight_net(self):
-        net = EqlNetwork(np.zeros((2, 2)), (ID, CONST), np.zeros(2), 1.5)
+        net = EqlNetwork(np.zeros((1, 2)), (ID, CONST), np.zeros(2), 1.5)
         dataset = Dataset(np.full((4, 2), 3.0))
         cfg = LossConfig(gamma=100.0)
         _, grads = gradients(net, dataset, cfg)
@@ -122,7 +122,8 @@ class TestGradients:
             h = int(rng.integers(1, 4))
             prims = tuple(ID if rng.random() < 0.7 else CONST for _ in range(h))
             w_out = rng.choice([-1.0, 1.0], size=h) * rng.uniform(0.1, 1.5, size=h)
-            net = EqlNetwork(rng.standard_normal((h, f)), prims, w_out, float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), prims)
+            net = EqlNetwork(w_in, prims, w_out, float(rng.standard_normal()))
             dataset = Dataset(rng.uniform(-2, 2, size=(n, f)))
             cfg = LossConfig(
                 alpha1=float(rng.uniform(0.1, 1.5)),
@@ -141,10 +142,10 @@ class TestGradients:
             if e.min() < 1e-4 or (gaps.size and gaps.min() < 1e-4):
                 continue
             _, grads = gradients(net, dataset, cfg)
+            for i, j in np.ndindex(w_in.shape):
+                fd = fd_gradient(net, dataset, cfg, "w_in", (i, j))
+                assert grads.d_w_in[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
             for i in range(h):
-                for j in range(f):
-                    fd = fd_gradient(net, dataset, cfg, "w_in", (i, j))
-                    assert grads.d_w_in[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
                 fd = fd_gradient(net, dataset, cfg, "w_out", i)
                 assert grads.d_w_out[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
             fd = fd_gradient(net, dataset, cfg, "b_out", None)
@@ -185,6 +186,7 @@ class TestGradients:
             w_in, w_out, b_out = rng.standard_normal((h, f)), rng.standard_normal(h), float(rng.standard_normal())
         w_in[rng.random((h, f)) < (0.3 if zeros else 0.0)] = 0.0
         w_out[rng.random(h) < (0.3 if zeros else 0.0)] = 0.0
+        w_in = identity_rows(w_in, prims)
         net = EqlNetwork(w_in, prims, w_out, b_out)
         dataset = Dataset(points)
         a1, a2, a3 = alphas
@@ -192,7 +194,7 @@ class TestGradients:
         near = None
         if warm:
             # The subset of a nearby network, as the previous epoch leaves it.
-            moved = EqlNetwork(w_in + 0.01 * rng.standard_normal((h, f)), prims, w_out, b_out)
+            moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), prims, w_out, b_out)
             near = gradients(moved, dataset, cfg)[1].subset
 
         # dz/dpred as one dense vector, term by term, then the chain rule
@@ -448,7 +450,7 @@ class TestInPlaceErrors:
         on = np.column_stack([4.0 - 2.0 * t, t])
         points = np.vstack([generate(self.CUT_SQUARE, n - t.size, seed=0).points, on])
         dataset = Dataset(points[rng.permutation(n)])
-        w_in = np.array([[1.0, 2.0], [0.5, -1.0]])
+        w_in = np.array([[1.0, 2.0]])
         if not on_cut:
             w_in = w_in + 0.01 * rng.standard_normal(w_in.shape)
         net = EqlNetwork(w_in, (ID, CONST), np.array([1.0, 0.0]), -4.0)
