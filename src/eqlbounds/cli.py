@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -110,6 +111,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+_RUN_FILE = re.compile(r"run-(\d+)-")
+
+
+def _first_stale_run_file(out_dir: Path, runs: int) -> Path | None:
+    """The first ``run-NN-*`` file in ``out_dir`` with NN >= ``runs``, in run then name order.
+
+    A train of ``runs`` runs writes runs 0 to ``runs - 1`` and would leave
+    such a file next to a summary that does not list it.
+    """
+    if not out_dir.is_dir():
+        return None
+    stale = []
+    for path in out_dir.iterdir():
+        match = _RUN_FILE.match(path.name)
+        if match and int(match.group(1)) >= runs:
+            stale.append((int(match.group(1)), path.name))
+    return out_dir / min(stale)[1] if stale else None
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     payload = read_json_object(args.config, "config") if args.config else {}
@@ -124,6 +144,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     loss_cfg, train_cfg = configs_from_mapping(payload)
 
     out_dir = Path(args.out_dir)
+    stale = _first_stale_run_file(out_dir, train_cfg.runs)
+    if stale is not None:
+        raise ValueError(f"{stale} is from an earlier train with more runs; remove it or choose another --out-dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     results = train_multi(dataset, loss_cfg, train_cfg)
 

@@ -19,6 +19,9 @@ in one function, :func:`loss_from_errors`, from the directional errors that
 ``dz/dpred``; it returns them as the :class:`LossBreakdown` that a training
 report records for each epoch, and ``dz/dpred`` in sparse form: one value
 shared by every prediction plus one per member of the percentile subset.
+Training does not call :func:`directional_errors`: the errors it passes are
+the array that ``forward_batch(net, dataset, direction)`` returned, the same
+bits computed in the forward pass itself.
 """
 
 from __future__ import annotations
@@ -36,24 +39,19 @@ def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
 
     LOWER (seeking ``bound <= f(x)``) uses ``0 - preds``; UPPER uses
     ``preds - 0``.  ``0 - preds`` is a subtraction, not a negation, so a
-    prediction of ``-0.0`` gives the error ``+0.0``.  The errors are a new
-    array; ``preds`` is never written to.
+    prediction of ``-0.0`` gives the error ``+0.0``, and UPPER makes no
+    pass.  The errors are a new array; ``preds`` is never written to.
+
+    This is the one formula for arbitrary predictions; for the network's
+    own, ``forward_batch(net, points, direction)`` gives the same bits in
+    the forward pass's array.
     """
     p_arr = np.array(preds, dtype=float)
     if p_arr.ndim != 1:
         raise ValueError(f"preds must be a vector, got shape {p_arr.shape}")
-    return _errors_in_place(p_arr, direction)
-
-
-def _errors_in_place(preds: np.ndarray, direction: Direction) -> np.ndarray:
-    """Overwrite a float vector of predictions with its directional errors.
-
-    The one definition of the errors.  UPPER makes no pass: ``p - 0.0`` is
-    ``p`` bit for bit, ``-0.0`` and NaN included.
-    """
     if direction is Direction.LOWER:
-        np.subtract(0.0, preds, out=preds)
-    return preds
+        np.subtract(0.0, p_arr, out=p_arr)
+    return p_arr
 
 
 # The fewest errors for which p_gamma_subset takes its warm start.  On a

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, _all_finite, _check_integer, _frozen, _real
+from .datamodel import Dataset, Direction, _all_finite, _check_integer, _frozen, _real
 
 
 class Primitive(Enum):
@@ -118,14 +118,27 @@ def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float)
     return d_w_in, d_w_out
 
 
-def forward_batch(net: EqlNetwork, points: np.ndarray | Dataset) -> np.ndarray:
+def forward_batch(
+    net: EqlNetwork, points: np.ndarray | Dataset, direction: Direction | None = None
+) -> np.ndarray:
     """Evaluate the network on every row of ``points`` (shape N x F).
 
     ``points`` may also be a :class:`Dataset`, whose points are evaluated.
     A dataset is checked finite and made read-only when it is built, so its
     points skip the N x F finiteness scan that an array argument gets; a
     training loop passes the same dataset every epoch.
+
+    With a ``direction`` the result is the directional errors against the
+    target 0, the bits :func:`~eqlbounds.loss.directional_errors` gives for
+    the predictions, in the same one pass over the product that adds ``c``:
+    LOWER computes ``(0 - c) - points @ a`` in the product's own array.
+    That is ``0 - (points @ a + c)`` bit for bit: rounding to nearest is
+    symmetric, and ``0 - c`` and ``0 - p`` both give ``+0.0`` at zero.
+    UPPER returns the predictions, since ``f(x) - 0`` is ``f(x)``.  Neither
+    ``points`` nor the network is written to.
     """
+    if direction is not None and not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction or None, got {direction!r}")
     known_finite = isinstance(points, Dataset)
     pts = points.points if known_finite else np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != net.n_features:
@@ -133,9 +146,11 @@ def forward_batch(net: EqlNetwork, points: np.ndarray | Dataset) -> np.ndarray:
     if not known_finite and not np.isfinite(pts).all():
         raise ValueError("points contain non-finite values")
     coeffs, offset = collapse_affine(net)
-    preds = pts @ coeffs
-    preds += offset
-    return preds
+    out = pts @ coeffs
+    if direction is Direction.LOWER:
+        return np.subtract(0.0 - offset, out, out=out)
+    out += offset
+    return out
 
 
 def initialize(

@@ -30,7 +30,7 @@ from .datamodel import (
     _write_csv,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import _errors_in_place, loss_from_errors
+from .loss import loss_from_errors
 from .network import EqlNetwork, apply_mask, collapse_affine, collapse_affine_grad, forward_batch, initialize
 
 
@@ -82,10 +82,11 @@ def gradients(
     the subset's rows: ``dz/dpred`` is one shared value plus one per subset
     member, and the shared value's share is a multiple of the dataset's
     column means, so no pass over all N points is made for it.  The errors
-    overwrite the predictions array that :func:`forward_batch` returned,
-    which no one else holds, so they cost no N-length array of their own.
+    come from :func:`forward_batch` given ``cfg.direction``: they are
+    computed in the product's own array, which no one else holds, so they
+    cost neither an N-length array nor a pass of their own.
     """
-    e = _errors_in_place(forward_batch(net, dataset), cfg.direction)
+    e = forward_batch(net, dataset, cfg.direction)
     breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
 
     # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).

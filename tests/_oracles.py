@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,23 @@ def network_checks(w_in, primitives, w_out, b_out):
         raise ValueError("network weights contain non-finite values")
     if not math.isfinite(b_out):
         raise ValueError(f"b_out must be finite, got {b_out!r}")
+
+
+def real_number(name, value):
+    """The package's rule for numbers as first written, with no fast path for a plain float.
+
+    Returns ``value`` as a finite float or raises the ``ValueError`` that
+    ``datamodel._real`` raises for it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def identity_rows(w_in, primitives):

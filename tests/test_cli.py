@@ -202,6 +202,20 @@ class TestTrain:
         for name in ("summary.json", "summary.txt", "run-00-constraint.json", "run-00-constraint.txt", "run-00-history.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
+    def test_fewer_runs_into_a_used_out_dir_is_input_error(self, square_low_csv, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        assert main(self.train_args(square_low_csv, out_dir, runs=3, seed=24)) == 0
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main(self.train_args(square_low_csv, out_dir, runs=1, seed=24)) == 2
+        stale = out_dir / "run-01-constraint.json"
+        assert capsys.readouterr().err == (
+            f"error: {stale} is from an earlier train with more runs; remove it or choose another --out-dir\n"
+        )
+        # Nothing is deleted or rewritten, and as many runs again is fine.
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+        assert main(self.train_args(square_low_csv, out_dir, runs=3, seed=24)) == 0
+
     def test_flag_overrides_config_file(self, square_low_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 5.0, "epochs": 25, "learning_rate": 1e-3}), encoding="utf-8")

@@ -3,10 +3,13 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,9 +42,10 @@ from eqlbounds import (
     save_constraint,
     save_dataset,
 )
+from eqlbounds.datamodel import _real
 from eqlbounds.network import _unit_flags
 
-from _oracles import csv_load
+from _oracles import csv_load, real_number
 
 
 def write(tmp_path, name, text):
@@ -694,6 +698,47 @@ class TestConstraintFiles:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_constraint(tmp_path / "absent.json")
+
+
+class FloatSubclass(float):
+    pass
+
+
+# Everything a caller or a file can hand the rule for numbers: plain floats
+# (the fast path) and every other kind of value it must treat as before.
+outside_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, sys.float_info.max]),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**1024, 2**1024 - 2**970]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(FloatSubclass),
+    st.fractions(),
+    st.sampled_from([Fraction(10**400), Fraction(1, 3)]),
+    st.decimals(),
+    st.text(max_size=5),
+    st.none(),
+)
+
+
+def rule_outcome(rule, value):
+    """("ok", type, bits) of what ``rule`` returns, or (exception type, message)."""
+    try:
+        number = rule("x", value)
+    except Exception as exc:  # the comparison covers every exception type
+        return type(exc), str(exc)
+    return "ok", type(number), number.hex()
+
+
+class TestRuleForNumbers:
+    """``datamodel._real``, with its plain-float fast path, against the rule as first written."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(value=outside_numbers)
+    def test_same_value_or_same_error_as_the_first_written_rule(self, value):
+        assert rule_outcome(_real, value) == rule_outcome(real_number, value)
 
 
 class TestLossConfig:

@@ -14,11 +14,13 @@ from _oracles import freeze, identity_rows, initial_draws, network_checks
 from eqlbounds import (
     DEFAULT_PRIMITIVES,
     Dataset,
+    Direction,
     EmptyDatasetError,
     EqlNetwork,
     Primitive,
     apply_mask,
     collapse_affine,
+    directional_errors,
     forward_batch,
     initialize,
 )
@@ -110,6 +112,74 @@ class TestForward:
             net = make_net(w_in, prims, rng.standard_normal(h), float(rng.standard_normal()))
             data = Dataset(rng.uniform(-50.0, 50.0, size=(n, f)))
             assert forward_batch(net, data).tobytes() == forward_batch(net, data.points).tobytes()
+
+
+# Signed zeros, subnormals and values far apart in magnitude, where the
+# sign of a zero and the rounding of the offset's addition show.
+OFFSETS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+tiny_or_plain = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0]) | st.floats(-1e50, 1e50)
+
+
+@st.composite
+def network_and_points(draw):
+    """A network whose offset ``c`` is one of OFFSETS, and points with exact zeros and subnormals.
+
+    The one constant unit's readout weight is ``±0.0``, so ``c`` is ``b_out``.
+    """
+    f = draw(st.integers(1, 3))
+    n_identity = draw(st.integers(0, 2))
+    prims = (ID,) * n_identity + (CONST,)
+    w_in = draw(hnp.arrays(float, (n_identity, f), elements=tiny_or_plain))
+    w_out = draw(hnp.arrays(float, n_identity, elements=tiny_or_plain))
+    w_out = np.append(w_out, draw(st.sampled_from([0.0, -0.0])))
+    net = EqlNetwork(w_in, prims, w_out, draw(st.sampled_from(OFFSETS)))
+    points = draw(hnp.arrays(float, (draw(st.integers(0, 40)), f), elements=tiny_or_plain))
+    return net, points
+
+
+class TestDirectionalForward:
+    """``forward_batch`` with a direction gives the directional errors in its own pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=network_and_points())
+    def test_same_bits_as_the_errors_of_the_predictions(self, drawn):
+        net, points = drawn
+        preds = forward_batch(net, points)
+        assert forward_batch(net, points, None).tobytes() == preds.tobytes()
+        for direction in Direction:
+            errors = forward_batch(net, points, direction)
+            assert errors.dtype == float and errors.shape == preds.shape
+            assert errors.tobytes() == directional_errors(preds, direction).tobytes(), direction
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        products=hnp.arrays(float, st.integers(1, 40), elements=tiny_or_plain | st.sampled_from([np.inf, -np.inf])),
+        offset=st.sampled_from(OFFSETS),
+    )
+    def test_one_pass_is_the_two_pass_formula(self, products, offset):
+        # The identity the LOWER pass rests on, also where the product or
+        # the offset is -0.0, which the collapse and the BLAS product here
+        # do not give: (0 - c) - p == 0 - (p + c), bit for bit.
+        assert np.subtract(0.0 - offset, products).tobytes() == (0.0 - (products + offset)).tobytes()
+
+    @pytest.mark.parametrize("direction", [None, *Direction], ids=str)
+    def test_leaves_its_inputs_unchanged(self, direction):
+        rng = np.random.default_rng(7)
+        net = make_net(rng.standard_normal((2, 2)), DEFAULT_PRIMITIVES, rng.standard_normal(4), 0.5)
+        points = rng.uniform(-5.0, 5.0, size=(50, 2))
+        data = Dataset(points.copy())
+        before = points.tobytes(), net.w_in.tobytes(), net.w_out.tobytes(), net.b_out
+        for argument in (points, data):
+            out = forward_batch(net, argument, direction)
+            assert not np.shares_memory(out, points) and not np.shares_memory(out, data.points)
+        assert (points.tobytes(), net.w_in.tobytes(), net.w_out.tobytes(), net.b_out) == before
+        assert data.points.tobytes() == points.tobytes() and not data.points.flags.writeable
+
+    @pytest.mark.parametrize("direction", ["lower", 1, True])
+    def test_rejects_a_direction_that_is_not_one_naming_it(self, direction):
+        net = make_net([[1.0]], (ID,), [1.0], 0.0)
+        with pytest.raises(ValueError, match=f"^direction must be a Direction or None, got {direction!r}$"):
+            forward_batch(net, np.ones((1, 1)), direction)
 
 
 class TestCollapse:

@@ -417,14 +417,14 @@ class TestWarmStart:
 
 
 class TestInPlaceErrors:
-    """``gradients`` overwrites forward_batch's array with the errors; the public path copies it."""
+    """``gradients`` takes the errors from its forward pass; the public path computes them from the predictions."""
 
     CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
 
     @staticmethod
-    def public_path(preds, net, dataset, cfg, near):
-        """The gather of ``gradients``, on what the public loss gives for ``preds``."""
-        e = directional_errors(preds, cfg.direction)
+    def public_path(net, dataset, cfg, near):
+        """The gather of ``gradients``, on what the public functions give as the errors."""
+        e = directional_errors(forward_batch(net, dataset), cfg.direction)
         breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
         mean_weight = fill * dataset.n_points
         d_b_out = float(np.add.reduce(d_sub)) + mean_weight
@@ -442,10 +442,12 @@ class TestInPlaceErrors:
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("n", [600, WARM_START_MIN_N + 600], ids=["cold", "warm"])
     @pytest.mark.parametrize("on_cut", [True, False], ids=["on-the-cut", "perturbed"])
-    def test_same_bits_as_the_public_path(self, direction, n, on_cut, monkeypatch):
+    def test_same_bits_as_the_public_path(self, direction, n, on_cut):
         rng = np.random.default_rng(n)
         # One row in six lies on the cut x0 + 2*x1 = 4, on a grid, so the
-        # network on the cut predicts exactly 0.0 there, many times over.
+        # network on the cut predicts exactly 0.0 there, many times over:
+        # the offset -4 cancels the product exactly.  (Signed zeros in the
+        # predictions and the offset are drawn in test_network.py.)
         t = rng.integers(-4, 5, n // 6) * 1.0
         on = np.column_stack([4.0 - 2.0 * t, t])
         points = np.vstack([generate(self.CUT_SQUARE, n - t.size, seed=0).points, on])
@@ -455,25 +457,13 @@ class TestInPlaceErrors:
             w_in = w_in + 0.01 * rng.standard_normal(w_in.shape)
         net = EqlNetwork(w_in, (ID, CONST), np.array([1.0, 0.0]), -4.0)
         cfg = LossConfig(direction=direction)
-
-        # forward_batch never gives -0.0 (an offset of +0.0 or a nonzero
-        # one rules it out), so half of the exact zeros are made -0.0 here.
-        def signed_zeros(net, points):
-            preds = forward_batch(net, points)
-            zeros = (preds == 0.0).nonzero()[0]
-            preds[zeros[::2]] = -0.0
-            return preds
-
-        monkeypatch.setattr(trainer, "forward_batch", signed_zeros)
-        preds = signed_zeros(net, dataset)
         if on_cut:
-            zeros = preds[preds == 0.0]
-            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+            assert np.count_nonzero(forward_batch(net, dataset) == 0.0) >= t.size
 
         moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.primitives, net.w_out, net.b_out)
         near = gradients(moved, dataset, cfg)[1].subset
         got = self.as_bytes(*gradients(net, dataset, cfg, near))
-        assert got == self.as_bytes(*self.public_path(preds, net, dataset, cfg, near))
+        assert got == self.as_bytes(*self.public_path(net, dataset, cfg, near))
 
     def test_a_warm_epoch_keeps_one_n_length_float_array(self):
         # From the warm start on, the selection makes no N-length float
