@@ -19,7 +19,6 @@ from eqlbounds import (
     EqlNetwork,
     LossConfig,
     Primitive,
-    directional_errors,
     forward_batch,
     gradients,
     loss_from_errors,
@@ -43,10 +42,11 @@ print("predictions     :", preds)          # 0.5*x - 1.0
 
 # For a LOWER constraint (surface <= data) the directional error is the
 # target y = 0 minus the prediction; positive error means the surface is
-# below.
+# below.  Given the direction, forward_batch returns these errors instead
+# of the predictions.
 cfg = LossConfig(alpha1=1.0, alpha2=0.5, alpha3=0.5, gamma=50.0,
                  direction=Direction.LOWER, l1=0.0, l2=0.0)
-errors = directional_errors(preds, cfg.direction)
+errors = forward_batch(net, data.points, cfg.direction)
 print("errors (y - f)  :", errors)
 
 # P_gamma picks the worst gamma-percent of points -- here the top 50%,
@@ -80,7 +80,7 @@ step = 1e-6
 def loss_at(w_out_0):
     shifted = EqlNetwork(net.w_in, net.primitives,
                          np.array([w_out_0, net.w_out[1]]), net.b_out)
-    shifted_errors = directional_errors(forward_batch(shifted, data.points), cfg.direction)
+    shifted_errors = forward_batch(shifted, data.points, cfg.direction)
     return loss_from_errors(shifted_errors, shifted, cfg)[0].z
 
 

@@ -46,7 +46,7 @@ from .extract import (
     violation_rate,
     violation_report,
 )
-from .loss import directional_errors, loss_from_errors, p_gamma_subset
+from .loss import loss_from_errors, p_gamma_subset
 from .network import (
     DEFAULT_PRIMITIVES,
     EqlNetwork,
@@ -98,7 +98,6 @@ __all__ = [
     "constraint_from_dict",
     "constraint_text",
     "constraint_to_dict",
-    "directional_errors",
     "export_history_csv",
     "extract_constraint",
     "forward_batch",

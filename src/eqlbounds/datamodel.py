@@ -89,9 +89,11 @@ class Dataset:
 
     The boundary-fitting protocol trains every row against the target 0,
     so no target is stored.  The points are copied and frozen on
-    construction.  Each feature name must be non-empty and free of
-    surrounding whitespace: :func:`load_dataset` strips header cells and
-    rejects empty ones, so only such names survive a save and reload.
+    construction.  Each feature name must be non-empty, be free of
+    surrounding whitespace and not start with a byte-order mark (U+FEFF):
+    :func:`load_dataset` strips header cells, rejects empty ones and drops
+    a byte-order mark at the start of the file, so only such names survive
+    a save and reload.
 
     ``column_means`` holds the mean of each feature column, computed once
     on construction and frozen like the points; the gradient of the loss's
@@ -124,6 +126,8 @@ class Dataset:
                 raise DatasetError(f"feature {i} has an empty name")
             if name != name.strip():
                 raise DatasetError(f"feature {i} name {name!r} has surrounding whitespace")
+            if name.startswith("\ufeff"):
+                raise DatasetError(f"feature {i} name {name!r} starts with a byte-order mark")
         object.__setattr__(self, "points", _frozen(pts))
         object.__setattr__(self, "feature_names", names)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -147,6 +151,8 @@ class Dataset:
 def load_dataset(path: str | Path) -> Dataset:
     """Read a CSV dataset (UTF-8, comma separated, mandatory header row).
 
+    A byte-order mark at the start of the file, as Excel's "CSV UTF-8"
+    writes, is dropped, so it does not become part of the first name.
     The header is the first row that is not blank, read by ``csv``: a
     quoted name keeps the commas and line breaks it holds, and every name
     is stripped of surrounding whitespace.  Below it, every line that is
@@ -171,7 +177,7 @@ def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     data = None
     try:
-        with path.open(encoding="utf-8", newline="") as stream:
+        with path.open(encoding="utf-8-sig", newline="") as stream:
             reader = csv.reader(stream)
             header = [cell.strip() for cell in next(filter(None, reader), [])]
             if header and all(header):
@@ -188,7 +194,12 @@ def load_dataset(path: str | Path) -> Dataset:
         pass  # Decoding, csv and cell errors alike: the error pass names them.
     if data is None or data.shape[1] != len(header) or not len(data) or not _all_finite(data):
         raise _first_fault(path)
-    return Dataset(data, feature_names=tuple(header))
+    try:
+        return Dataset(data, feature_names=tuple(header))
+    except DatasetError as exc:
+        # The header is stripped and has no empty name, so only a name that
+        # still starts with a byte-order mark gets here.
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 # The suffixes of the paths that NumPy opens as compressed files.
@@ -199,12 +210,13 @@ def _first_fault(path: Path) -> DatasetError:
     """The error for the first fault of the dataset file at ``path``, in file order.
 
     This is the error pass of :func:`load_dataset` and its only per-cell
-    loop.  It decodes the whole file, so a decoding error gives its
-    position in the file, reads the header as the bulk read does, then
-    splits the body into lines and cells as NumPy's C reader does.
+    loop.  It decodes the whole file as UTF-8, so a decoding error gives
+    its position in the file.  Then, as the bulk read does, it drops a
+    leading byte-order mark and reads the header, and it splits the body
+    into lines and cells as NumPy's C reader does.
     """
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         return DatasetError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:

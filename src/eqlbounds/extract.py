@@ -10,6 +10,8 @@ divisor is negative, so equivalent networks print the same inequality.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .datamodel import (
@@ -17,6 +19,7 @@ from .datamodel import (
     Dataset,
     Direction,
     LinearConstraint,
+    _all_finite,
     _real,
     constraint_to_dict,
     constraint_text,
@@ -53,7 +56,7 @@ def _canonicalize(coeffs: np.ndarray, bound: float, relation: Direction) -> Line
         a = a / divisor
         bound = bound / divisor
     a[lead] = 1.0
-    if not (np.isfinite(a).all() and np.isfinite(bound)):
+    if not (_all_finite(a) and math.isfinite(bound)):
         raise DegenerateConstraintError(
             f"dividing by the lead coefficient {float(divisor)!r} (index {lead}) overflows; "
             "no finite constraint can be formed"

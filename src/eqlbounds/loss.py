@@ -13,15 +13,14 @@ Three data terms plus regularization:
                   drifting off without limit,
 * ``term_reg``    l1/l2 penalty on the output-layer weights.
 
-The total ``z`` is the plain sum of the four terms.  All four are computed
-in one function, :func:`loss_from_errors`, from the directional errors that
-:func:`directional_errors` gives for the predictions, and together with
+The directional errors are what ``forward_batch(net, points, direction)``
+returns: the signed errors against the target 0, ``e = 0 - f(x)`` for a
+lower bound and ``e = f(x)`` for an upper one.  The total ``z`` is the plain
+sum of the four terms.  All four are computed in one function,
+:func:`loss_from_errors`, from those errors, and together with
 ``dz/dpred``; it returns them as the :class:`LossBreakdown` that a training
 report records for each epoch, and ``dz/dpred`` in sparse form: one value
 shared by every prediction plus one per member of the percentile subset.
-Training does not call :func:`directional_errors`: the errors it passes are
-the array that ``forward_batch(net, dataset, direction)`` returned, the same
-bits computed in the forward pass itself.
 """
 
 from __future__ import annotations
@@ -32,26 +31,6 @@ import numpy as np
 
 from .datamodel import Direction, LossBreakdown, LossConfig
 from .network import EqlNetwork
-
-
-def directional_errors(preds: np.ndarray, direction: Direction) -> np.ndarray:
-    """Signed errors against the target 0, oriented by the sought constraint direction.
-
-    LOWER (seeking ``bound <= f(x)``) uses ``0 - preds``; UPPER uses
-    ``preds - 0``.  ``0 - preds`` is a subtraction, not a negation, so a
-    prediction of ``-0.0`` gives the error ``+0.0``, and UPPER makes no
-    pass.  The errors are a new array; ``preds`` is never written to.
-
-    This is the one formula for arbitrary predictions; for the network's
-    own, ``forward_batch(net, points, direction)`` gives the same bits in
-    the forward pass's array.
-    """
-    p_arr = np.array(preds, dtype=float)
-    if p_arr.ndim != 1:
-        raise ValueError(f"preds must be a vector, got shape {p_arr.shape}")
-    if direction is Direction.LOWER:
-        np.subtract(0.0, p_arr, out=p_arr)
-    return p_arr
 
 
 # The fewest errors for which p_gamma_subset takes its warm start.  On a
@@ -145,7 +124,7 @@ def loss_from_errors(
 ) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
     """The full loss and ``dz/dpred`` from the directional errors ``e``.
 
-    ``e`` is what :func:`directional_errors` gives for ``cfg.direction``;
+    ``e`` is what ``forward_batch(net, points, cfg.direction)`` returns;
     it is read, never written to, so the caller's array comes back
     unchanged.
 

@@ -129,13 +129,14 @@ def forward_batch(
     training loop passes the same dataset every epoch.
 
     With a ``direction`` the result is the directional errors against the
-    target 0, the bits :func:`~eqlbounds.loss.directional_errors` gives for
-    the predictions, in the same one pass over the product that adds ``c``:
-    LOWER computes ``(0 - c) - points @ a`` in the product's own array.
-    That is ``0 - (points @ a + c)`` bit for bit: rounding to nearest is
-    symmetric, and ``0 - c`` and ``0 - p`` both give ``+0.0`` at zero.
-    UPPER returns the predictions, since ``f(x) - 0`` is ``f(x)``.  Neither
-    ``points`` nor the network is written to.
+    target 0 that the loss reads: ``0 - f(x)`` for LOWER (seeking
+    ``bound <= f(x)``) and ``f(x)`` for UPPER, since ``f(x) - 0`` is
+    ``f(x)``.  They cost no pass of their own: LOWER computes
+    ``(0 - c) - points @ a`` in the product's own array, in the one pass
+    that would otherwise add ``c``.  That is ``0 - (points @ a + c)`` bit
+    for bit: rounding to nearest is symmetric, and ``0 - c`` and ``0 - p``
+    both give ``+0.0`` at zero.  Neither ``points`` nor the network is
+    written to.
     """
     if direction is not None and not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or None, got {direction!r}")
@@ -143,7 +144,7 @@ def forward_batch(
     pts = points.points if known_finite else np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != net.n_features:
         raise ValueError(f"points must have shape (N, {net.n_features}), got {pts.shape}")
-    if not known_finite and not np.isfinite(pts).all():
+    if not known_finite and not _all_finite(pts):
         raise ValueError("points contain non-finite values")
     coeffs, offset = collapse_affine(net)
     out = pts @ coeffs

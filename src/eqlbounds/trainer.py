@@ -39,14 +39,14 @@ class DivergenceError(ArithmeticError):
 
     ``epoch`` is the first epoch whose starting parameters or loss are
     non-finite; it equals the epoch count when the final step produced them.
+    Non-finite parameters make that epoch's loss non-finite (through the
+    errors, or through ``term_reg``, where ``0 * inf`` is NaN), so the
+    message names the loss either way.
     """
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"loss became non-finite at epoch {epoch}")
-
-
-_PARAMS_DIVERGED = "parameters became non-finite at epoch {}"
+        super().__init__(f"loss became non-finite at epoch {epoch}")
 
 
 @dataclass(eq=False)
@@ -150,8 +150,9 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
                     net = apply_mask(net, threshold)
                 except ValueError as exc:
                     # The threshold is valid and apply_mask zeroes every masked
-                    # weight, so the one check left to fail is finiteness.
-                    raise DivergenceError(epoch + 1, _PARAMS_DIVERGED.format(epoch + 1)) from exc
+                    # weight, so the one check left to fail is finiteness: the
+                    # next epoch's loss would be non-finite.
+                    raise DivergenceError(epoch + 1) from exc
         # Only the final step can leave a non-finite loss unreported.  Every
         # parameter enters the collapse, so this also catches a non-finite
         # parameter, and a collapse that overflows from finite ones.

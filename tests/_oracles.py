@@ -54,6 +54,17 @@ def brute_force_p_gamma(e, gamma):
     return sorted(sorted(range(n), key=rank)[:k])
 
 
+def directional_errors(preds, direction):
+    """The signed errors against the target 0, one Python float at a time.
+
+    ``0.0 - p`` for LOWER, a subtraction, so a prediction of ``-0.0`` gives
+    ``+0.0``; ``p`` itself for UPPER.  Returns a new float array.
+    """
+    if direction is Direction.LOWER:
+        return np.array([0.0 - float(p) for p in preds], dtype=float)
+    return np.array([float(p) for p in preds], dtype=float)
+
+
 def freeze(weights, threshold):
     """Masking rule of ``apply_mask`` as first written, with two terms.
 
@@ -245,13 +256,16 @@ def scalar_sample(spec, n, seed, budget):
 def csv_load(path):
     """Read a CSV dataset converting and checking one cell at a time.
 
-    Same contract as ``load_dataset``: blank rows skipped, header names
-    stripped, and the first ragged row, non-numeric cell or non-finite cell
-    in file order raises, naming its row and column.
+    Same contract as ``load_dataset``: a leading byte-order mark dropped,
+    blank rows skipped, header names stripped, and the first ragged row,
+    non-numeric cell or non-finite cell in file order raises, naming its
+    row and column.
     """
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
+        if text.startswith("\ufeff"):
+            text = text[1:]
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -289,4 +303,7 @@ def csv_load(path):
             data[r - 1, c - 1] = value
     if data.shape[0] == 0:
         raise EmptyDatasetError(f"{path}: no data rows below the header")
-    return Dataset(data, feature_names=tuple(header))
+    try:
+        return Dataset(data, feature_names=tuple(header))
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None

@@ -17,7 +17,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from eqlbounds import (
     Dataset,
@@ -27,7 +26,6 @@ from eqlbounds import (
     Primitive,
     TrainConfig,
     collapse_affine,
-    directional_errors,
     extract_constraint,
     forward_batch,
     gradients,
@@ -66,8 +64,7 @@ def _criterion(capsys, number, label, body):
 
 
 def loss_value(net, dataset, cfg):
-    preds = forward_batch(net, dataset.points)
-    return loss_from_errors(directional_errors(preds, cfg.direction), net, cfg)[0].z
+    return loss_from_errors(forward_batch(net, dataset.points, cfg.direction), net, cfg)[0].z
 
 
 def perturbed(net, which, index, delta):

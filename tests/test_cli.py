@@ -298,7 +298,7 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(args) == 3
-        assert "non-finite at epoch 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: loss became non-finite at epoch 1\n"
 
     def test_overflowing_affine_collapse_after_the_last_step_exits_3(self, square_low_csv, tmp_path, capsys):
         # The last step leaves finite weights whose affine collapse overflows;
@@ -397,6 +397,16 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["expression"] == "0 <= 1.5*X0 + X1"
         assert (report["violations"], report["n"]) == (1, 2)
+
+    def test_byte_order_mark_stays_out_of_the_expression(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("X0,X1\n1,2\n-3,4\n", encoding="utf-8-sig")
+        cpath = tmp_path / "c.json"
+        save_constraint(LinearConstraint(np.array([0.5, 1.0]), 0.0, Direction.LOWER), cpath)
+        assert main(["eval", "--constraint", str(cpath), "--data", str(data), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["expression"] == "0 <= 0.5*X0 + X1"
+        assert "\ufeff" not in report["expression"]
 
     def test_missing_constraint_file(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from eqlbounds import datagen
 from eqlbounds import (
     BallCap,
-    Dataset,
     Direction,
     LinearCut,
     PAPER_PRESETS,

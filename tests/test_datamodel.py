@@ -8,7 +8,6 @@ import re
 import sys
 import tracemalloc
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -399,7 +398,10 @@ class TestLoadDataset:
         assert str(raised.value).startswith(f"{path}: field larger than field limit")
         assert str(raised.value) == str(expected.value)
 
-    @pytest.mark.parametrize("text", [b"X0\n1\xe9\n", b"X\xe90\n1\n", b"X0\n1\n" * 5000 + b"\xff\n"])
+    # After a byte-order mark the position stays a file offset, as the oracle gives it.
+    @pytest.mark.parametrize(
+        "text", [b"X0\n1\xe9\n", b"X\xe90\n1\n", b"X0\n1\n" * 5000 + b"\xff\n", b"\xef\xbb\xbfX0\n1\xe9\n"]
+    )
     def test_file_not_utf8_names_the_file(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_bytes(text)
@@ -407,6 +409,51 @@ class TestLoadDataset:
             load_dataset(path)
         assert str(raised.value).startswith(f"{path}: 'utf-8' codec can't decode")
         assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    @pytest.mark.parametrize("name", ["d.csv", "d.csv.gz"])
+    @pytest.mark.parametrize("lead", ["", "\n"], ids=["header-first", "blank-first"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, name, lead):
+        path = tmp_path / name
+        path.write_text(lead + "X0,X1\n1.0,2.0\n3.0,4.0\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = load_dataset(path)
+        assert ds.feature_names == ("X0", "X1")
+        assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    # Past the one at the start of the file, a mark stays in the name, which
+    # Dataset rejects; the error names the file, as every load error does.
+    @pytest.mark.parametrize(
+        "header, feature",
+        [("X0,\ufeffX1", "feature 1 name '\\ufeffX1'"), ("\ufeff\ufeffX0,X1", "feature 0 name '\\ufeffX0'")],
+        ids=["later-name", "doubled"],
+    )
+    def test_byte_order_mark_left_in_a_name_is_an_error_naming_the_file(self, tmp_path, header, feature):
+        path = write(tmp_path, "d.csv", header + "\n1,2\n")
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: {feature} starts with a byte-order mark"
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("1,2\n3,x\n", "non-numeric value 'x' at row 2, col 2"), ("1,2\n3\n", "row 2 has 1 cells, expected 2")],
+        ids=["non-numeric", "ragged"],
+    )
+    @pytest.mark.parametrize("lead", ["", "\n"], ids=["header-first", "blank-first"])
+    def test_byte_order_mark_moves_no_reported_position(self, tmp_path, body, message, lead):
+        # Before a blank line the mark must not count as a header of its own.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(lead + "X0,X1\n" + body, encoding="utf-8")
+        marked.write_text(lead + "X0,X1\n" + body, encoding="utf-8-sig")
+        with pytest.raises(DatasetError) as without_mark:
+            load_dataset(plain)
+        with pytest.raises(DatasetError) as with_mark:
+            load_dataset(marked)
+        assert str(without_mark.value) == f"{plain}: {message}"
+        assert str(with_mark.value) == f"{marked}: {message}"
+        assert _outcome(load_dataset, marked) == _outcome(csv_load, marked)
 
     def test_quoted_body_cell_is_not_a_number(self, tmp_path):
         path = write(tmp_path, "d.csv", 'X0\n"1\n2"\n')
@@ -502,15 +549,16 @@ class TestDatasetValidation:
             Dataset(np.ones((2, 2)), feature_names="XY")
 
     # Names that load_dataset could not give back: it rejects an empty
-    # header cell and strips the others.
+    # header cell, strips the others and drops a leading byte-order mark.
     @pytest.mark.parametrize(
         ("names", "message"),
         [
             (("", "b"), "feature 0 has an empty name"),
             ((" a", "b"), "feature 0 name ' a' has surrounding whitespace"),
             (("a", "b\t"), "feature 1 name 'b\\t' has surrounding whitespace"),
+            (("\ufeffa", "b"), "feature 0 name '\\ufeffa' starts with a byte-order mark"),
         ],
-        ids=["empty", "leading-space", "trailing-tab"],
+        ids=["empty", "leading-space", "trailing-tab", "byte-order-mark"],
     )
     def test_rejects_names_that_do_not_reload_naming_the_feature(self, names, message):
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):

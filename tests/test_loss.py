@@ -12,13 +12,12 @@ from eqlbounds import (
     EqlNetwork,
     LossConfig,
     Primitive,
-    directional_errors,
     loss_from_errors,
     p_gamma_subset,
 )
 from eqlbounds.loss import WARM_START_MIN_N
 
-from _oracles import brute_force_p_gamma
+from _oracles import brute_force_p_gamma, directional_errors
 
 ID = Primitive.IDENTITY
 CONST = Primitive.CONSTANT
@@ -39,37 +38,6 @@ def isolated_breakdown(preds, **cfg):
 def reg_term(net, l1, l2):
     """The regularization term of the loss at a perfect fit."""
     return loss_from_errors(np.zeros(1), net, LossConfig(l1=l1, l2=l2))[0].term_reg
-
-
-class TestDirectionalErrors:
-    def test_lower_bound_negates_excess(self):
-        assert np.array_equal(directional_errors([2.0], Direction.LOWER), [-2.0])
-
-    def test_upper_bound_keeps_excess(self):
-        assert np.array_equal(directional_errors([2.0], Direction.UPPER), [2.0])
-
-    def test_zero_when_predictions_match(self):
-        for d in Direction:
-            assert np.array_equal(directional_errors([0.0, 0.0], d), [0.0, 0.0])
-
-    def test_signs_of_zero_are_those_of_subtraction(self):
-        preds = np.array([0.0, -0.0])
-        lower = directional_errors(preds, Direction.LOWER)
-        upper = directional_errors(preds, Direction.UPPER)
-        assert np.signbit(lower).tolist() == np.signbit(np.zeros(2) - preds).tolist() == [False, False]
-        assert np.signbit(upper).tolist() == np.signbit(preds - np.zeros(2)).tolist() == [False, True]
-
-    def test_directions_are_antisymmetric(self):
-        rng = np.random.default_rng(7)
-        y, preds = rng.standard_normal(30), rng.standard_normal(30)
-        lower = directional_errors(preds - y, Direction.LOWER)
-        upper = directional_errors(preds - y, Direction.UPPER)
-        assert np.array_equal(lower, -upper)
-
-    def test_non_vector_rejected(self):
-        for preds in (np.zeros((2, 2)), np.float64(1.0)):
-            with pytest.raises(ValueError, match="vector"):
-                directional_errors(preds, Direction.LOWER)
 
 
 class TestTermE:
@@ -407,11 +375,6 @@ class TestCallerArraysUnchanged:
         net = reg_net([0.5, -1.0])
         e = directional_errors(preds, direction)
         near = p_gamma_subset(e + 0.01 * rng.standard_normal(n), cfg.gamma)
-        calls = {
-            "directional_errors": lambda: directional_errors(preds, direction),
-            "loss_from_errors": lambda: loss_from_errors(e, net, cfg, near),
-        }
-        for name, call in calls.items():
-            kept = preds.tobytes(), e.tobytes(), near.tobytes(), net.w_out.tobytes()
-            call()
-            assert (preds.tobytes(), e.tobytes(), near.tobytes(), net.w_out.tobytes()) == kept, name
+        kept = e.tobytes(), near.tobytes(), net.w_out.tobytes()
+        loss_from_errors(e, net, cfg, near)
+        assert (e.tobytes(), near.tobytes(), net.w_out.tobytes()) == kept

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import freeze, identity_rows, initial_draws, network_checks
+from _oracles import directional_errors, freeze, identity_rows, initial_draws, network_checks
 from eqlbounds import (
     DEFAULT_PRIMITIVES,
     Dataset,
@@ -20,7 +20,6 @@ from eqlbounds import (
     Primitive,
     apply_mask,
     collapse_affine,
-    directional_errors,
     forward_batch,
     initialize,
 )
@@ -139,6 +138,33 @@ def network_and_points(draw):
 
 class TestDirectionalForward:
     """``forward_batch`` with a direction gives the directional errors in its own pass."""
+
+    # f(x) = x on one feature, so the predictions are the points' one column.
+    UNIT = make_net([[1.0]], (ID,), [1.0], 0.0)
+
+    def errors(self, preds, direction):
+        return forward_batch(self.UNIT, np.array(preds, dtype=float).reshape(-1, 1), direction)
+
+    def test_lower_bound_negates_excess(self):
+        assert self.errors([2.0], Direction.LOWER).tolist() == [-2.0]
+
+    def test_upper_bound_keeps_excess(self):
+        assert self.errors([2.0], Direction.UPPER).tolist() == [2.0]
+
+    def test_zero_prediction_gives_positive_zero(self):
+        for direction in Direction:
+            errors = self.errors([0.0, 0.0], direction)
+            assert errors.tolist() == [0.0, 0.0] and not np.signbit(errors).any(), direction
+
+    def test_upper_keeps_the_bits_of_the_predictions(self):
+        points = np.random.default_rng(5).standard_normal((30, 2))
+        net = make_net([[0.5, -1.5]], (ID, CONST), [1.25, 0.75], -0.5)
+        assert forward_batch(net, points, Direction.UPPER).tobytes() == forward_batch(net, points).tobytes()
+
+    def test_directions_are_antisymmetric(self):
+        preds = np.random.default_rng(7).standard_normal(30)
+        assert np.all(preds != 0.0)
+        assert np.array_equal(self.errors(preds, Direction.LOWER), -self.errors(preds, Direction.UPPER))
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=network_and_points())

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "constraint_from_dict",
     "constraint_text",
     "constraint_to_dict",
-    "directional_errors",
     "export_history_csv",
     "extract_constraint",
     "forward_batch",
