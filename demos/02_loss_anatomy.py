@@ -18,7 +18,6 @@ from eqlbounds import (
     Direction,
     EqlNetwork,
     LossConfig,
-    Primitive,
     forward_batch,
     gradients,
     loss_from_errors,
@@ -29,14 +28,11 @@ from eqlbounds import (
 # A four-point dataset on a line and a network that is already an affine
 # function: one identity unit (slope) and one constant unit (offset).
 # w_in holds one row per identity unit; a constant unit has no input weights.
+# The first entries of w_out read the identity units, the rest the constant
+# units.
 # ---------------------------------------------------------------------------
 data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]))
-net = EqlNetwork(
-    w_in=np.array([[0.5]]),
-    primitives=(Primitive.IDENTITY, Primitive.CONSTANT),
-    w_out=np.array([1.0, -2.0]),
-    b_out=1.0,
-)
+net = EqlNetwork([[0.5]], [1.0, -2.0], 1.0)
 preds = forward_batch(net, data.points)
 print("predictions     :", preds)          # 0.5*x - 1.0
 
@@ -78,8 +74,7 @@ step = 1e-6
 
 
 def loss_at(w_out_0):
-    shifted = EqlNetwork(net.w_in, net.primitives,
-                         np.array([w_out_0, net.w_out[1]]), net.b_out)
+    shifted = EqlNetwork(net.w_in, [w_out_0, net.w_out[1]], net.b_out)
     shifted_errors = forward_batch(shifted, data.points, cfg.direction)
     return loss_from_errors(shifted_errors, shifted, cfg)[0].z
 

@@ -48,9 +48,7 @@ from .extract import (
 )
 from .loss import loss_from_errors, p_gamma_subset
 from .network import (
-    DEFAULT_PRIMITIVES,
     EqlNetwork,
-    Primitive,
     apply_mask,
     collapse_affine,
     forward_batch,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallCap",
     "COEFF_EPS",
-    "DEFAULT_PRIMITIVES",
     "Dataset",
     "DatasetError",
     "DegenerateConstraintError",
@@ -86,7 +83,6 @@ __all__ = [
     "LossConfig",
     "NonNumericError",
     "PAPER_PRESETS",
-    "Primitive",
     "RaggedRowError",
     "RegionSpec",
     "RejectionBudgetExceededError",

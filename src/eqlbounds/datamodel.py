@@ -414,10 +414,11 @@ def read_json_object(path: str | Path, what: str) -> dict:
 
     Every failure (unreadable file, invalid JSON, nesting too deep, an int
     past Python's digit limit, any other top-level value) raises ValueError
-    naming the path; ``what`` says which kind of file was expected.
+    naming the path; ``what`` says which kind of file was expected.  A
+    leading UTF-8 byte-order mark is dropped, as ``load_dataset`` drops it.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):

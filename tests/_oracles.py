@@ -22,7 +22,6 @@ from eqlbounds import (
     EmptyDatasetError,
     EqlNetwork,
     NonNumericError,
-    Primitive,
     RaggedRowError,
     RejectionBudgetExceededError,
     TrainReport,
@@ -32,6 +31,10 @@ from eqlbounds import (
     initialize,
     violation_rate,
 )
+
+# Unit counts (identity, constant) that property tests draw a network's
+# layout from: each 0 to 3, at least one unit.
+LAYOUTS = [(n_identity, n_constant) for n_identity in range(4) for n_constant in range(4) if n_identity + n_constant]
 
 
 def brute_force_p_gamma(e, gamma):
@@ -86,14 +89,14 @@ def masked_train(dataset, loss_cfg, train_cfg):
     ``(w_in, w_out, b_out)`` and the ``TrainReport``.
     """
     net = initialize(dataset, seed=train_cfg.seed)
-    prims, w_in, w_out, b_out = net.primitives, net.w_in, net.w_out, net.b_out
+    w_in, w_out, b_out = net.w_in, net.w_out, net.b_out
     lr, threshold = train_cfg.learning_rate, train_cfg.mask_threshold
     mask_in = np.zeros(w_in.shape, dtype=bool)
     mask_out = np.zeros(w_out.shape, dtype=bool)
     records, near = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
-            breakdown, grads = gradients(EqlNetwork(w_in, prims, w_out, b_out), dataset, loss_cfg, near)
+            breakdown, grads = gradients(EqlNetwork(w_in, w_out, b_out), dataset, loss_cfg, near)
             near = grads.subset
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
@@ -113,7 +116,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
                     raise DivergenceError(epoch + 1)
         if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
             raise DivergenceError(train_cfg.epochs)
-        final = EqlNetwork(w_in, prims, w_out, b_out)
+        final = EqlNetwork(w_in, w_out, b_out)
         coeffs, offset = collapse_affine(final)
         if not (np.isfinite(coeffs).all() and math.isfinite(offset)):
             raise DivergenceError(train_cfg.epochs)
@@ -122,7 +125,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
     return (w_in, w_out, b_out), report
 
 
-def network_checks(w_in, primitives, w_out, b_out):
+def network_checks(w_in, w_out, b_out):
     """Checks of ``EqlNetwork`` construction, written out one by one, in order.
 
     Raises the ``ValueError`` the constructor raises for the same input;
@@ -130,14 +133,16 @@ def network_checks(w_in, primitives, w_out, b_out):
     """
     w_in = np.array(w_in, dtype=float)
     w_out = np.array(w_out, dtype=float)
-    prims = tuple(primitives)
-    if len(prims) == 0 or not all(isinstance(p, Primitive) for p in prims):
-        raise ValueError("primitives must be one or more Primitive values")
-    n_identity = sum(1 for p in prims if p is Primitive.IDENTITY)
-    if w_in.ndim != 2 or w_in.shape[0] != n_identity or w_in.shape[1] == 0:
-        raise ValueError(f"w_in needs one row per identity unit, shape ({n_identity}, F >= 1), got {w_in.shape}")
-    if w_out.shape != (len(prims),):
-        raise ValueError(f"w_out must have shape ({len(prims)},), got {w_out.shape}")
+    if w_in.ndim != 2 or w_in.shape[1] == 0:
+        raise ValueError(f"w_in needs one row per identity unit, shape (H_id, F >= 1), got {w_in.shape}")
+    n_identity = len(w_in)
+    shape_error = ValueError(f"w_out must have shape (H,) with H >= max(1, {n_identity}), got {w_out.shape}")
+    if w_out.ndim != 1:
+        raise shape_error
+    if len(w_out) == 0:
+        raise shape_error
+    if len(w_out) < n_identity:
+        raise shape_error
     if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
         raise ValueError("network weights contain non-finite values")
     if not math.isfinite(b_out):
@@ -161,17 +166,18 @@ def real_number(name, value):
     return number
 
 
-def identity_rows(w_in, primitives):
-    """The rows of a full-height (H, F) symbolic layer that a network holds: the identity units'."""
-    return np.asarray(w_in)[[p is Primitive.IDENTITY for p in primitives]]
+def identity_rows(w_in, n_identity):
+    """The rows of a full-height (H, F) symbolic layer that a network holds: the identity units', which come first."""
+    return np.asarray(w_in)[[unit < n_identity for unit in range(len(w_in))]]
 
 
-def initial_draws(dataset, primitives, seed):
-    """``initialize``'s random draws, one number at a time: the full (H, F)
-    symbolic layer, then the readout, then the output bias.
+def initial_draws(dataset, seed):
+    """``initialize``'s random draws, one number at a time, for its two
+    identity and two constant units: the full (4, F) symbolic layer, then
+    the readout, then the output bias.
     """
     rng = np.random.default_rng(seed)
-    h, f = len(primitives), dataset.n_features
+    h, f = 4, dataset.n_features
     limit_in, limit_out = math.sqrt(6.0 / (f + h)), math.sqrt(6.0 / (h + 1))
     w_in = np.array([[rng.uniform(-limit_in, limit_in) for _ in range(f)] for _ in range(h)])
     w_out = np.array([rng.uniform(-limit_out, limit_out) for _ in range(h)])
@@ -187,18 +193,17 @@ def central_difference(fn, x0, step=1e-6):
 def network_output(net, x):
     """Evaluate the network on one point unit by unit, in pure Python.
 
-    An identity unit outputs the weighted sum of the inputs with its row of
-    ``w_in``, a constant unit outputs 1; the readout weights the unit
-    outputs and adds the bias.
+    Unit ``u`` is an identity unit when ``w_in`` has a row ``u`` (the
+    identity units come first) and outputs the weighted sum of the inputs
+    with that row; every later unit is a constant unit and outputs 1.  The
+    readout weights the unit outputs and adds the bias.
     """
-    units, rows = [], iter(net.w_in)
-    for primitive in net.primitives:
-        if primitive is Primitive.IDENTITY:
-            units.append(sum(float(w) * float(v) for w, v in zip(next(rows), x)))
-        elif primitive is Primitive.CONSTANT:
-            units.append(1.0)
+    units = []
+    for unit in range(len(net.w_out)):
+        if unit < len(net.w_in):
+            units.append(sum(float(w) * float(v) for w, v in zip(net.w_in[unit], x)))
         else:
-            raise ValueError(f"no reference for primitive {primitive}")
+            units.append(1.0)
     return sum(float(w) * u for w, u in zip(net.w_out, units)) + float(net.b_out)
 
 

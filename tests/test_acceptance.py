@@ -23,7 +23,6 @@ from eqlbounds import (
     Direction,
     EqlNetwork,
     LossConfig,
-    Primitive,
     TrainConfig,
     collapse_affine,
     extract_constraint,
@@ -37,10 +36,7 @@ from eqlbounds import (
     violation_rate,
 )
 
-from _oracles import brute_force_p_gamma, identity_rows, network_output, recount_violations
-
-ID = Primitive.IDENTITY
-CONST = Primitive.CONSTANT
+from _oracles import LAYOUTS, brute_force_p_gamma, identity_rows, network_output, recount_violations
 
 TUNED_LR = 1e-3
 MASK_THRESHOLD = 0.001
@@ -75,7 +71,7 @@ def perturbed(net, which, index, delta):
         w_out[index] += delta
     else:
         b_out += delta
-    return EqlNetwork(w_in, net.primitives, w_out, b_out)
+    return EqlNetwork(w_in, w_out, b_out)
 
 
 def fd(net, dataset, cfg, which, index, step=1e-6):
@@ -96,11 +92,11 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
             assert attempts < 600, "too many tie-skipped draws"
             n = int(rng.integers(3, 17))
             f = int(rng.integers(1, 5))
-            h = int(rng.integers(1, 6))
-            prims = tuple(ID if rng.random() < 0.7 else CONST for _ in range(h))
+            n_identity, n_constant = LAYOUTS[rng.integers(len(LAYOUTS))]
+            h = n_identity + n_constant
             w_out = rng.choice([-1.0, 1.0], size=h) * rng.uniform(0.1, 1.5, size=h)
-            w_in = identity_rows(rng.standard_normal((h, f)), prims)
-            net = EqlNetwork(w_in, prims, w_out, float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), n_identity)
+            net = EqlNetwork(w_in, w_out, float(rng.standard_normal()))
             dataset = Dataset(rng.uniform(-3, 3, size=(n, f)))
             cfg = LossConfig(
                 alpha1=float(rng.uniform(0.05, 1.5)),
@@ -170,12 +166,11 @@ def test_criterion_3_extraction_matches_forward(capsys):
         rng = np.random.default_rng(303)
         worst = 0.0
         for _ in range(200):
-            h = int(rng.integers(1, 7))
+            n_identity, n_constant = LAYOUTS[rng.integers(len(LAYOUTS))]
+            h = n_identity + n_constant
             f = int(rng.integers(1, 5))
-            prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
             net = EqlNetwork(
-                identity_rows(rng.standard_normal((h, f)), prims),
-                prims,
+                identity_rows(rng.standard_normal((h, f)), n_identity),
                 rng.standard_normal(h),
                 float(rng.standard_normal()),
             )
@@ -210,7 +205,6 @@ def test_criterion_4_violation_rate_matches_recount(capsys):
             for _ in range(3):
                 net = EqlNetwork(
                     rng.standard_normal((3, data.n_features))[:2],
-                    (ID, ID, CONST),
                     rng.standard_normal(3),
                     float(rng.standard_normal()),
                 )

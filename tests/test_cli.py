@@ -11,7 +11,7 @@ import pytest
 
 import re
 
-from eqlbounds import EqlNetwork, LossConfig, Primitive, TrainConfig, cli, trainer
+from eqlbounds import EqlNetwork, LossConfig, TrainConfig, cli, trainer
 from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint, save_dataset, save_region_spec
 from eqlbounds import Dataset, LinearCut, RegionSpec
 from eqlbounds import configs_from_mapping, load_constraint, load_region_spec
@@ -318,7 +318,7 @@ class TestTrain:
         save_dataset(Dataset(points), tmp_path / "d.csv")
 
         def fit(dataset, seed):
-            return EqlNetwork(np.array([[1e301, 1e-8]]), (Primitive.IDENTITY,), np.array([1.0]), 0.0)
+            return EqlNetwork(np.array([[1e301, 1e-8]]), np.array([1.0]), 0.0)
 
         monkeypatch.setattr(trainer, "initialize", fit)
         args = self.train_args(tmp_path / "d.csv", tmp_path / "r", epochs=1, learning_rate=1e-12) + ["--no-mask"]
@@ -506,6 +506,25 @@ class TestJsonFiles:
             assert main(command(str(path), str(square_low_csv), str(out))) == 2
             assert str(path) in capsys.readouterr().err
             assert not out.exists()
+
+    # A valid payload of each kind, for a two-feature dataset.
+    VALID = {
+        "spec": {"box": [[0.0, 1.0], [0.0, 2.0]]},
+        "config": {"gamma": 2.5, "epochs": 3},
+        "constraint": {"coeffs": [0.5, 1.0], "bound": 2.0, "relation": "lower"},
+    }
+
+    # A leading UTF-8 byte-order mark, as some editors save one, is dropped,
+    # as load_dataset drops it.
+    @pytest.mark.parametrize("kind", list(READERS))
+    def test_byte_order_mark_is_dropped(self, kind, square_low_csv, tmp_path):
+        loader, command = self.READERS[kind]
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        body = json.dumps(self.VALID[kind]).encode("utf-8")
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert repr(loader(marked)) == repr(loader(plain))
+        assert main(command(str(marked), str(square_low_csv), str(tmp_path / "out"))) == 0
 
     # A 401-digit integer in each kind of file, and the field it lands in.
     HUGE = {

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eqlbounds import (
-    DEFAULT_PRIMITIVES,
     BallCap,
     Dataset,
     DatasetError,
@@ -42,7 +41,6 @@ from eqlbounds import (
     save_dataset,
 )
 from eqlbounds.datamodel import _real
-from eqlbounds.network import _unit_flags
 
 from _oracles import csv_load, real_number
 
@@ -581,8 +579,6 @@ OWNED_ARRAYS = {
     "LinearCut.coeffs": lambda: LinearCut([1.0, 2.0], 4.0).coeffs,
     "BallCap.center": lambda: BallCap([0.0, 0.0], 1.0).center,
     "RegionSpec.box": lambda: RegionSpec([[0.0, 1.0], [0.0, 2.0]]).box,
-    "_unit_flags.is_identity": lambda: _unit_flags(DEFAULT_PRIMITIVES)[0],
-    "_unit_flags.is_constant": lambda: _unit_flags(DEFAULT_PRIMITIVES)[1],
 }
 
 

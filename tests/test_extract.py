@@ -14,7 +14,6 @@ from eqlbounds import (
     EqlNetwork,
     LinearConstraint,
     LinearCut,
-    Primitive,
     RegionSpec,
     collapse_affine,
     constraint_text,
@@ -27,19 +26,16 @@ from eqlbounds import (
     violation_report,
 )
 
-from _oracles import identity_rows, network_output, recount_violations
-
-ID = Primitive.IDENTITY
-CONST = Primitive.CONSTANT
+from _oracles import LAYOUTS, identity_rows, network_output, recount_violations
 
 
-def random_net(rng, h=None, f=None):
-    h = h or int(rng.integers(1, 6))
+def random_net(rng, f=None):
+    """A network of a layout drawn from LAYOUTS, with normal weights."""
+    n_identity, n_constant = LAYOUTS[rng.integers(len(LAYOUTS))]
+    h = n_identity + n_constant
     f = f or int(rng.integers(1, 5))
-    prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
     return EqlNetwork(
-        identity_rows(rng.standard_normal((h, f)), prims),
-        prims,
+        identity_rows(rng.standard_normal((h, f)), n_identity),
         rng.standard_normal(h),
         float(rng.standard_normal()),
     )
@@ -57,7 +53,7 @@ class TestCollapseAffine:
                 assert np.max(np.abs(computed - expected)) <= 1e-9
 
     def test_constant_units_feed_offset(self):
-        net = EqlNetwork(np.array([[2.0]]), (ID, CONST), np.array([3.0, 5.0]), 1.5)
+        net = EqlNetwork(np.array([[2.0]]), np.array([3.0, 5.0]), 1.5)
         a, c = collapse_affine(net)
         assert np.array_equal(a, [6.0])
         assert c == 6.5
@@ -69,7 +65,6 @@ class TestExtractConstraint:
         # collapses to a = [0.4772, 1.0]; constants bring c to -2.1469.
         net = EqlNetwork(
             np.array([[0.9544, 2.0]]),
-            (ID, CONST),
             np.array([0.5, -3.1469]),
             1.0,
         )
@@ -85,7 +80,6 @@ class TestExtractConstraint:
         # lower bound into "X1 <= 2".
         net = EqlNetwork(
             np.array([[0.0, -2.0]]),
-            (ID, CONST),
             np.array([1.0, 3.0]),
             1.0,
         )
@@ -96,7 +90,7 @@ class TestExtractConstraint:
         assert constraint_text(constraint) == "X1 <= 2"
 
     def test_zero_network_is_degenerate(self):
-        net = EqlNetwork(np.zeros((1, 2)), (ID, CONST), np.zeros(2), 5.0)
+        net = EqlNetwork(np.zeros((1, 2)), np.zeros(2), 5.0)
         with pytest.raises(DegenerateConstraintError):
             extract_constraint(net, Direction.LOWER)
 
@@ -107,7 +101,7 @@ class TestExtractConstraint:
         "w_in, b_out", [([[1e301, 1e-8]], 0.0), ([[0.0, 1e-8]], 1e301)], ids=["coefficient", "bound"]
     )
     def test_overflowing_canonical_form_is_degenerate(self, w_in, b_out):
-        net = EqlNetwork(np.array(w_in), (ID,), np.array([1.0]), b_out)
+        net = EqlNetwork(np.array(w_in), np.array([1.0]), b_out)
         with pytest.raises(DegenerateConstraintError, match=r"lead coefficient 1e-08 \(index 1\) overflows"):
             extract_constraint(net, Direction.LOWER)
 
@@ -116,7 +110,6 @@ class TestExtractConstraint:
         # the middle one becomes the canonical lead instead.
         net = EqlNetwork(
             np.array([[3.0, 2.0, 1e-12]]),
-            (ID,),
             np.array([1.0]),
             0.0,
         )
@@ -150,7 +143,6 @@ class TestExtractConstraint:
     def test_masked_slopes_leave_zero_coefficients(self):
         net = EqlNetwork(
             np.array([[0.0, 1.3], [0.4, 0.2]]),
-            (ID, ID),
             np.array([0.8, 0.0]),
             -1.0,
         )
@@ -175,8 +167,8 @@ class TestScaleInvariance:
     )
     def test_scaled_collapse_gives_the_same_constraint(self, coeffs, offset, scale, direction):
         assert 1e-6 * 2.0**-8 > COEFF_EPS
-        base = EqlNetwork(np.array([coeffs]), (ID,), np.array([1.0]), offset)
-        scaled = EqlNetwork(np.array([coeffs]), (ID,), np.array([scale]), scale * offset)
+        base = EqlNetwork(np.array([coeffs]), np.array([1.0]), offset)
+        scaled = EqlNetwork(np.array([coeffs]), np.array([scale]), scale * offset)
         a, c = collapse_affine(scaled)
         assert np.array_equal(a, scale * np.array(coeffs))
         assert c == scale * offset

@@ -11,7 +11,6 @@ from eqlbounds import (
     Direction,
     EqlNetwork,
     LossConfig,
-    Primitive,
     loss_from_errors,
     p_gamma_subset,
 )
@@ -19,14 +18,11 @@ from eqlbounds.loss import WARM_START_MIN_N
 
 from _oracles import brute_force_p_gamma, directional_errors
 
-ID = Primitive.IDENTITY
-CONST = Primitive.CONSTANT
-
 
 def reg_net(w_out):
     w_out = np.asarray(w_out, dtype=float)
     h = w_out.size
-    return EqlNetwork(np.zeros((h, 1)), (ID,) * h, w_out, 0.0)
+    return EqlNetwork(np.zeros((h, 1)), w_out, 0.0)
 
 
 def isolated_breakdown(preds, **cfg):
@@ -220,7 +216,7 @@ class TestTermReg:
         assert reg_term(reg_net([0.0, 0.0]), 0.5, 0.5) == 0.0
 
     def test_input_weights_not_penalized(self):
-        net = EqlNetwork(np.full((2, 3), 100.0), (ID, ID), np.array([1.0, -2.0]), 0.0)
+        net = EqlNetwork(np.full((2, 3), 100.0), np.array([1.0, -2.0]), 0.0)
         assert reg_term(net, 0.05, 0.05) == pytest.approx(0.40, abs=1e-15)
 
 

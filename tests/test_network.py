@@ -10,63 +10,64 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import directional_errors, freeze, identity_rows, initial_draws, network_checks
+from _oracles import LAYOUTS, directional_errors, freeze, identity_rows, initial_draws, network_checks
 from eqlbounds import (
-    DEFAULT_PRIMITIVES,
     Dataset,
     Direction,
     EmptyDatasetError,
     EqlNetwork,
-    Primitive,
     apply_mask,
     collapse_affine,
     forward_batch,
     initialize,
 )
-from eqlbounds.network import _unit_flags
-
-ID = Primitive.IDENTITY
-CONST = Primitive.CONSTANT
 
 
-def make_net(w_in, primitives, w_out, b_out):
-    return EqlNetwork(np.array(w_in, dtype=float), tuple(primitives), np.array(w_out, dtype=float), b_out)
+def make_net(w_in, w_out, b_out):
+    return EqlNetwork(np.array(w_in, dtype=float), np.array(w_out, dtype=float), b_out)
+
+
+def random_net(rng, f):
+    """A network of a layout drawn from LAYOUTS, with normal weights."""
+    n_identity, n_constant = LAYOUTS[rng.integers(len(LAYOUTS))]
+    h = n_identity + n_constant
+    w_in = identity_rows(rng.standard_normal((h, f)), n_identity)
+    return make_net(w_in, rng.standard_normal(h), float(rng.standard_normal()))
 
 
 class TestForward:
     def test_zero_weights_return_bias(self):
-        net = make_net([[0.0, 0.0]], (ID,), [0.0], 3.5)
+        net = make_net([[0.0, 0.0]], [0.0], 3.5)
         assert forward_batch(net, np.array([[17.0, -4.0]]))[0] == 3.5
         assert forward_batch(net, np.zeros((1, 2)))[0] == 3.5
 
     def test_single_identity_path(self):
-        net = make_net([[2.0, 0.0]], (ID,), [1.0], 0.0)
+        net = make_net([[2.0, 0.0]], [1.0], 0.0)
         assert forward_batch(net, np.array([[1.5, 9.0]]))[0] == 3.0
 
     def test_identity_plus_constant(self):
-        net = make_net([[1.0, 1.0]], (ID, CONST), [2.0, 5.0], 1.0)
+        net = make_net([[1.0, 1.0]], [2.0, 5.0], 1.0)
         assert forward_batch(net, np.array([[1.0, 2.0]]))[0] == 12.0
 
     def test_all_constant_network_holds_no_input_weights(self):
-        net = make_net(np.empty((0, 2)), (CONST, CONST), [2.0, 0.5], 1.0)
+        net = make_net(np.empty((0, 2)), [2.0, 0.5], 1.0)
         assert net.n_features == 2
         assert forward_batch(net, np.array([[3.0, 4.0], [-7.0, 1e6]])).tolist() == [3.5, 3.5]
 
     def test_batch_matches_single(self):
-        net = make_net([[2.0, 0.0]], (ID,), [1.0], 0.0)
+        net = make_net([[2.0, 0.0]], [1.0], 0.0)
         rows = np.array([[1.5, 9.0], [-2.0, 1.0]])
         out = forward_batch(net, rows)
         assert out[0] == 3.0
         assert out[1] == forward_batch(net, rows[1][None, :])[0]
 
     def test_empty_batch(self):
-        net = make_net([[1.0]], (ID,), [1.0], 0.0)
+        net = make_net([[1.0]], [1.0], 0.0)
         assert forward_batch(net, np.empty((0, 1))).shape == (0,)
 
     def test_identical_rows_give_constant_vector(self):
         rng = np.random.default_rng(0)
-        prims = (ID, CONST, ID)
-        net = make_net(identity_rows(rng.standard_normal((3, 2)), prims), prims, rng.standard_normal(3), 0.7)
+        net = make_net(identity_rows(rng.standard_normal((3, 2)), 2), rng.standard_normal(3), 0.7)
         rows = np.tile(rng.standard_normal(2), (5, 1))
         out = forward_batch(net, rows)
         assert np.all(out == out[0])
@@ -74,11 +75,8 @@ class TestForward:
     def test_affine_combination_property(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            h = int(rng.integers(1, 5))
             f = int(rng.integers(1, 4))
-            prims = tuple(ID if rng.random() < 0.5 else CONST for _ in range(h))
-            w_in = identity_rows(rng.standard_normal((h, f)), prims)
-            net = make_net(w_in, prims, rng.standard_normal(h), float(rng.standard_normal()))
+            net = random_net(rng, f)
             x1, x2 = rng.standard_normal(f), rng.standard_normal(f)
             a = float(rng.uniform(-1, 2))
             mixed = forward_batch(net, (a * x1 + (1 - a) * x2)[None, :])[0]
@@ -86,7 +84,7 @@ class TestForward:
             assert abs(mixed - combined) <= 1e-9
 
     def test_rejects_wrong_shape(self):
-        net = make_net([[1.0, 2.0]], (ID,), [1.0], 0.0)
+        net = make_net([[1.0, 2.0]], [1.0], 0.0)
         with pytest.raises(ValueError):
             forward_batch(net, np.array([[1.0]]))
         with pytest.raises(ValueError):
@@ -95,7 +93,7 @@ class TestForward:
             forward_batch(net, Dataset(np.ones((2, 3))))
 
     def test_rejects_non_finite_input(self):
-        net = make_net([[1.0]], (ID,), [1.0], 0.0)
+        net = make_net([[1.0]], [1.0], 0.0)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 forward_batch(net, np.array([[bad]]))
@@ -105,10 +103,8 @@ class TestForward:
     def test_dataset_argument_matches_its_points_bit_for_bit(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            h, f, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 300))
-            prims = tuple(ID if rng.random() < 0.5 else CONST for _ in range(h))
-            w_in = identity_rows(rng.standard_normal((h, f)), prims)
-            net = make_net(w_in, prims, rng.standard_normal(h), float(rng.standard_normal()))
+            f, n = int(rng.integers(1, 4)), int(rng.integers(1, 300))
+            net = random_net(rng, f)
             data = Dataset(rng.uniform(-50.0, 50.0, size=(n, f)))
             assert forward_batch(net, data).tobytes() == forward_batch(net, data.points).tobytes()
 
@@ -127,11 +123,10 @@ def network_and_points(draw):
     """
     f = draw(st.integers(1, 3))
     n_identity = draw(st.integers(0, 2))
-    prims = (ID,) * n_identity + (CONST,)
     w_in = draw(hnp.arrays(float, (n_identity, f), elements=tiny_or_plain))
     w_out = draw(hnp.arrays(float, n_identity, elements=tiny_or_plain))
     w_out = np.append(w_out, draw(st.sampled_from([0.0, -0.0])))
-    net = EqlNetwork(w_in, prims, w_out, draw(st.sampled_from(OFFSETS)))
+    net = EqlNetwork(w_in, w_out, draw(st.sampled_from(OFFSETS)))
     points = draw(hnp.arrays(float, (draw(st.integers(0, 40)), f), elements=tiny_or_plain))
     return net, points
 
@@ -140,7 +135,7 @@ class TestDirectionalForward:
     """``forward_batch`` with a direction gives the directional errors in its own pass."""
 
     # f(x) = x on one feature, so the predictions are the points' one column.
-    UNIT = make_net([[1.0]], (ID,), [1.0], 0.0)
+    UNIT = make_net([[1.0]], [1.0], 0.0)
 
     def errors(self, preds, direction):
         return forward_batch(self.UNIT, np.array(preds, dtype=float).reshape(-1, 1), direction)
@@ -158,7 +153,7 @@ class TestDirectionalForward:
 
     def test_upper_keeps_the_bits_of_the_predictions(self):
         points = np.random.default_rng(5).standard_normal((30, 2))
-        net = make_net([[0.5, -1.5]], (ID, CONST), [1.25, 0.75], -0.5)
+        net = make_net([[0.5, -1.5]], [1.25, 0.75], -0.5)
         assert forward_batch(net, points, Direction.UPPER).tobytes() == forward_batch(net, points).tobytes()
 
     def test_directions_are_antisymmetric(self):
@@ -191,7 +186,7 @@ class TestDirectionalForward:
     @pytest.mark.parametrize("direction", [None, *Direction], ids=str)
     def test_leaves_its_inputs_unchanged(self, direction):
         rng = np.random.default_rng(7)
-        net = make_net(rng.standard_normal((2, 2)), DEFAULT_PRIMITIVES, rng.standard_normal(4), 0.5)
+        net = make_net(rng.standard_normal((2, 2)), rng.standard_normal(4), 0.5)
         points = rng.uniform(-5.0, 5.0, size=(50, 2))
         data = Dataset(points.copy())
         before = points.tobytes(), net.w_in.tobytes(), net.w_out.tobytes(), net.b_out
@@ -203,7 +198,7 @@ class TestDirectionalForward:
 
     @pytest.mark.parametrize("direction", ["lower", 1, True])
     def test_rejects_a_direction_that_is_not_one_naming_it(self, direction):
-        net = make_net([[1.0]], (ID,), [1.0], 0.0)
+        net = make_net([[1.0]], [1.0], 0.0)
         with pytest.raises(ValueError, match=f"^direction must be a Direction or None, got {direction!r}$"):
             forward_batch(net, np.ones((1, 1)), direction)
 
@@ -217,7 +212,7 @@ class TestCollapse:
     @pytest.mark.parametrize("w_out", [[1.0, 1.0], [0.0, 0.0]], ids=["unit-readout", "zero-readout"])
     @pytest.mark.parametrize("field, index", PARAMETERS)
     def test_every_parameter_reaches_it(self, field, index, w_out, bad):
-        net = make_net([[1.0, 2.0]], (ID, CONST), w_out, 0.5)
+        net = make_net([[1.0, 2.0]], w_out, 0.5)
         if field == "b_out":
             net.b_out = bad
         else:
@@ -281,21 +276,15 @@ class TestInitialize:
         assert np.all(net.w_in != 0.0)
         assert np.all(net.w_out != 0.0)
 
-    def test_custom_primitives_set_width(self):
-        net = initialize(self.square_data(), primitives=(ID, CONST, ID), seed=0)
-        assert net.w_in.shape == (2, 2) and net.w_out.shape == (3,)
-        assert net.primitives == (ID, CONST, ID)
-
     # The symbolic layer is drawn for every unit and keeps the identity
     # units' rows, so the readout and the bias see the same stream as when
     # every row was kept.
-    @pytest.mark.parametrize("prims", [DEFAULT_PRIMITIVES, (ID, CONST, ID)], ids=["default", "id-const-id"])
     @pytest.mark.parametrize("seed", [0, 7, 24])
-    def test_keeps_the_random_stream(self, prims, seed):
+    def test_keeps_the_random_stream(self, seed):
         ds = self.square_data()
-        w_in, w_out, b_out = initial_draws(ds, prims, seed)
-        net = initialize(ds, primitives=prims, seed=seed)
-        assert same_bits(net.w_in, identity_rows(w_in, prims))
+        w_in, w_out, b_out = initial_draws(ds, seed)
+        net = initialize(ds, seed=seed)
+        assert same_bits(net.w_in, identity_rows(w_in, 2))
         assert same_bits(net.w_out, w_out)
         assert net.b_out.hex() == b_out.hex()
 
@@ -318,43 +307,43 @@ class TestInitialize:
 
 class TestApplyMask:
     def test_small_weight_frozen(self):
-        net = make_net([[0.5, 0.5], [0.4, -0.3]], (ID, ID), [0.0005, 0.8], 0.1)
+        net = make_net([[0.5, 0.5], [0.4, -0.3]], [0.0005, 0.8], 0.1)
         masked = apply_mask(net, 0.001)
         assert np.array_equal(masked.w_out, [0.0, 0.8])
         assert np.array_equal(masked.w_in, net.w_in)
 
     def test_threshold_zero_masks_only_exact_zeros(self):
-        net = make_net([[-0.0, 1e-300]], (ID,), [0.2], 0.0)
+        net = make_net([[-0.0, 1e-300]], [0.2], 0.0)
         masked = apply_mask(net, 0.0)
         assert same_bits(masked.w_in, np.array([[0.0, 1e-300]]))
 
     @pytest.mark.parametrize("threshold", [0.0, 0.001])
     def test_negative_zero_becomes_positive_zero(self, threshold):
-        net = make_net([[-0.0, 0.5]], (ID,), [-0.0], 0.0)
+        net = make_net([[-0.0, 0.5]], [-0.0], 0.0)
         masked = apply_mask(net, threshold)
         assert same_bits(masked.w_in, np.array([[0.0, 0.5]]))
         assert same_bits(masked.w_out, np.array([0.0]))
 
     def test_idempotent(self):
-        net = make_net([[0.0002, 0.9], [0.4, -0.0001]], (ID, ID), [0.7, 0.0003], 0.3)
+        net = make_net([[0.0002, 0.9], [0.4, -0.0001]], [0.7, 0.0003], 0.3)
         once = apply_mask(net, 0.001)
         twice = apply_mask(once, 0.001)
         assert same_bits(once.w_in, twice.w_in)
         assert same_bits(once.w_out, twice.w_out)
 
     def test_earlier_mask_survives_smaller_threshold(self):
-        net = make_net([[0.0005, 0.9]], (ID,), [0.8], 0.0)
+        net = make_net([[0.0005, 0.9]], [0.8], 0.0)
         coarse = apply_mask(net, 0.01)
         fine = apply_mask(coarse, 1e-9)
         assert same_bits(fine.w_in, np.array([[0.0, 0.9]]))
 
     def test_bias_never_masked(self):
-        net = make_net([[0.5]], (ID,), [0.5], 1e-9)
+        net = make_net([[0.5]], [0.5], 1e-9)
         masked = apply_mask(net, 0.001)
         assert masked.b_out == 1e-9
 
     def test_negative_threshold_rejected(self):
-        net = make_net([[0.5]], (ID,), [0.5], 0.0)
+        net = make_net([[0.5]], [0.5], 0.0)
         with pytest.raises(ValueError):
             apply_mask(net, -0.1)
 
@@ -373,17 +362,17 @@ class TestApplyMask:
         ids=["true", "false", "string", "inf", "nan", "too-large", "negative"],
     )
     def test_threshold_follows_the_rule_for_numbers(self, threshold, message):
-        net = make_net([[0.5]], (ID,), [0.5], 0.0)
+        net = make_net([[0.5]], [0.5], 0.0)
         with pytest.raises(ValueError) as info:
             apply_mask(net, threshold)
         assert str(info.value) == message
 
     def test_integer_threshold_accepted(self):
-        net = make_net([[0.5, 2.0]], (ID,), [1.0], 0.0)
+        net = make_net([[0.5, 2.0]], [1.0], 0.0)
         assert same_bits(apply_mask(net, 1).w_in, np.array([[0.0, 2.0]]))
 
     def test_original_untouched(self):
-        net = make_net([[0.0005]], (ID,), [0.5], 0.0)
+        net = make_net([[0.0005]], [0.5], 0.0)
         apply_mask(net, 0.001)
         assert net.w_in[0, 0] == 0.0005
 
@@ -396,18 +385,22 @@ thresholds = st.sampled_from([0.0, 5e-324, 1e-3, 1.0, sys.float_info.max]) | st.
 
 
 @st.composite
-def raw_layers(draw, any_rows=False):
-    """Primitives and the two weight layers of one network, non-finite values included.
+def raw_layers(draw, any_shape=False):
+    """The two weight layers of one network, non-finite values included.
 
-    ``w_in`` has one row per identity unit, or with ``any_rows`` 0 to 4 rows.
+    The unit counts are drawn from LAYOUTS, or with ``any_shape`` each
+    layer takes any shape of up to three axes, valid or not.
     """
-    prims = tuple(draw(st.lists(st.sampled_from([ID, CONST]), min_size=1, max_size=4)))
-    rows = draw(st.integers(0, 4)) if any_rows else prims.count(ID)
-    f = draw(st.integers(1, 3))
+    if any_shape:
+        any_dims = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+        in_shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 3)) | any_dims)
+        out_shape = draw(st.tuples(st.integers(0, 5)) | any_dims)
+    else:
+        n_identity, n_constant = draw(st.sampled_from(LAYOUTS))
+        in_shape, out_shape = (n_identity, draw(st.integers(1, 3))), n_identity + n_constant
     return (
-        prims,
-        draw(hnp.arrays(float, (rows, f), elements=weight_values)),
-        draw(hnp.arrays(float, len(prims), elements=weight_values)),
+        draw(hnp.arrays(float, in_shape, elements=weight_values)),
+        draw(hnp.arrays(float, out_shape, elements=weight_values)),
     )
 
 
@@ -429,18 +422,18 @@ class TestRewrittenChecksMatchOracles:
     @settings(max_examples=400, deadline=None)
     @given(layers=raw_layers(), threshold=thresholds)
     @example(
-        layers=((ID, ID), np.array([[-0.0, 5e-324], [math.nan, 1e-3]]), np.array([math.inf, -0.0])),
+        layers=(np.array([[-0.0, 5e-324], [math.nan, 1e-3]]), np.array([math.inf, -0.0])),
         threshold=0.0,
     )
-    @example(layers=((CONST, CONST), np.empty((0, 2)), np.array([5e-324, -0.0])), threshold=1e-3)
+    @example(layers=(np.empty((0, 2)), np.array([5e-324, -0.0])), threshold=1e-3)
     def test_apply_mask_is_bit_identical(self, layers, threshold):
-        prims, w_in, w_out = layers
+        w_in, w_out = layers
         # Training assigns stepped weights to the fields without a check, so
         # apply_mask can see non-finite values.
-        net = EqlNetwork(np.zeros_like(w_in), prims, np.zeros_like(w_out), 0.25)
+        net = EqlNetwork(np.zeros_like(w_in), np.zeros_like(w_out), 0.25)
         net.w_in, net.w_out = w_in, w_out
         exp_in, exp_out = freeze(w_in, threshold), freeze(w_out, threshold)
-        expected = outcome(network_checks, exp_in, prims, exp_out, 0.25)
+        expected = outcome(network_checks, exp_in, exp_out, 0.25)
         kind, got = outcome(apply_mask, net, threshold)
         if expected[0] != "ok":
             assert (kind, got) == expected
@@ -450,11 +443,11 @@ class TestRewrittenChecksMatchOracles:
         assert got.b_out == 0.25
 
     @settings(max_examples=400, deadline=None)
-    @given(layers=raw_layers(any_rows=True), b_out=weight_values)
+    @given(layers=raw_layers(any_shape=True), b_out=weight_values)
     def test_constructor_raises_what_the_oracle_raises(self, layers, b_out):
-        prims, w_in, w_out = layers
-        expected = outcome(network_checks, w_in, prims, w_out, b_out)
-        kind, got = outcome(EqlNetwork, w_in, prims, w_out, b_out)
+        w_in, w_out = layers
+        expected = outcome(network_checks, w_in, w_out, b_out)
+        kind, got = outcome(EqlNetwork, w_in, w_out, b_out)
         assert kind == expected[0]
         if kind != "ok":
             assert got == expected[1]
@@ -470,7 +463,7 @@ class TestRewrittenChecksMatchOracles:
         else:
             args[where] = args[where].copy()
             args[where].flat[0] = bad
-        call = (args["w_in"], (ID,), args["w_out"], args["b_out"])
+        call = (args["w_in"], args["w_out"], args["b_out"])
         kind, message = outcome(network_checks, *call)
         assert kind is ValueError
         with pytest.raises(ValueError) as info:
@@ -479,29 +472,34 @@ class TestRewrittenChecksMatchOracles:
 
 
 class TestNetworkValidation:
-    def test_parameters_are_the_four_fields(self):
-        assert [f.name for f in dataclasses.fields(EqlNetwork)] == ["w_in", "primitives", "w_out", "b_out"]
+    def test_parameters_are_the_three_arrays(self):
+        assert [f.name for f in dataclasses.fields(EqlNetwork)] == ["w_in", "w_out", "b_out"]
 
-    def test_shape_mismatches(self):
-        with pytest.raises(ValueError):
-            make_net([[1.0]], (ID, ID), [1.0], 0.0)
-        with pytest.raises(ValueError):
-            make_net([[1.0]], (ID,), [1.0, 2.0], 0.0)
+    # The shapes are the layout, so a bad shape is the one check left on it.
+    @pytest.mark.parametrize(
+        "w_in, w_out, message",
+        [
+            (np.ones((2, 1)), [1.0], r"^w_out must have shape \(H,\) with H >= max\(1, 2\), got \(1,\)$"),
+            (np.empty((0, 2)), [], r"^w_out must have shape \(H,\) with H >= max\(1, 0\), got \(0,\)$"),
+            (np.ones((1, 2)), [[1.0, 2.0]], r"^w_out must have shape \(H,\) with H >= max\(1, 1\), got \(1, 2\)$"),
+            (np.ones(2), [1.0], r"^w_in needs one row per identity unit, shape \(H_id, F >= 1\), got \(2,\)$"),
+            (np.empty((1, 0)), [1.0], r"^w_in needs one row per identity unit, shape \(H_id, F >= 1\), got \(1, 0\)$"),
+        ],
+        ids=["w_out-shorter-than-w_in", "w_out-empty", "w_out-2d", "w_in-1d", "no-features"],
+    )
+    def test_bad_shape_rejected_naming_it(self, w_in, w_out, message):
+        with pytest.raises(ValueError, match=message):
+            make_net(w_in, w_out, 0.0)
+
+    def test_all_constant_network_is_valid(self):
+        net = make_net(np.empty((0, 3)), [0.5], 1.0)
+        assert net.w_in.shape == (0, 3) and net.n_features == 3
+        a, c = collapse_affine(net)
+        assert a.tolist() == [0.0, 0.0, 0.0] and c == 1.5
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            make_net([[np.inf]], (ID,), [1.0], 0.0)
-
-    @pytest.mark.parametrize(
-        "prims, rows",
-        [(DEFAULT_PRIMITIVES, 2), ((ID, CONST, ID), 2), ((CONST,), 0)],
-        ids=["default", "id-const-id", "const"],
-    )
-    def test_full_height_w_in_rejected_naming_the_identity_count(self, prims, rows):
-        h = len(prims)
-        message = rf"^w_in needs one row per identity unit, shape \({rows}, F >= 1\), got \({h}, 2\)$"
-        with pytest.raises(ValueError, match=message):
-            make_net(np.ones((h, 2)), prims, np.ones(h), 0.0)
+            make_net([[np.inf]], [1.0], 0.0)
 
     # b_out is read by the package's one rule for numbers.
     @pytest.mark.parametrize(
@@ -515,20 +513,14 @@ class TestNetworkValidation:
     )
     def test_b_out_follows_the_rule_for_numbers(self, b_out, message):
         with pytest.raises(ValueError) as info:
-            make_net([[0.5]], (ID,), [0.5], b_out)
+            make_net([[0.5]], [0.5], b_out)
         assert str(info.value) == message
 
     def test_integer_b_out_becomes_a_float(self):
-        net = make_net([[0.5]], (ID,), [0.5], 3)
+        net = make_net([[0.5]], [0.5], 3)
         assert type(net.b_out) is float and net.b_out == 3.0
 
-    def test_is_identity_is_read_only_and_shared_safely(self):
-        for flags in _unit_flags(DEFAULT_PRIMITIVES):
-            with pytest.raises(ValueError):
-                flags[0] = not flags[0]
-        assert [flags.tolist() for flags in _unit_flags(DEFAULT_PRIMITIVES)] == [
-            [True, True, False, False],
-            [False, False, True, True],
-        ]
-        net = make_net(np.ones((2, 2)), DEFAULT_PRIMITIVES, [1.0, 2.0, 3.0, 4.0], 0.0)
-        assert forward_batch(net, np.array([[1.0, 1.0]]))[0] == 13.0
+    def test_identity_units_come_first(self):
+        # w_in's two rows feed w_out[:2]; w_out[2:] reads constant units.
+        net = make_net([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0, 4.0], 0.0)
+        assert forward_batch(net, np.array([[10.0, 100.0]]))[0] == 217.0

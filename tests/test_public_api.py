@@ -6,7 +6,6 @@ from eqlbounds import EqlNetwork
 PUBLIC_NAMES = [
     "BallCap",
     "COEFF_EPS",
-    "DEFAULT_PRIMITIVES",
     "Dataset",
     "DatasetError",
     "DegenerateConstraintError",
@@ -21,7 +20,6 @@ PUBLIC_NAMES = [
     "LossConfig",
     "NonNumericError",
     "PAPER_PRESETS",
-    "Primitive",
     "RaggedRowError",
     "RegionSpec",
     "RejectionBudgetExceededError",
@@ -66,3 +64,6 @@ def test_public_surface_is_pinned():
     assert not hasattr(eqlbounds.loss, "loss_and_pred_grad")
     assert not hasattr(EqlNetwork, "is_identity")
     assert not hasattr(EqlNetwork, "n_units")
+    # The network's layout is its arrays' shapes: no primitive type, no default tuple of them.
+    assert not hasattr(eqlbounds, "Primitive") and not hasattr(eqlbounds.network, "Primitive")
+    assert not hasattr(eqlbounds, "DEFAULT_PRIMITIVES") and not hasattr(eqlbounds.network, "DEFAULT_PRIMITIVES")

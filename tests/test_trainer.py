@@ -20,7 +20,6 @@ from eqlbounds import (
     LinearCut,
     LossBreakdown,
     LossConfig,
-    Primitive,
     RegionSpec,
     TrainConfig,
     apply_mask,
@@ -43,10 +42,7 @@ from eqlbounds.datamodel import read_json_object
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
-from _oracles import brute_force_p_gamma, central_difference, directional_errors, identity_rows, masked_train
-
-ID = Primitive.IDENTITY
-CONST = Primitive.CONSTANT
+from _oracles import LAYOUTS, brute_force_p_gamma, central_difference, directional_errors, identity_rows, masked_train
 
 
 def loss_value(net, dataset, cfg):
@@ -62,7 +58,7 @@ def perturbed(net, which, index, delta):
         w_out[index] += delta
     else:
         b_out += delta
-    return EqlNetwork(w_in, net.primitives, w_out, b_out)
+    return EqlNetwork(w_in, w_out, b_out)
 
 
 def fd_gradient(net, dataset, cfg, which, index, step=1e-6):
@@ -73,7 +69,7 @@ def fd_gradient(net, dataset, cfg, which, index, step=1e-6):
 
 class TestGradients:
     def test_bias_gradient_of_zero_weight_net(self):
-        net = EqlNetwork(np.zeros((1, 2)), (ID, CONST), np.zeros(2), 1.5)
+        net = EqlNetwork(np.zeros((1, 2)), np.zeros(2), 1.5)
         dataset = Dataset(np.full((4, 2), 3.0))
         cfg = LossConfig(gamma=100.0)
         _, grads = gradients(net, dataset, cfg)
@@ -84,7 +80,7 @@ class TestGradients:
         # A dataset whose per-feature sums are exactly zero makes the data
         # part of the readout gradient vanish, leaving only the l2 term.
         dataset = Dataset(np.array([[1.0, 2.0], [-1.0, -2.0]]))
-        net = EqlNetwork(np.array([[0.3, -0.7], [1.1, 0.2]]), (ID, ID), np.array([0.9, -1.4]), 0.25)
+        net = EqlNetwork(np.array([[0.3, -0.7], [1.1, 0.2]]), np.array([0.9, -1.4]), 0.25)
         cfg = LossConfig(alpha1=1.0, alpha2=0.0, alpha3=0.0, gamma=100.0, l1=0.0, l2=0.3)
         _, grads = gradients(net, dataset, cfg)
         assert np.array_equal(grads.d_w_out, 2.0 * 0.3 * net.w_out)
@@ -117,11 +113,11 @@ class TestGradients:
         for _ in range(25):
             n = int(rng.integers(2, 10))
             f = int(rng.integers(1, 4))
-            h = int(rng.integers(1, 4))
-            prims = tuple(ID if rng.random() < 0.7 else CONST for _ in range(h))
+            n_identity, n_constant = LAYOUTS[rng.integers(len(LAYOUTS))]
+            h = n_identity + n_constant
             w_out = rng.choice([-1.0, 1.0], size=h) * rng.uniform(0.1, 1.5, size=h)
-            w_in = identity_rows(rng.standard_normal((h, f)), prims)
-            net = EqlNetwork(w_in, prims, w_out, float(rng.standard_normal()))
+            w_in = identity_rows(rng.standard_normal((h, f)), n_identity)
+            net = EqlNetwork(w_in, w_out, float(rng.standard_normal()))
             dataset = Dataset(rng.uniform(-2, 2, size=(n, f)))
             cfg = LossConfig(
                 alpha1=float(rng.uniform(0.1, 1.5)),
@@ -152,7 +148,7 @@ class TestGradients:
         assert checked >= 10
 
     def test_empty_dataset_rejected(self):
-        net = EqlNetwork(np.ones((1, 2)), (ID,), np.ones(1), 0.0)
+        net = EqlNetwork(np.ones((1, 2)), np.ones(1), 0.0)
         with pytest.raises(EmptyDatasetError):
             gradients(net, Dataset(np.empty((0, 2))), LossConfig())
 
@@ -163,7 +159,7 @@ class TestGradients:
     @given(
         seed=st.integers(0, 2**32 - 1),
         f=st.integers(1, 4),
-        h=st.integers(1, 4),
+        layout=st.sampled_from(LAYOUTS),
         n=st.one_of(st.integers(1, 300), st.integers(WARM_START_MIN_N, WARM_START_MIN_N + 300)),
         alphas=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0, 1.7])] * 3).filter(any),
         gamma=st.sampled_from([1.0, 5.0, 25.0, 100.0]),
@@ -172,9 +168,10 @@ class TestGradients:
         zeros=st.booleans(),
         warm=st.booleans(),
     )
-    def test_equals_the_dense_chain_rule(self, seed, f, h, n, alphas, gamma, direction, grid, zeros, warm):
+    def test_equals_the_dense_chain_rule(self, seed, f, layout, n, alphas, gamma, direction, grid, zeros, warm):
         rng = np.random.default_rng(seed)
-        prims = tuple(ID if rng.random() < 0.6 else CONST for _ in range(h))
+        n_identity, n_constant = layout
+        h = n_identity + n_constant
         if grid:
             points = rng.integers(-3, 4, (n, f)) * 1.0
             w_in, w_out = rng.integers(-2, 3, (h, f)) * 0.5, rng.integers(-2, 3, h) * 0.5
@@ -184,15 +181,15 @@ class TestGradients:
             w_in, w_out, b_out = rng.standard_normal((h, f)), rng.standard_normal(h), float(rng.standard_normal())
         w_in[rng.random((h, f)) < (0.3 if zeros else 0.0)] = 0.0
         w_out[rng.random(h) < (0.3 if zeros else 0.0)] = 0.0
-        w_in = identity_rows(w_in, prims)
-        net = EqlNetwork(w_in, prims, w_out, b_out)
+        w_in = identity_rows(w_in, n_identity)
+        net = EqlNetwork(w_in, w_out, b_out)
         dataset = Dataset(points)
         a1, a2, a3 = alphas
         cfg = LossConfig(alpha1=a1, alpha2=a2, alpha3=a3, gamma=gamma, direction=direction)
         near = None
         if warm:
             # The subset of a nearby network, as the previous epoch leaves it.
-            moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), prims, w_out, b_out)
+            moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), w_out, b_out)
             near = gradients(moved, dataset, cfg)[1].subset
 
         # dz/dpred as one dense vector, term by term, then the chain rule
@@ -226,7 +223,7 @@ class TestGradients:
 
     def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
-        net = EqlNetwork(np.array([[1e154]]), (ID,), np.array([1e-300]), 0.0)
+        net = EqlNetwork(np.array([[1e154]]), np.array([1e-300]), 0.0)
         dataset = Dataset(np.array([[1e154]]))
         with np.errstate(over="ignore"):
             breakdown, grads = gradients(net, dataset, LossConfig(gamma=100.0))
@@ -453,12 +450,12 @@ class TestInPlaceErrors:
         w_in = np.array([[1.0, 2.0]])
         if not on_cut:
             w_in = w_in + 0.01 * rng.standard_normal(w_in.shape)
-        net = EqlNetwork(w_in, (ID, CONST), np.array([1.0, 0.0]), -4.0)
+        net = EqlNetwork(w_in, np.array([1.0, 0.0]), -4.0)
         cfg = LossConfig(direction=direction)
         if on_cut:
             assert np.count_nonzero(forward_batch(net, dataset) == 0.0) >= t.size
 
-        moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.primitives, net.w_out, net.b_out)
+        moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.w_out, net.b_out)
         near = gradients(moved, dataset, cfg)[1].subset
         got = self.as_bytes(*gradients(net, dataset, cfg, near))
         assert got == self.as_bytes(*self.public_path(net, dataset, cfg, near))
