@@ -484,8 +484,9 @@ class TestNetworkValidation:
             (np.ones((1, 2)), [[1.0, 2.0]], r"^w_out must have shape \(H,\) with H >= max\(1, 1\), got \(1, 2\)$"),
             (np.ones(2), [1.0], r"^w_in needs one row per identity unit, shape \(H_id, F >= 1\), got \(2,\)$"),
             (np.empty((1, 0)), [1.0], r"^w_in needs one row per identity unit, shape \(H_id, F >= 1\), got \(1, 0\)$"),
+            (np.ones((1, 1, 2)), [1.0], r"^w_in needs one row per identity unit, shape \(H_id, F >= 1\), got \(1, 1, 2\)$"),
         ],
-        ids=["w_out-shorter-than-w_in", "w_out-empty", "w_out-2d", "w_in-1d", "no-features"],
+        ids=["w_out-shorter-than-w_in", "w_out-empty", "w_out-2d", "w_in-1d", "no-features", "w_in-3d"],
     )
     def test_bad_shape_rejected_naming_it(self, w_in, w_out, message):
         with pytest.raises(ValueError, match=message):
@@ -500,6 +501,13 @@ class TestNetworkValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             make_net([[np.inf]], [1.0], 0.0)
+
+    def test_weights_are_copied_from_the_caller(self):
+        w_in, w_out = np.array([[1.0, 2.0]]), np.array([3.0, 4.0])
+        net = EqlNetwork(w_in, w_out, 0.5)
+        assert not np.shares_memory(net.w_in, w_in) and not np.shares_memory(net.w_out, w_out)
+        w_in[0, 0] = w_out[0] = 9.0
+        assert net.w_in.tolist() == [[1.0, 2.0]] and net.w_out.tolist() == [3.0, 4.0]
 
     # b_out is read by the package's one rule for numbers.
     @pytest.mark.parametrize(
