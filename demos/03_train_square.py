@@ -13,8 +13,6 @@ the feasible side of each learned line.  This script runs ten seeds and
 ranks them by that score.
 """
 
-import numpy as np
-
 from eqlbounds import (
     LossConfig,
     TrainConfig,
@@ -56,6 +54,6 @@ assert violation_rate(best.constraint, data) == best.violation_rate
 # Loss history of the best run, one row per epoch -- handy for plotting
 # the three terms as training settles.
 export_history_csv(best, "demo-square-history.csv")
-z = np.array([rec.z for rec in best.records])
+z = best.records[:, 0]
 print(f"\nwrote demo-square-history.csv "
       f"(z: {z[0]:+.3f} at epoch 0 -> {z[-1]:+.3f} at epoch {len(z) - 1})")

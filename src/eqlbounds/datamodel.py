@@ -551,8 +551,8 @@ class TrainConfig:
 class LossBreakdown:
     """One evaluation of the loss, split by term; ``z`` is the sum of the four terms.
 
-    The loss returns it and a training report holds one per epoch, recorded
-    at the epoch's start.
+    The loss returns it; a training report keeps its values, in field
+    order, as one row per epoch, recorded at the epoch's start.
     """
 
     z: float
@@ -570,11 +570,14 @@ _RECORD_VALUES = attrgetter(*_RECORD_FIELDS)
 class TrainReport:
     """Outcome of one training run: history, constraint, score, seed.
 
-    :func:`~eqlbounds.trainer.train` builds it, with one finite record per
-    epoch and a finite violation rate.
+    :func:`~eqlbounds.trainer.train` builds it with a finite violation rate
+    and ``records``: a read-only, C-contiguous float64 array of shape
+    ``(epochs, 5)``, one finite row per epoch whose columns are the fields
+    of :class:`LossBreakdown` in order (``z, term_e, term_p, term_anchor,
+    term_reg``), 40 bytes per epoch.
     """
 
-    records: tuple[LossBreakdown, ...]
+    records: np.ndarray
     constraint: LinearConstraint
     violation_rate: float
     seed: int

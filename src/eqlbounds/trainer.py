@@ -24,9 +24,11 @@ from .datamodel import (
     TrainReport,
     _RECORD_FIELDS,
     _RECORD_VALUES,
+    _ROW_BLOCK,
     _all_finite,
     _check_keys,
     _direction,
+    _frozen,
     _write_csv,
 )
 from .extract import extract_constraint, violation_rate
@@ -105,14 +107,15 @@ def gradients(
 def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
     """Run one seeded training run and extract the resulting constraint.
 
-    Each epoch records the loss breakdown at its start, then applies one
-    descent step; when masking is enabled the step is followed by a mask
-    pass, so a weight that ends an epoch below the threshold is zero for
-    every later epoch.  A frozen weight is one that is exactly zero: under
-    masking the gradient of every zero weight is zeroed before the step.
-    So an initial weight drawn as exactly 0.0 (probability 2**-53 per
-    draw) is frozen from epoch 0 on.  Each epoch's percentile subset is the
-    next epoch's warm start; the first epoch starts cold.
+    Each epoch records the loss breakdown at its start, as one row of
+    ``TrainReport.records``, then applies one descent step; when masking
+    is enabled the step is followed by a mask pass, so a weight that ends
+    an epoch below the threshold is zero for every later epoch.  A frozen
+    weight is one that is exactly zero: under masking the gradient of
+    every zero weight is zeroed before the step.  So an initial weight
+    drawn as exactly 0.0 (probability 2**-53 per draw) is frozen from
+    epoch 0 on.  Each epoch's percentile subset is the next epoch's warm
+    start; the first epoch starts cold.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking;
@@ -127,7 +130,8 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     net = initialize(dataset, seed=train_cfg.seed)
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
-    records: list[LossBreakdown] = []
+    # One row per epoch, written in place: no LossBreakdown outlives its epoch.
+    records = np.empty((train_cfg.epochs, len(_RECORD_FIELDS)))
     near = None
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
@@ -138,7 +142,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
-            records.append(breakdown)
+            records[epoch] = _RECORD_VALUES(breakdown)
             if threshold is not None:
                 grads.d_w_in[net.w_in == 0.0] = 0.0
                 grads.d_w_out[net.w_out == 0.0] = 0.0
@@ -161,7 +165,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             raise DivergenceError(train_cfg.epochs)
     constraint = extract_constraint(net, loss_cfg.direction)
     rate = violation_rate(constraint, dataset)
-    report = TrainReport(tuple(records), constraint, rate, train_cfg.seed)
+    report = TrainReport(_frozen(records), constraint, rate, train_cfg.seed)
     return net, report
 
 
@@ -182,9 +186,17 @@ def train_multi(
 
 
 def export_history_csv(report: TrainReport, path: str | Path) -> None:
-    """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term."""
-    rows = [[epoch, *_RECORD_VALUES(rec)] for epoch, rec in enumerate(report.records)]
-    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], [rows])
+    """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term.
+
+    The file is written block by block, as :func:`~eqlbounds.datamodel.save_dataset`
+    writes, so memory does not grow with the number of epochs.
+    """
+    records = report.records
+    blocks = (
+        [[epoch, *row] for epoch, row in enumerate(records[i : i + _ROW_BLOCK].tolist(), start=i)]
+        for i in range(0, len(records), _ROW_BLOCK)
+    )
+    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], blocks)
 
 
 # Every config key, in ``train`` flag order, and the config object it belongs to.

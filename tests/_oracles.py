@@ -8,6 +8,7 @@ with the fast numpy code is meaningful.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import numbers
 from pathlib import Path
@@ -86,7 +87,8 @@ def masked_train(dataset, loss_cfg, train_cfg):
     and become 0.0, and before every step the gradient at a masked position
     is set to zero.  The masks start empty, so an initial weight of exactly
     0.0 takes one step before it is frozen.  Returns the final weights
-    ``(w_in, w_out, b_out)`` and the ``TrainReport``.
+    ``(w_in, w_out, b_out)`` and the ``TrainReport``, whose records stack
+    each epoch's ``dataclasses.astuple`` of its breakdown.
     """
     net = initialize(dataset, seed=train_cfg.seed)
     w_in, w_out, b_out = net.w_in, net.w_out, net.b_out
@@ -100,7 +102,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
             near = grads.subset
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
-            records.append(breakdown)
+            records.append(dataclasses.astuple(breakdown))
             d_w_in, d_w_out = grads.d_w_in.copy(), grads.d_w_out.copy()
             d_w_in[mask_in] = 0.0
             d_w_out[mask_out] = 0.0
@@ -121,7 +123,9 @@ def masked_train(dataset, loss_cfg, train_cfg):
         if not (np.isfinite(coeffs).all() and math.isfinite(offset)):
             raise DivergenceError(train_cfg.epochs)
     constraint = extract_constraint(final, loss_cfg.direction)
-    report = TrainReport(tuple(records), constraint, violation_rate(constraint, dataset), train_cfg.seed)
+    history = np.array(records, dtype=np.float64)
+    history.setflags(write=False)
+    report = TrainReport(history, constraint, violation_rate(constraint, dataset), train_cfg.seed)
     return (w_in, w_out, b_out), report
 
 

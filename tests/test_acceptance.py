@@ -408,6 +408,7 @@ def test_criterion_8_training_is_byte_deterministic(capsys, tmp_path):
             ],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert gen.returncode == 0, gen.stderr
         outputs = []
@@ -436,6 +437,7 @@ def test_criterion_8_training_is_byte_deterministic(capsys, tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)

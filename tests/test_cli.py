@@ -562,6 +562,7 @@ class TestParser:
             [sys.executable, "-m", "eqlbounds", "gen", "--preset", "square-low", "--seed", "1", "--out", str(out)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0
         assert "wrote 100 points" in proc.stdout

@@ -292,7 +292,9 @@ class TestLoadDataset:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                expected = np.loadtxt(path, delimiter=",", comments=None, skiprows=blanks + 1, ndmin=2)
+                expected = np.loadtxt(
+                    path, delimiter=",", comments=None, skiprows=blanks + 1, ndmin=2, encoding="utf-8"
+                )
         except ValueError:
             expected = None
         if expected is not None and expected.shape[1:] == (n_cols,) and expected.size and np.isfinite(expected).all():
@@ -885,6 +887,6 @@ class TestTrainReport:
 
     def test_holds_records(self):
         c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
-        report = TrainReport((self.record(), self.record()), c, 2.5, seed=7)
-        assert len(report.records) == 2
+        report = TrainReport(np.array([dataclasses.astuple(self.record())] * 2), c, 2.5, seed=7)
+        assert report.records.shape == (2, 5)
         assert report.seed == 7

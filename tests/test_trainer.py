@@ -38,7 +38,7 @@ from eqlbounds import (
     violation_rate,
 )
 from eqlbounds import cli, loss, trainer
-from eqlbounds.datamodel import read_json_object
+from eqlbounds.datamodel import _RECORD_VALUES, read_json_object
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
@@ -271,7 +271,7 @@ class TestTrain:
         assert np.array_equal(net_a.w_in, net_b.w_in)
         assert np.array_equal(net_a.w_out, net_b.w_out)
         assert net_a.b_out == net_b.b_out
-        assert rep_a.records == rep_b.records
+        assert rep_a.records.tobytes() == rep_b.records.tobytes()
         assert rep_a.violation_rate == rep_b.violation_rate
         assert np.array_equal(rep_a.constraint.coeffs, rep_b.constraint.coeffs)
 
@@ -283,8 +283,30 @@ class TestTrain:
         _, report = train(
             dataset, loss_cfg, TrainConfig(epochs=3, learning_rate=1e-3, mask_threshold=None, seed=seed)
         )
-        assert report.records[0].z == loss_value(start, dataset, loss_cfg)
+        assert report.records[0, 0] == loss_value(start, dataset, loss_cfg)
         assert len(report.records) == 3
+
+    @pytest.mark.parametrize("fit", ["train", "train_multi"])
+    def test_records_are_one_read_only_float64_array(self, fit):
+        dataset = self.small_dataset()
+        epochs = 6
+        if fit == "train":
+            reports = [train(dataset, LossConfig(), TrainConfig(epochs=epochs, learning_rate=1e-3, seed=5))[1]]
+        else:
+            cfg = TrainConfig(epochs=epochs, learning_rate=1e-3, seed=5, runs=3)
+            reports = [report for _, report in train_multi(dataset, LossConfig(), cfg)]
+        for report in reports:
+            records = report.records
+            assert isinstance(records, np.ndarray)
+            assert records.dtype == np.float64
+            assert records.shape == (epochs, 5)
+            assert records.flags.c_contiguous
+            assert records.nbytes == 40 * epochs
+            assert not records.flags.writeable
+            with pytest.raises(ValueError):
+                records.setflags(write=True)
+            with pytest.raises(ValueError):
+                records[0, 0] = 0.0
 
     def test_quadratic_reduction_is_monotone(self):
         dataset = self.small_dataset()
@@ -294,7 +316,7 @@ class TestTrain:
             loss_cfg,
             TrainConfig(epochs=200, learning_rate=1e-4, mask_threshold=None, seed=1),
         )
-        z = np.array([r.z for r in report.records])
+        z = report.records[:, 0]
         assert np.all(np.diff(z) <= 1e-12)
 
     def test_mask_permanence_via_prefix_replay(self):
@@ -398,8 +420,9 @@ class TestWarmStart:
         monkeypatch.setattr(loss, "p_gamma_subset", spy)
         _, report = train(dataset, loss_cfg, train_cfg)
 
-        history = np.array([dataclasses.astuple(r) for r in report.records])
-        assert history.tobytes() == np.array([dataclasses.astuple(r) for r in records]).tobytes()
+        assert len(report.records) == len(records)
+        for epoch, (row, breakdown) in enumerate(zip(report.records, records)):
+            assert row.tobytes() == np.array(_RECORD_VALUES(breakdown)).tobytes(), f"epoch {epoch}"
         assert report.constraint.coeffs.tobytes() == constraint.coeffs.tobytes()
         assert report.constraint.bound.hex() == constraint.bound.hex()
         assert report.constraint.relation is constraint.relation
@@ -485,13 +508,12 @@ class TestInPlaceErrors:
 def _bits(weights, report):
     """Every number a run leaves behind, as bytes: weights, records, constraint, rate."""
     w_in, w_out, b_out = weights
-    history = np.array([dataclasses.astuple(r) for r in report.records])
     c = report.constraint
     return (
         w_in.tobytes(),
         w_out.tobytes(),
         b_out.hex(),
-        history.tobytes(),
+        report.records.tobytes(),
         c.coeffs.tobytes(),
         c.bound.hex(),
         c.relation,
@@ -533,7 +555,7 @@ class TestTrainMulti:
         net, report = results[0]
         solo_net, solo_report = train(dataset, loss_cfg, TrainConfig(epochs=30, learning_rate=1e-3, seed=21))
         assert np.array_equal(net.w_in, solo_net.w_in)
-        assert report.records == solo_report.records
+        assert report.records.tobytes() == solo_report.records.tobytes()
         assert report.violation_rate == solo_report.violation_rate
 
     def test_train_refuses_several_runs_naming_train_multi(self):
@@ -574,7 +596,15 @@ class TestHistoryExport:
         for epoch, (line, record) in enumerate(zip(lines[1:], report.records)):
             cells = line.split(",")
             assert int(cells[0]) == epoch
-            assert [float(cell) for cell in cells[1:]] == [getattr(record, name) for name in names]
+            assert [float(cell) for cell in cells[1:]] == record.tolist()
+
+    def test_block_boundaries_change_no_byte(self, tmp_path, monkeypatch):
+        dataset = paper_dataset("square-low", seed=0)
+        _, report = train(dataset, LossConfig(), TrainConfig(epochs=7, learning_rate=1e-3, seed=2))
+        export_history_csv(report, tmp_path / "whole.csv")
+        monkeypatch.setattr(trainer, "_ROW_BLOCK", 3)
+        export_history_csv(report, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 class TestConfigLoading:
