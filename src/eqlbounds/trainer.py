@@ -24,7 +24,6 @@ from .datamodel import (
     TrainReport,
     _RECORD_FIELDS,
     _RECORD_VALUES,
-    _ROW_BLOCK,
     _all_finite,
     _check_keys,
     _direction,
@@ -186,17 +185,9 @@ def train_multi(
 
 
 def export_history_csv(report: TrainReport, path: str | Path) -> None:
-    """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term.
-
-    The file is written block by block, as :func:`~eqlbounds.datamodel.save_dataset`
-    writes, so memory does not grow with the number of epochs.
-    """
-    records = report.records
-    blocks = (
-        [[epoch, *row] for epoch, row in enumerate(records[i : i + _ROW_BLOCK].tolist(), start=i)]
-        for i in range(0, len(records), _ROW_BLOCK)
-    )
-    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], blocks)
+    """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term."""
+    rows = [[epoch, *row] for epoch, row in enumerate(report.records.tolist())]
+    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], [rows])
 
 
 # Every config key, in ``train`` flag order, and the config object it belongs to.

@@ -38,7 +38,7 @@ from eqlbounds import (
     violation_rate,
 )
 from eqlbounds import cli, loss, trainer
-from eqlbounds.datamodel import _RECORD_VALUES, read_json_object
+from eqlbounds.datamodel import read_json_object
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
@@ -422,7 +422,7 @@ class TestWarmStart:
 
         assert len(report.records) == len(records)
         for epoch, (row, breakdown) in enumerate(zip(report.records, records)):
-            assert row.tobytes() == np.array(_RECORD_VALUES(breakdown)).tobytes(), f"epoch {epoch}"
+            assert row.tobytes() == np.array(dataclasses.astuple(breakdown)).tobytes(), f"epoch {epoch}"
         assert report.constraint.coeffs.tobytes() == constraint.coeffs.tobytes()
         assert report.constraint.bound.hex() == constraint.bound.hex()
         assert report.constraint.relation is constraint.relation
@@ -583,7 +583,18 @@ class TestTrainMulti:
 
 
 class TestHistoryExport:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path, monkeypatch):
+        # Each cell is checked against the named field of the breakdown that
+        # gradients returned at that epoch, not against the array it was written from.
+        breakdowns = []
+        real_gradients = trainer.gradients
+
+        def spy(*args):
+            breakdown, grads = real_gradients(*args)
+            breakdowns.append(breakdown)
+            return breakdown, grads
+
+        monkeypatch.setattr(trainer, "gradients", spy)
         dataset = paper_dataset("square-low", seed=0)
         _, report = train(dataset, LossConfig(), TrainConfig(epochs=5, learning_rate=1e-3, seed=2))
         path = tmp_path / "history.csv"
@@ -592,19 +603,11 @@ class TestHistoryExport:
         names = [f.name for f in dataclasses.fields(LossBreakdown)]
         assert names == ["z", "term_e", "term_p", "term_anchor", "term_reg"]
         assert lines[0].split(",") == ["epoch", *names]
-        assert len(lines) == 1 + len(report.records) == 6
-        for epoch, (line, record) in enumerate(zip(lines[1:], report.records)):
+        assert len(lines) == 1 + len(report.records) == 1 + len(breakdowns) == 6
+        for epoch, (line, breakdown) in enumerate(zip(lines[1:], breakdowns)):
             cells = line.split(",")
             assert int(cells[0]) == epoch
-            assert [float(cell) for cell in cells[1:]] == record.tolist()
-
-    def test_block_boundaries_change_no_byte(self, tmp_path, monkeypatch):
-        dataset = paper_dataset("square-low", seed=0)
-        _, report = train(dataset, LossConfig(), TrainConfig(epochs=7, learning_rate=1e-3, seed=2))
-        export_history_csv(report, tmp_path / "whole.csv")
-        monkeypatch.setattr(trainer, "_ROW_BLOCK", 3)
-        export_history_csv(report, tmp_path / "blocks.csv")
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+            assert [float(cell) for cell in cells[1:]] == [getattr(breakdown, name) for name in names]
 
 
 class TestConfigLoading:
