@@ -40,7 +40,7 @@ from .datamodel import (
     save_constraint,
     save_dataset,
 )
-from .extract import DegenerateConstraintError, violation_report
+from .extract import DegenerateConstraintError, _check_feature_count, violation_report
 from .trainer import (
     CONFIG_KEYS,
     DivergenceError,
@@ -196,46 +196,35 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _boundary_samples(constraint: LinearConstraint, dataset: Dataset) -> np.ndarray | None:
     """Sample the boundary surface ``coeffs . x == bound`` over the data range.
 
-    Two features: 200 points along the line.  Three features: a 20 x 20
-    mesh of the plane.  One feature: the single boundary point.  Four or
-    more: None (no plot-ready parametrization).
+    The coordinate with the largest |coefficient| is solved for, the last
+    one at a tie (as the canonical form divides by the highest-indexed
+    lead); the others span the data range.  One feature: the single
+    boundary point.  Two: 200 points along the line.  Three: a 20 x 20
+    mesh of the plane.  Four or more: None (no plot-ready parametrization).
     """
-    a, b = constraint.coeffs, constraint.bound
     f = constraint.n_features
+    if f > 3:
+        return None
+    a, b = constraint.coeffs, constraint.bound
+    dep = f - 1 - int(np.argmax(np.abs(a[::-1])))
+    free = [i for i in range(f) if i != dep]
     lo = dataset.points.min(axis=0)
     hi = dataset.points.max(axis=0)
-    if f == 1:
-        return np.array([[b / a[0]]])
-    if f == 2:
-        if abs(a[1]) >= abs(a[0]):
-            x0 = np.linspace(lo[0], hi[0], 200)
-            x1 = (b - a[0] * x0) / a[1]
-        else:
-            x1 = np.linspace(lo[1], hi[1], 200)
-            x0 = (b - a[1] * x1) / a[0]
-        return np.column_stack([x0, x1])
-    if f == 3:
-        dep = int(np.argmax(np.abs(a)))
-        free = [i for i in range(3) if i != dep]
-        g0 = np.linspace(lo[free[0]], hi[free[0]], 20)
-        g1 = np.linspace(lo[free[1]], hi[free[1]], 20)
-        mesh0, mesh1 = np.meshgrid(g0, g1, indexing="ij")
-        grid = np.empty((400, 3))
-        grid[:, free[0]] = mesh0.ravel()
-        grid[:, free[1]] = mesh1.ravel()
-        grid[:, dep] = (b - grid[:, free[0]] * a[free[0]] - grid[:, free[1]] * a[free[1]]) / a[dep]
-        return grid
-    return None
+    steps = 200 if f == 2 else 20
+    axes = np.meshgrid(*(np.linspace(lo[i], hi[i], steps) for i in free), indexing="ij")
+    samples = np.empty((steps ** len(free), f))
+    solved = b
+    for i, axis in zip(free, axes):
+        samples[:, i] = axis.ravel()
+        solved = solved - samples[:, i] * a[i]
+    samples[:, dep] = solved / a[dep]
+    return samples
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     constraint = load_constraint(args.constraint)
     dataset = load_dataset(args.data)
-    if dataset.n_features != constraint.n_features:
-        raise ValueError(
-            f"constraint has {constraint.n_features} coefficients but the dataset "
-            f"has {dataset.n_features} features"
-        )
+    _check_feature_count(constraint, dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_dir / "points.csv")

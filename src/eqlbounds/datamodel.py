@@ -15,6 +15,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -260,21 +261,24 @@ def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[list[list]]) 
     """Write ``header`` through ``csv``, then each row of each block as ``repr`` cells.
 
     Header names are quoted as ``csv`` quotes them.  Cells must be Python
-    ints or floats: their ``repr`` never needs quoting, so a row joined by
-    commas and ended by CRLF is exactly what ``csv.writer`` would write, and
-    a float keeps its full round-trip precision.
+    ints or floats, one per header name: their ``repr`` never needs
+    quoting, so a row joined by commas and ended by CRLF is exactly what
+    ``csv.writer`` would write, and a float keeps its full round-trip
+    precision.
     """
+    line = ",".join(["%r"] * len(header)) + "\r\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for block in blocks:
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+            fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV with full float precision (repr round-trip).
 
-    Cost: one ``tolist``, one ``repr`` per value and one string join per
-    block of rows, with ``repr`` the largest part and the floor:
+    Cost: one ``tolist`` and one ``%`` format per block of rows, with the
+    ``repr`` of each value the largest part and the floor: ``%r`` formats
+    a block faster than joining ``map(repr, row)`` per row, and
     ``ndarray.astype(str)`` gives the same text but is slower.  The file is
     written block by block, so memory does not grow with the dataset.
     """

@@ -72,12 +72,17 @@ def extract_constraint(net: EqlNetwork, direction: Direction) -> LinearConstrain
     return _canonicalize(coeffs, -offset, direction)
 
 
-def _violation_count(constraint: LinearConstraint, dataset: Dataset) -> int:
+def _check_feature_count(constraint: LinearConstraint, dataset: Dataset) -> None:
+    """Raise ValueError unless the constraint has one coefficient per dataset feature."""
     if dataset.n_features != constraint.n_features:
         raise ValueError(
             f"constraint has {constraint.n_features} coefficients but the dataset "
             f"has {dataset.n_features} features"
         )
+
+
+def _violation_count(constraint: LinearConstraint, dataset: Dataset) -> int:
+    _check_feature_count(constraint, dataset)
     # An overflowing value compares as infinite; inf - inf gives NaN, which
     # satisfies neither relation.
     with np.errstate(over="ignore", invalid="ignore"):

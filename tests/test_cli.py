@@ -421,6 +421,14 @@ class TestEval:
         save_constraint(LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER), cpath)
         assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
 
+    def test_feature_count_mismatch_names_both_counts(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_dataset(Dataset(np.ones((2, 3))), data)
+        cpath = tmp_path / "c.json"
+        save_constraint(LinearConstraint(np.array([0.5, 1.0]), 0.0, Direction.LOWER), cpath)
+        assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
+        assert capsys.readouterr() == ("", "error: constraint has 2 coefficients but the dataset has 3 features\n")
+
     @pytest.mark.parametrize("bound", [None, [1.0], {"a": 1.0}, True, "1.0"])
     def test_non_number_bound_is_an_input_error(self, tmp_path, capsys, bound):
         data = tmp_path / "d.csv"
@@ -480,6 +488,64 @@ class TestPlotdata:
         boundary = load_dataset(out_dir / "boundary.csv")
         assert boundary.n_points == 1
         assert boundary.points[0, 0] == 1.0
+
+    @staticmethod
+    def samples(coeffs):
+        points = np.random.default_rng(2).uniform(-5, 25, (30, len(coeffs)))
+        constraint = LinearConstraint(np.asarray(coeffs, dtype=float), 1.5, Direction.LOWER)
+        return points, cli._boundary_samples(constraint, Dataset(points))
+
+    @pytest.mark.parametrize(
+        "coeffs, solved", [([1.0, 1.0], 1), ([1.0, 0.0, 1.0], 2), ([-1.0, 1.0, 1.0], 2)]
+    )
+    def test_a_tie_in_the_largest_coefficient_solves_for_the_last_tied_coordinate(self, coeffs, solved):
+        points, samples = self.samples(coeffs)
+        a = np.asarray(coeffs)
+        free = [i for i in range(len(coeffs)) if i != solved]
+        steps = 200 if len(coeffs) == 2 else 20
+        grid = np.meshgrid(
+            *(np.linspace(points[:, i].min(), points[:, i].max(), steps) for i in free), indexing="ij"
+        )
+        for i, axis in zip(free, grid):
+            assert samples[:, i].tobytes() == axis.ravel().tobytes()
+        assert np.allclose(samples @ a, 1.5)
+
+    @pytest.mark.parametrize(
+        "coeffs", [[0.5, 1.0], [-1.0, 1.0], [2.0, 1.0], [0.5, -0.25, 1.0], [3.0, -2.0, 1.0], [1.0]]
+    )
+    def test_samples_keep_the_bits_of_one_formula_per_feature_count(self, coeffs):
+        points, samples = self.samples(coeffs)
+        a, b = np.asarray(coeffs), 1.5
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        if len(coeffs) == 1:
+            expected = np.array([[b / a[0]]])
+        elif len(coeffs) == 2 and abs(a[1]) >= abs(a[0]):
+            x0 = np.linspace(lo[0], hi[0], 200)
+            expected = np.column_stack([x0, (b - a[0] * x0) / a[1]])
+        elif len(coeffs) == 2:
+            x1 = np.linspace(lo[1], hi[1], 200)
+            expected = np.column_stack([(b - a[1] * x1) / a[0], x1])
+        else:
+            dep = int(np.argmax(np.abs(a)))
+            f0, f1 = [i for i in range(3) if i != dep]
+            mesh0, mesh1 = np.meshgrid(
+                np.linspace(lo[f0], hi[f0], 20), np.linspace(lo[f1], hi[f1], 20), indexing="ij"
+            )
+            expected = np.empty((400, 3))
+            expected[:, f0] = mesh0.ravel()
+            expected[:, f1] = mesh1.ravel()
+            expected[:, dep] = (b - expected[:, f0] * a[f0] - expected[:, f1] * a[f1]) / a[dep]
+        assert samples.shape == expected.shape
+        assert samples.tobytes() == expected.tobytes()
+
+    def test_feature_count_mismatch_is_input_error_writing_nothing(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_dataset(Dataset(np.ones((2, 3))), data)
+        cpath = self.constraint_file(tmp_path, [0.5, 1.0])
+        out_dir = tmp_path / "plot"
+        assert main(["plotdata", "--constraint", str(cpath), "--data", str(data), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: constraint has 2 coefficients but the dataset has 3 features\n"
+        assert not out_dir.exists()
 
 
 class TestJsonFiles:
