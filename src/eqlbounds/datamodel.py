@@ -160,10 +160,11 @@ def load_dataset(path: str | Path) -> Dataset:
     not empty is one data row of the header's width.  Body lines end at
     ``\\r``, ``\\n`` or ``\\r\\n``, and their cells are split at every comma,
     with no quoting.  A cell, stripped of surrounding whitespace, must be
-    ASCII without ``_`` and read by ``float`` as a finite number.  Errors,
-    decoding and csv errors included, name the file; a bad body reports
-    its first ragged row, non-numeric or non-finite cell in file order,
-    with rows counted from 1 below the header and blank lines skipped.
+    ASCII without ``_`` and read by ``float`` as a finite number.
+    :class:`Dataset` makes every check.  On a failure, the error pass names
+    the file and its first fault in file order: an empty header name, a
+    ragged row, a non-numeric or non-finite cell (rows counted from 1
+    below the header, blank lines skipped), then a name Dataset rejects.
 
     Cost: ``csv.reader`` reads the header from the open file, and NumPy's
     C reader, ``np.loadtxt``, reads the body from the path in chunks.  No
@@ -173,34 +174,26 @@ def load_dataset(path: str | Path) -> Dataset:
     bytes.  On a 2-vCPU Xeon, a :func:`save_dataset` file of 10⁶
     two-feature rows (38 MB) loads in about 1.2 s, and the process peaks
     at 61 MB RSS, 28 MB of it the interpreter with NumPy.  Only a failed
-    load runs the error pass, which reads the file again to name the fault.
+    load runs the error pass.
     """
     path = Path(path)
-    data = None
     try:
         with path.open(encoding="utf-8-sig", newline="") as stream:
             reader = csv.reader(stream)
-            header = [cell.strip() for cell in next(filter(None, reader), [])]
-            if header and all(header):
-                # NumPy decompresses a path by its suffix; a stream it reads
-                # as it is, line by line, from where the header ended.
-                body, skip = (stream, 0) if path.suffix in _COMPRESSED else (path, reader.line_num)
-                with warnings.catch_warnings():
-                    # An empty body warns; the checks below reject it.
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(body, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+            header = tuple(cell.strip() for cell in next(filter(None, reader), []))
+            # NumPy decompresses a path by its suffix; a stream it reads
+            # as it is, line by line, from where the header ended.
+            body, skip = (stream, 0) if path.suffix in _COMPRESSED else (path, reader.line_num)
+            with warnings.catch_warnings():
+                # An empty body warns; Dataset rejects it.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(body, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+        return Dataset(data, feature_names=header)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     except (ValueError, csv.Error):
-        pass  # Decoding, csv and cell errors alike: the error pass names them.
-    if data is None or data.shape[1] != len(header) or not len(data) or not _all_finite(data):
-        raise _first_fault(path)
-    try:
-        return Dataset(data, feature_names=tuple(header))
-    except DatasetError as exc:
-        # The header is stripped and has no empty name, so only a name that
-        # still starts with a byte-order mark gets here.
-        raise DatasetError(f"{path}: {exc}") from None
+        pass  # Decoding, csv, cell and Dataset errors alike: the error pass names them.
+    raise _first_fault(path)
 
 
 # The suffixes of the paths that NumPy opens as compressed files.
@@ -214,7 +207,8 @@ def _first_fault(path: Path) -> DatasetError:
     loop.  It decodes the whole file as UTF-8, so a decoding error gives
     its position in the file.  Then, as the bulk read does, it drops a
     leading byte-order mark and reads the header, and it splits the body
-    into lines and cells as NumPy's C reader does.
+    into lines and cells as NumPy's C reader does.  Last, it lets
+    :class:`Dataset` judge the header names, on one row of zeros.
     """
     try:
         text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
@@ -224,12 +218,12 @@ def _first_fault(path: Path) -> DatasetError:
         return DatasetError(f"{path}: {exc}")
     lines = io.StringIO(text, newline="")
     try:
-        header = next(filter(None, csv.reader(lines)), [])
+        header = tuple(cell.strip() for cell in next(filter(None, csv.reader(lines)), []))
     except csv.Error as exc:
         return DatasetError(f"{path}: {exc}")
     if not header:
         return EmptyDatasetError(f"{path}: file is empty")
-    if not all(cell.strip() for cell in header):
+    if not all(header):
         return DatasetError(f"{path}: header has an empty column name")
     rows = filter(None, (line.rstrip("\r\n") for line in lines))
     r = 0
@@ -249,6 +243,11 @@ def _first_fault(path: Path) -> DatasetError:
                 return NonNumericError(f"{path}: non-finite value at row {r}, col {c}")
     if r == 0:
         return EmptyDatasetError(f"{path}: no data rows below the header")
+    try:
+        # Only a name that still starts with a byte-order mark is left.
+        Dataset(np.zeros((1, len(header))), feature_names=header)
+    except DatasetError as exc:
+        return DatasetError(f"{path}: {exc}")
     raise AssertionError(f"{path}: the bulk read failed but no line is bad")
 
 

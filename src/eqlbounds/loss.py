@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .datamodel import Direction, LossBreakdown, LossConfig
+from .datamodel import Direction, LossBreakdown, LossConfig, _real
 from .network import EqlNetwork
 
 
@@ -48,7 +48,9 @@ def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) 
     ``0.0``.  Infinities rank as ordinary values; NaN ranks below every
     number, so a NaN is taken only when fewer than ``k`` errors are
     numbers.  The result is what a stable sort of the negated errors gives,
-    found in O(n) by selecting the k-th largest error, not by sorting.
+    found in O(n) by selecting the k-th largest error, not by sorting;
+    only when a NaN must be taken is it that sort.  ``gamma`` must be a
+    number, by the rule the configs follow, in ``(0, 100]``.
 
     ``near`` is a warm start: the subset an earlier call returned, for
     errors that have moved little since.  It never changes the result, only
@@ -69,11 +71,10 @@ def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) 
     n = e_arr.size
     if n == 0:
         raise ValueError("p_gamma_subset needs at least one error value")
+    gamma = _real("gamma", gamma)
     if not (0 < gamma <= 100):
         raise ValueError(f"gamma must lie in (0, 100], got {gamma}")
     k = min(n, max(1, math.ceil(gamma * n / 100.0)))
-    if k == n:
-        return np.arange(n)
     # m, the smallest error at near, stays NaN unless the warm start applies.
     m = math.nan
     if near is not None and n >= WARM_START_MIN_N:
@@ -86,10 +87,7 @@ def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) 
     if math.isnan(m):
         t = _kth_largest(e_arr, k)
         if math.isnan(t):
-            nan = np.isnan(e_arr)
-            keep = ~nan
-            keep[nan.nonzero()[0][: k - np.count_nonzero(keep)]] = True
-            return keep.nonzero()[0]
+            return np.sort(np.argsort(np.negative(e_arr), kind="stable")[:k])
         idx = (e_arr >= t).nonzero()[0]
     else:
         above = e_arr >= m

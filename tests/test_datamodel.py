@@ -436,6 +436,23 @@ class TestLoadDataset:
         assert str(raised.value) == f"{path}: {feature} starts with a byte-order mark"
         assert _outcome(load_dataset, path) == _outcome(csv_load, path)
 
+    # Dataset checks the points before the names; the report follows file order.
+    def test_byte_order_mark_left_in_a_name_yields_to_a_non_finite_cell(self, tmp_path):
+        path = write(tmp_path, "d.csv", "X0,\ufeffX1\n1,2\n3,nan\n")
+        with pytest.raises(NonNumericError) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: non-finite value at row 2, col 2"
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
+    # The body is read before any name is judged, yet the header comes first.
+    def test_empty_header_name_is_reported_before_a_ragged_row(self, tmp_path):
+        path = write(tmp_path, "d.csv", "X0,,X2\n1,2,3\n4,5\n")
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(path)
+        assert type(raised.value) is DatasetError
+        assert str(raised.value) == f"{path}: header has an empty column name"
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
     @pytest.mark.parametrize(
         "body, message",
         [("1,2\n3,x\n", "non-numeric value 'x' at row 2, col 2"), ("1,2\n3\n", "row 2 has 1 cells, expected 2")],

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqlbounds import (
@@ -87,6 +87,11 @@ class TestPGammaSubset:
         ),
         gamma=st.sampled_from([1.0, 2.5, 5.0, 25.0, 50.0, 100.0]),
     )
+    # k = n: one error, and every error with signed zeros and NaN among them.
+    @example(e=[-2.0], gamma=5.0)
+    @example(e=[math.nan], gamma=1.0)
+    @example(e=[0.0, -0.0, math.nan, -0.0, 1.0], gamma=100.0)
+    @example(e=[math.nan, -0.0, math.nan, 0.0], gamma=100.0)
     def test_matches_oracle_with_ties_signed_zeros_infinities_and_nan(self, e, gamma):
         assert list(p_gamma_subset(np.array(e), gamma)) == brute_force_p_gamma(e, gamma)
 
@@ -164,10 +169,10 @@ class TestPGammaSubset:
                 p_gamma_subset(e, 50.0)
 
     def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            p_gamma_subset(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            p_gamma_subset(np.array([1.0]), 101.0)
+        # A bool and a non-number break the rule for numbers that the configs follow.
+        for gamma in (0.0, 101.0, True, "5", None):
+            with pytest.raises(ValueError, match="^gamma must "):
+                p_gamma_subset(np.array([1.0]), gamma)
 
 
 class TestTermP:
