@@ -12,13 +12,14 @@ import io
 import json
 import math
 import numbers
+import os
+import stat
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +81,21 @@ def _all_finite(values: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(values)) == values.size
 
 
+def _real_array(name: str, values, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``np.asarray(values)``, checked to hold real numbers: an array whose
+    dtype is neither integer nor floating (bool, complex, string, object)
+    raises ``error`` naming the field.
+
+    NumPy picks the dtype of a Python list from all its items, so a bool
+    among other numbers is upcast and not seen, and an int outside the
+    64-bit range gives an object array, which is rejected.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got an array of dtype {array.dtype}")
+    return array
+
+
 def default_feature_names(n_features: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(n_features))
 
@@ -89,9 +105,11 @@ class Dataset:
     """A non-empty, finite feature matrix (rows x features) plus its column names.
 
     The boundary-fitting protocol trains every row against the target 0,
-    so no target is stored.  The points are copied and frozen on
-    construction.  Each feature name must be non-empty, be free of
-    surrounding whitespace and not start with a byte-order mark (U+FEFF):
+    so no target is stored.  The points must be real numbers: an array of
+    bool, complex, string or object dtype raises :class:`DatasetError`.
+    They are copied and frozen on construction.  Each feature name must be
+    non-empty, be free of surrounding whitespace and not start with a
+    byte-order mark (U+FEFF):
     :func:`load_dataset` strips header cells, rejects empty ones and drops
     a byte-order mark at the start of the file, so only such names survive
     a save and reload.
@@ -106,7 +124,7 @@ class Dataset:
     column_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(_real_array("points", self.points, DatasetError), dtype=float)
         if pts.ndim != 2:
             raise DatasetError(f"points must be 2-D (rows x features), got shape {pts.shape}")
         n, f = pts.shape
@@ -166,24 +184,33 @@ def load_dataset(path: str | Path) -> Dataset:
     ragged row, a non-numeric or non-finite cell (rows counted from 1
     below the header, blank lines skipped), then a name Dataset rejects.
 
+    A file that is not a regular file, such as a pipe or a FIFO, can be
+    read only once.  NumPy reads its body from the open stream, line by
+    line, and a failed load of one raises :class:`DatasetError` with the
+    bulk read's error, since no error pass can read it again.
+
     Cost: ``csv.reader`` reads the header from the open file, and NumPy's
-    C reader, ``np.loadtxt``, reads the body from the path in chunks.  No
-    Python object is built per row or per cell; float parsing is the
-    floor.  The text is never held whole: the peak is the array NumPy
-    grows plus the copy :class:`Dataset` freezes, about twice the points'
-    bytes.  On a 2-vCPU Xeon, a :func:`save_dataset` file of 10⁶
+    C reader, ``np.loadtxt``, reads a regular file's body from the path in
+    chunks.  No Python object is built per row or per cell; float parsing
+    is the floor.  The text is never held whole: the peak is the array
+    NumPy grows plus the copy :class:`Dataset` freezes, about twice the
+    points' bytes.  On a 2-vCPU Xeon, a :func:`save_dataset` file of 10⁶
     two-feature rows (38 MB) loads in about 1.2 s, and the process peaks
     at 61 MB RSS, 28 MB of it the interpreter with NumPy.  Only a failed
     load runs the error pass.
     """
     path = Path(path)
+    regular = True
     try:
         with path.open(encoding="utf-8-sig", newline="") as stream:
+            regular = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
             reader = csv.reader(stream)
             header = tuple(cell.strip() for cell in next(filter(None, reader), []))
-            # NumPy decompresses a path by its suffix; a stream it reads
-            # as it is, line by line, from where the header ended.
-            body, skip = (stream, 0) if path.suffix in _COMPRESSED else (path, reader.line_num)
+            # NumPy decompresses a path by its suffix, and a pipe cannot be
+            # opened twice; a stream it reads as it is, line by line, from
+            # where the header ended.
+            from_path = regular and path.suffix not in _COMPRESSED
+            body, skip = (path, reader.line_num) if from_path else (stream, 0)
             with warnings.catch_warnings():
                 # An empty body warns; Dataset rejects it.
                 warnings.simplefilter("ignore", UserWarning)
@@ -191,8 +218,11 @@ def load_dataset(path: str | Path) -> Dataset:
         return Dataset(data, feature_names=header)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, csv.Error):
-        pass  # Decoding, csv, cell and Dataset errors alike: the error pass names them.
+    except (ValueError, csv.Error) as exc:
+        # Decoding, csv, cell and Dataset errors alike: the error pass names
+        # them, but it cannot read a drained pipe again.
+        if not regular:
+            raise DatasetError(f"{path}: {exc}") from exc
     raise _first_fault(path)
 
 
@@ -329,8 +359,8 @@ def _display_number(value: float) -> str:
         return "0"
     mag = abs(value)
     if 1e-3 <= mag < 1e5:
-        text = f"{value:.4f}".rstrip("0").rstrip(".")
-        return "0" if text in ("-0", "") else text
+        # At least 0.0010 in magnitude, so the trimmed text is never "0" or "-0".
+        return f"{value:.4f}".rstrip("0").rstrip(".")
     return f"{value:.4e}"
 
 
@@ -359,7 +389,8 @@ def constraint_text(constraint: LinearConstraint, feature_names: Sequence[str] |
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f"{' - ' if coeff < 0 else ' + '}{body}")
-    expr = "".join(pieces) if pieces else "0"
+    # A canonical constraint has a coefficient of 1.0, so pieces is never empty.
+    expr = "".join(pieces)
     bound = _display_number(constraint.bound)
     if constraint.relation is Direction.LOWER:
         return f"{bound} <= {expr}"
@@ -550,12 +581,14 @@ class TrainConfig:
                 raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """One evaluation of the loss, split by term; ``z`` is the sum of the four terms.
 
-    The loss returns it; a training report keeps its values, in field
-    order, as one row per epoch, recorded at the epoch's start.
+    The loss returns it.  A ``NamedTuple`` of its five fields in order,
+    it is its own row of ``TrainReport.records``: ``train`` writes each
+    epoch's breakdown, taken at the epoch's start, as that epoch's row, and
+    ``_fields`` names the columns.  Like any tuple it compares equal to a
+    plain tuple of its values.
     """
 
     z: float
@@ -563,10 +596,6 @@ class LossBreakdown:
     term_p: float
     term_anchor: float
     term_reg: float
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(LossBreakdown))
-_RECORD_VALUES = attrgetter(*_RECORD_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)

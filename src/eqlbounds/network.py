@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _all_finite, _check_integer, _real
+from .datamodel import Dataset, Direction, _all_finite, _check_integer, _real, _real_array
 
 # Architecture that :func:`initialize` draws: two identity units, then two constant units.
 _N_IDENTITY = 2
@@ -38,11 +38,12 @@ class EqlNetwork:
     at zero.  The output bias is never masked.  Training code works on its
     own private copy.
 
-    Construction copies the two weight arrays and checks the shapes
-    (``w_out`` has at least one entry and one per identity unit), that
-    every weight is finite (two array calls per layer and no Python loop:
-    training with masking builds one network per epoch), and the output
-    bias by the package's rule for numbers.
+    Construction checks that the two weight arrays hold real numbers (an
+    array of bool, complex, string or object dtype raises ``ValueError``),
+    copies them and checks the shapes (``w_out`` has at least one entry and
+    one per identity unit), that every weight is finite (two array calls
+    per layer and no Python loop: training with masking builds one network
+    per epoch), and the output bias by the package's rule for numbers.
     """
 
     w_in: np.ndarray
@@ -50,8 +51,8 @@ class EqlNetwork:
     b_out: float
 
     def __post_init__(self) -> None:
-        w_in = np.array(self.w_in, dtype=float)
-        w_out = np.array(self.w_out, dtype=float)
+        w_in = np.array(_real_array("w_in", self.w_in), dtype=float)
+        w_out = np.array(_real_array("w_out", self.w_out), dtype=float)
         if w_in.ndim != 2 or w_in.shape[1] < 1:
             raise ValueError(f"w_in needs one row per identity unit, shape (H_id, F >= 1), got {w_in.shape}")
         n_identity = w_in.shape[0]
@@ -91,6 +92,7 @@ def forward_batch(
     """Evaluate the network on every row of ``points`` (shape N x F).
 
     ``points`` may also be a :class:`Dataset`, whose points are evaluated.
+    An array argument must hold finite real numbers, as a dataset's do.
     A dataset is checked finite and made read-only when it is built, so its
     points skip the N x F finiteness scan that an array argument gets; a
     training loop passes the same dataset every epoch.
@@ -108,7 +110,7 @@ def forward_batch(
     if direction is not None and not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction or None, got {direction!r}")
     known_finite = isinstance(points, Dataset)
-    pts = points.points if known_finite else np.asarray(points, dtype=float)
+    pts = points.points if known_finite else np.asarray(_real_array("points", points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != net.n_features:
         raise ValueError(f"points must have shape (N, {net.n_features}), got {pts.shape}")
     if not known_finite and not _all_finite(pts):
@@ -162,18 +164,20 @@ def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
     whatever the threshold.  The output bias is never masked.  Applying
     the same threshold twice is a no-op the second time.
 
-    Per weight layer this is one comparison and one ``where``: for
-    ``threshold > 0``, ``|w| < threshold`` already holds at ``w == 0``, and
-    ``threshold == 0`` compares ``w == 0``.  The new network then runs the
-    checks of :class:`EqlNetwork`, so a non-finite weight raises
-    ``ValueError``.  The threshold follows the package's rule for numbers.
+    The new network is built from ``net``'s parameters, so it runs the
+    checks of :class:`EqlNetwork` (a non-finite weight raises
+    ``ValueError``) and holds the constructor's copies, the only new weight
+    arrays.  Per weight layer, masking is then one comparison and one
+    masked assignment on the network's own copy: for ``threshold > 0``,
+    ``|w| < threshold`` already holds at ``w == 0``, and ``threshold == 0``
+    compares ``w == 0``.  Masking only zeroes finite values, so the checks
+    hold for the result.  ``net`` is not written to.  The threshold follows
+    the package's rule for numbers.
     """
     threshold = _real("threshold", threshold)
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
-    return EqlNetwork(_freeze(net.w_in, threshold), _freeze(net.w_out, threshold), net.b_out)
-
-
-def _freeze(weights: np.ndarray, threshold: float) -> np.ndarray:
-    small = np.abs(weights) < threshold if threshold > 0 else weights == 0.0
-    return np.where(small, 0.0, weights)
+    masked = EqlNetwork(net.w_in, net.w_out, net.b_out)
+    for w in (masked.w_in, masked.w_out):
+        w[np.abs(w) < threshold if threshold > 0 else w == 0.0] = 0.0
+    return masked

@@ -22,8 +22,6 @@ from .datamodel import (
     LossConfig,
     TrainConfig,
     TrainReport,
-    _RECORD_FIELDS,
-    _RECORD_VALUES,
     _all_finite,
     _check_keys,
     _direction,
@@ -130,7 +128,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     lr = train_cfg.learning_rate
     threshold = train_cfg.mask_threshold
     # One row per epoch, written in place: no LossBreakdown outlives its epoch.
-    records = np.empty((train_cfg.epochs, len(_RECORD_FIELDS)))
+    records = np.empty((train_cfg.epochs, len(LossBreakdown._fields)))
     near = None
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
@@ -141,7 +139,7 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
-            records[epoch] = _RECORD_VALUES(breakdown)
+            records[epoch] = breakdown
             if threshold is not None:
                 grads.d_w_in[net.w_in == 0.0] = 0.0
                 grads.d_w_out[net.w_out == 0.0] = 0.0
@@ -187,7 +185,7 @@ def train_multi(
 def export_history_csv(report: TrainReport, path: str | Path) -> None:
     """Write the per-epoch loss history as CSV: ``epoch``, then one column per loss term."""
     rows = [[epoch, *row] for epoch, row in enumerate(report.records.tolist())]
-    _write_csv(Path(path), ["epoch", *_RECORD_FIELDS], [rows])
+    _write_csv(Path(path), ["epoch", *LossBreakdown._fields], [rows])
 
 
 # Every config key, in ``train`` flag order, and the config object it belongs to.

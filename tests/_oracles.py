@@ -8,7 +8,6 @@ with the fast numpy code is meaningful.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import numbers
 from pathlib import Path
@@ -88,7 +87,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
     is set to zero.  The masks start empty, so an initial weight of exactly
     0.0 takes one step before it is frozen.  Returns the final weights
     ``(w_in, w_out, b_out)`` and the ``TrainReport``, whose records stack
-    each epoch's ``dataclasses.astuple`` of its breakdown.
+    each epoch's breakdown as a tuple.
     """
     net = initialize(dataset, seed=train_cfg.seed)
     w_in, w_out, b_out = net.w_in, net.w_out, net.b_out
@@ -102,7 +101,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
             near = grads.subset
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
-            records.append(dataclasses.astuple(breakdown))
+            records.append(tuple(breakdown))
             d_w_in, d_w_out = grads.d_w_in.copy(), grads.d_w_out.copy()
             d_w_in[mask_in] = 0.0
             d_w_out[mask_out] = 0.0

@@ -4,6 +4,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -407,6 +410,23 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["expression"] == "0 <= 0.5*X0 + X1"
         assert "\ufeff" not in report["expression"]
+
+    # stdin is a pipe here, which can be read only once.
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_data_from_stdin(self, tmp_path):
+        cpath = tmp_path / "c.json"
+        save_constraint(LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER), cpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqlbounds", "eval", "--constraint", str(cpath), "--data", "/dev/stdin"],
+            input="X0\n1.0\n-2.0\n",
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["violations"], report["n"]) == (1, 2)
 
     def test_missing_constraint_file(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

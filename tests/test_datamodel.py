@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -58,6 +60,47 @@ def _outcome(load, path):
     except DatasetError as exc:
         return type(exc), str(exc)
     return ds.points.shape, ds.points.tobytes(), ds.feature_names
+
+
+_needs_pipes = pytest.mark.skipif(not (hasattr(os, "mkfifo") and os.path.isdir("/dev/fd")), reason="needs pipes in /dev/fd")
+
+
+def _load_from_a_writer(tmp_path, kind, data, timeout=10.0):
+    """``(path, _outcome(load_dataset, path))`` for a ``path`` that a thread writes ``data`` into.
+
+    ``kind`` "pipe" names an anonymous pipe's ``/dev/fd`` entry, "fifo" a
+    named pipe.  Both threads are joined with a timeout, so a load that
+    waits forever fails the test instead of hanging the run.
+    """
+    read_fd = None
+    if kind == "pipe":
+        read_fd, write_fd = os.pipe()
+        path, sink = f"/dev/fd/{read_fd}", write_fd
+    else:
+        path = sink = tmp_path / "fifo.csv"
+        os.mkfifo(path)
+
+    def feed():
+        with open(sink, "wb") as fh:
+            fh.write(data)
+
+    result = []
+    loader = threading.Thread(target=lambda: result.append(_outcome(load_dataset, path)), daemon=True)
+    writer = threading.Thread(target=feed, daemon=True)
+    loader.start()
+    writer.start()
+    try:
+        loader.join(timeout)
+        writer.join(timeout)
+        assert result, f"load_dataset({path}) did not return within {timeout} s"
+        assert not writer.is_alive(), f"the writer to {path} did not finish within {timeout} s"
+    finally:
+        if kind == "fifo" and loader.is_alive():
+            # A reader that waits for a writer sees end of file once one comes and goes.
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        if read_fd is not None:
+            os.close(read_fd)
+    return path, result[0]
 
 
 # CSV cells that ``float`` reads, reads as non-finite, or rejects, spelled
@@ -381,6 +424,26 @@ class TestLoadDataset:
         # holding the file's bytes or text breaks it.
         assert peak <= 3 * loaded.points.nbytes
 
+    # A pipe or FIFO can be read only once, so NumPy reads its body from
+    # the open stream; a quoted header name spans two lines here.
+    @_needs_pipes
+    @pytest.mark.parametrize("kind", ["pipe", "fifo"])
+    def test_pipe_or_fifo_loads_what_the_regular_file_loads(self, tmp_path, kind):
+        original = generate(RegionSpec([[-5.0, 25.0], [-5.0, 25.0]]), 5000, seed=0)
+        regular = tmp_path / "d.csv"
+        save_dataset(Dataset(original.points, feature_names=("a\nb", "c")), regular)
+        _, loaded = _load_from_a_writer(tmp_path, kind, regular.read_bytes())
+        assert loaded == _outcome(load_dataset, regular)
+        assert loaded[1] == original.points.tobytes()
+
+    # The error pass cannot read a drained pipe again, so the bulk read's error is reported.
+    @_needs_pipes
+    @pytest.mark.parametrize("kind", ["pipe", "fifo"])
+    def test_bad_cell_in_a_pipe_or_fifo_names_the_path(self, tmp_path, kind):
+        path, (error, message) = _load_from_a_writer(tmp_path, kind, b"X0,X1\n1,2\n3,x\n")
+        assert error is DatasetError
+        assert message.startswith(f"{path}: ") and "'x'" in message
+
     def test_cell_at_the_csv_field_limit_loads(self, tmp_path):
         path = write(tmp_path, "d.csv", "X0\n" + "0" * (csv.field_size_limit() - 1) + "1\n")
         assert np.array_equal(load_dataset(path).points, [[1.0]])
@@ -553,6 +616,29 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 2)), feature_names=("A",))
 
+    # The points follow the package's rule for numbers: no bool, complex,
+    # string or object array, and no OverflowError or ComplexWarning.
+    @pytest.mark.parametrize(
+        "points, dtype",
+        [
+            ([["1", "2"]], "<U1"),
+            (np.array([[True, False]]), "bool"),
+            (np.array([[1 + 2j, 3]]), "complex128"),
+            ([[10**400, 1]], "object"),
+            ([[None, 1.0]], "object"),
+        ],
+        ids=["strings", "bools", "complex", "int-too-large-for-a-float", "none"],
+    )
+    def test_points_must_be_real_numbers(self, points, dtype):
+        with pytest.raises(DatasetError) as raised:
+            Dataset(points)
+        assert str(raised.value) == f"points must be real numbers, got an array of dtype {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.float16, np.float32, np.float64])
+    def test_integer_and_floating_points_become_float64(self, dtype):
+        ds = Dataset(np.array([[1, 2]], dtype=dtype))
+        assert ds.points.dtype == np.float64 and ds.points.tolist() == [[1.0, 2.0]]
+
     def test_column_means_when_the_column_sum_overflows_both_ways(self):
         # The sum meets inf and -inf, which is NaN, not inf.
         big = sys.float_info.max
@@ -641,6 +727,23 @@ class TestConstraintText:
     def test_custom_feature_names(self):
         c = LinearConstraint(np.array([2.0, 1.0]), 0.0, Direction.LOWER)
         assert constraint_text(c, ("a", "b")) == "0 <= 2*a + b"
+
+    # The edges of fixed notation, and a constraint of one coefficient.
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1e-3, "0.001"),
+            (-1e-3, "-0.001"),
+            (math.nextafter(1e5, 0), "100000"),
+            (-math.nextafter(1e5, 0), "-100000"),
+            (math.nextafter(1e-3, 0), "1.0000e-03"),
+            (1e5, "1.0000e+05"),
+        ],
+    )
+    def test_numbers_at_the_edges_of_fixed_notation(self, value, text):
+        assert constraint_text(LinearConstraint(np.array([1.0]), value, Direction.LOWER)) == f"{text} <= X0"
+        c = LinearConstraint(np.array([value, 1.0]), 0.0, Direction.UPPER)
+        assert constraint_text(c) == f"{text}*X0 + X1 <= 0"
 
     def test_name_count_mismatch(self):
         c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
@@ -898,12 +1001,21 @@ class TestTrainConfig:
             TrainConfig(**{name: 10**400})
 
 
+class TestLossBreakdown:
+    def test_is_a_tuple_of_its_five_fields_in_order(self):
+        breakdown = LossBreakdown(1.0, 0.1, 0.2, 0.3, 0.4)
+        assert isinstance(breakdown, tuple)
+        assert LossBreakdown._fields == ("z", "term_e", "term_p", "term_anchor", "term_reg")
+        assert breakdown == (1.0, 0.1, 0.2, 0.3, 0.4)
+        assert (breakdown.z, breakdown.term_reg) == (1.0, 0.4)
+
+
 class TestTrainReport:
     def record(self):
         return LossBreakdown(1.0, 0.1, 0.2, 0.3, 0.4)
 
     def test_holds_records(self):
         c = LinearConstraint(np.array([1.0]), 0.0, Direction.LOWER)
-        report = TrainReport(np.array([dataclasses.astuple(self.record())] * 2), c, 2.5, seed=7)
+        report = TrainReport(np.array([tuple(self.record())] * 2), c, 2.5, seed=7)
         assert report.records.shape == (2, 5)
         assert report.seed == 7

@@ -100,6 +100,22 @@ class TestForward:
             with pytest.raises(ValueError, match="non-finite"):
                 forward_batch(net, np.array([[0.5], [bad]]))
 
+    @pytest.mark.parametrize(
+        "points, dtype",
+        [
+            ([["1"]], "<U1"),
+            (np.array([[True], [False]]), "bool"),
+            (np.array([[1 + 2j]]), "complex128"),
+            ([[10**400]], "object"),
+        ],
+        ids=["strings", "bools", "complex", "int-too-large-for-a-float"],
+    )
+    def test_array_points_must_be_real_numbers(self, points, dtype):
+        net = make_net([[1.0]], [1.0], 0.0)
+        with pytest.raises(ValueError) as info:
+            forward_batch(net, points)
+        assert str(info.value) == f"points must be real numbers, got an array of dtype {dtype}"
+
     def test_dataset_argument_matches_its_points_bit_for_bit(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -376,6 +392,17 @@ class TestApplyMask:
         apply_mask(net, 0.001)
         assert net.w_in[0, 0] == 0.0005
 
+    # The masked network writes to its own copies, never to the input's arrays.
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3])
+    def test_result_shares_no_memory_with_the_input(self, threshold):
+        net = make_net([[-0.0, 0.0005, 0.5]], [0.0, 0.7], 0.1)
+        before = net.w_in.tobytes(), net.w_out.tobytes()
+        masked = apply_mask(net, threshold)
+        for new, old in ((masked.w_in, net.w_in), (masked.w_out, net.w_out)):
+            assert not np.shares_memory(new, old)
+        assert (net.w_in.tobytes(), net.w_out.tobytes()) == before
+        assert masked.w_in.tolist() == [[0.0, 0.0005 if threshold == 0.0 else 0.0, 0.5]]
+
 
 # Signed zeros, subnormals, values on either side of the thresholds below,
 # infinities and NaN are common; arbitrary floats fill the rest.
@@ -501,6 +528,30 @@ class TestNetworkValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             make_net([[np.inf]], [1.0], 0.0)
+
+    # The weights follow the package's rule for numbers: no bool, complex,
+    # string or object array, and no OverflowError.
+    @pytest.mark.parametrize(
+        "w_in, w_out, message",
+        [
+            ([["1.5"]], ["2", "3"], "w_in must be real numbers, got an array of dtype <U3"),
+            ([[1.5]], ["2", "3"], "w_out must be real numbers, got an array of dtype <U1"),
+            (np.array([[True]]), [1.0], "w_in must be real numbers, got an array of dtype bool"),
+            ([[1.5]], np.array([1 + 2j]), "w_out must be real numbers, got an array of dtype complex128"),
+            ([[10**400]], [1.0], "w_in must be real numbers, got an array of dtype object"),
+            ([[1.5]], [None], "w_out must be real numbers, got an array of dtype object"),
+        ],
+        ids=["w_in-strings", "w_out-strings", "w_in-bools", "w_out-complex", "w_in-int-too-large", "w_out-none"],
+    )
+    def test_weights_must_be_real_numbers(self, w_in, w_out, message):
+        with pytest.raises(ValueError) as info:
+            EqlNetwork(w_in, w_out, 0.0)
+        assert str(info.value) == message
+
+    def test_integer_weights_become_float64(self):
+        net = EqlNetwork(np.array([[1, 2]], dtype=np.int16), [3, 4], 0.0)
+        assert net.w_in.dtype == net.w_out.dtype == np.float64
+        assert net.w_in.tolist() == [[1.0, 2.0]] and net.w_out.tolist() == [3.0, 4.0]
 
     def test_weights_are_copied_from_the_caller(self):
         w_in, w_out = np.array([[1.0, 2.0]]), np.array([3.0, 4.0])

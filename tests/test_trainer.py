@@ -1,6 +1,5 @@
 """Analytic gradients against finite differences, plus the descent loop."""
 
-import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -422,7 +421,7 @@ class TestWarmStart:
 
         assert len(report.records) == len(records)
         for epoch, (row, breakdown) in enumerate(zip(report.records, records)):
-            assert row.tobytes() == np.array(dataclasses.astuple(breakdown)).tobytes(), f"epoch {epoch}"
+            assert row.tobytes() == np.array(tuple(breakdown)).tobytes(), f"epoch {epoch}"
         assert report.constraint.coeffs.tobytes() == constraint.coeffs.tobytes()
         assert report.constraint.bound.hex() == constraint.bound.hex()
         assert report.constraint.relation is constraint.relation
@@ -454,7 +453,7 @@ class TestInPlaceErrors:
 
     @staticmethod
     def as_bytes(breakdown, grads):
-        history = np.array(dataclasses.astuple(breakdown)).tobytes()
+        history = np.array(tuple(breakdown)).tobytes()
         return history, grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes()
 
     @pytest.mark.parametrize("direction", list(Direction))
@@ -600,10 +599,13 @@ class TestHistoryExport:
         path = tmp_path / "history.csv"
         export_history_csv(report, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
-        names = [f.name for f in dataclasses.fields(LossBreakdown)]
+        names = list(LossBreakdown._fields)
         assert names == ["z", "term_e", "term_p", "term_anchor", "term_reg"]
         assert lines[0].split(",") == ["epoch", *names]
         assert len(lines) == 1 + len(report.records) == 1 + len(breakdowns) == 6
+        # A breakdown is its own row of the records.
+        for row, breakdown in zip(report.records, breakdowns):
+            assert row.tobytes() == np.array(tuple(breakdown)).tobytes()
         for epoch, (line, breakdown) in enumerate(zip(lines[1:], breakdowns)):
             cells = line.split(",")
             assert int(cells[0]) == epoch
