@@ -26,7 +26,7 @@ def run(mask_threshold):
 
 
 masked_net, masked = run(0.001)
-plain_net, plain = run(None)
+plain_net, plain = run(0.0)   # a threshold of 0 masks nothing
 
 print(f"seed {SEED}, 400 epochs, identical initialization\n")
 print(f"  masked (threshold 0.001): {constraint_text(masked.constraint)}")

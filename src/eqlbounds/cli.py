@@ -75,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             train.add_argument(flag, choices=[d.value for d in Direction])
         else:
             train.add_argument(flag, type=type(field.default))
-    train.add_argument(
-        "--no-mask", action="store_true", help="disable magnitude masking during training"
-    )
     train.set_defaults(func=_cmd_train)
 
     evaluate = sub.add_parser("eval", help="score a constraint against a dataset")
@@ -137,10 +134,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             payload[name] = value
-    if args.no_mask:
-        if args.mask_threshold is not None:
-            raise ValueError("--no-mask conflicts with --mask-threshold")
-        payload["mask_threshold"] = None
     loss_cfg, train_cfg = configs_from_mapping(payload)
 
     out_dir = Path(args.out_dir)

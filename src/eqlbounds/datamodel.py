@@ -100,6 +100,29 @@ def default_feature_names(n_features: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(n_features))
 
 
+def _feature_names(names, count: int, error: type[ValueError] = ValueError) -> tuple[str, ...]:
+    """``names`` as ``count`` feature names, by the package's one rule for names.
+
+    ``None`` gives the default names; a plain string is rejected, not read
+    one character per name.  Each name is read by ``str`` and must be
+    non-empty, be free of surrounding whitespace and not start with a
+    byte-order mark (U+FEFF).  A fault raises ``error``.
+    """
+    if isinstance(names, str):
+        raise error(f"feature_names must be a sequence of names, not the string {names!r}")
+    names = default_feature_names(count) if names is None else tuple(str(s) for s in names)
+    if len(names) != count:
+        raise error(f"expected {count} feature names, got {len(names)}")
+    for i, name in enumerate(names):
+        if not name:
+            raise error(f"feature {i} has an empty name")
+        if name != name.strip():
+            raise error(f"feature {i} name {name!r} has surrounding whitespace")
+        if name.startswith("\ufeff"):
+            raise error(f"feature {i} name {name!r} starts with a byte-order mark")
+    return names
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A non-empty, finite feature matrix (rows x features) plus its column names.
@@ -107,9 +130,10 @@ class Dataset:
     The boundary-fitting protocol trains every row against the target 0,
     so no target is stored.  The points must be real numbers: an array of
     bool, complex, string or object dtype raises :class:`DatasetError`.
-    They are copied and frozen on construction.  Each feature name must be
-    non-empty, be free of surrounding whitespace and not start with a
-    byte-order mark (U+FEFF):
+    They are copied and frozen on construction.  Each feature name is read
+    by ``str`` and must be non-empty, be free of surrounding whitespace and
+    not start with a byte-order mark (U+FEFF), the rule that
+    :func:`constraint_text` applies too.
     :func:`load_dataset` strips header cells, rejects empty ones and drops
     a byte-order mark at the start of the file, so only such names survive
     a save and reload.
@@ -134,21 +158,8 @@ class Dataset:
             raise EmptyDatasetError("dataset needs at least one row")
         if not _all_finite(pts):
             raise DatasetError("points contain non-finite values")
-        names = self.feature_names
-        if isinstance(names, str):
-            raise DatasetError(f"feature_names must be a sequence of names, not the string {names!r}")
-        names = default_feature_names(f) if names is None else tuple(str(s) for s in names)
-        if len(names) != f:
-            raise DatasetError(f"expected {f} feature names, got {len(names)}")
-        for i, name in enumerate(names):
-            if not name:
-                raise DatasetError(f"feature {i} has an empty name")
-            if name != name.strip():
-                raise DatasetError(f"feature {i} name {name!r} has surrounding whitespace")
-            if name.startswith("\ufeff"):
-                raise DatasetError(f"feature {i} name {name!r} starts with a byte-order mark")
         object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "feature_names", _feature_names(self.feature_names, f, DatasetError))
         with np.errstate(over="ignore", invalid="ignore"):
             means = pts.mean(axis=0)
             if not _all_finite(means):
@@ -185,31 +196,34 @@ def load_dataset(path: str | Path) -> Dataset:
     below the header, blank lines skipped), then a name Dataset rejects.
 
     A file that is not a regular file, such as a pipe or a FIFO, can be
-    read only once.  NumPy reads its body from the open stream, line by
-    line, and a failed load of one raises :class:`DatasetError` with the
-    bulk read's error, since no error pass can read it again.
+    read only once, so its bytes are read whole, before anything is
+    decoded, and held.  The header and body are read from them as from a
+    file, and a failed load runs the same error pass on them, so a pipe
+    gives the same error as a regular file with the same bytes.
 
     Cost: ``csv.reader`` reads the header from the open file, and NumPy's
     C reader, ``np.loadtxt``, reads a regular file's body from the path in
     chunks.  No Python object is built per row or per cell; float parsing
-    is the floor.  The text is never held whole: the peak is the array
-    NumPy grows plus the copy :class:`Dataset` freezes, about twice the
-    points' bytes.  On a 2-vCPU Xeon, a :func:`save_dataset` file of 10⁶
-    two-feature rows (38 MB) loads in about 1.2 s, and the process peaks
-    at 61 MB RSS, 28 MB of it the interpreter with NumPy.  Only a failed
-    load runs the error pass.
+    is the floor.  A regular file's text is never held whole: the peak is
+    the array NumPy grows plus the copy :class:`Dataset` freezes, about
+    twice the points' bytes; a pipe's bytes add to that.  On a 2-vCPU
+    Xeon, a :func:`save_dataset` file of 10⁶ two-feature rows (38 MB)
+    loads in about 1.2 s, and the process peaks at 61 MB RSS, 28 MB of it
+    the interpreter with NumPy.  Only a failed load runs the error pass.
     """
     path = Path(path)
-    regular = True
+    raw = None
     try:
         with path.open(encoding="utf-8-sig", newline="") as stream:
-            regular = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+            if not stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                # A pipe cannot be read twice: hold its bytes for the error pass.
+                raw = stream.buffer.read()
+                stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
             reader = csv.reader(stream)
             header = tuple(cell.strip() for cell in next(filter(None, reader), []))
-            # NumPy decompresses a path by its suffix, and a pipe cannot be
-            # opened twice; a stream it reads as it is, line by line, from
-            # where the header ended.
-            from_path = regular and path.suffix not in _COMPRESSED
+            # NumPy decompresses a path by its suffix; a stream it reads as
+            # it is, line by line, from where the header ended.
+            from_path = raw is None and path.suffix not in _COMPRESSED
             body, skip = (path, reader.line_num) if from_path else (stream, 0)
             with warnings.catch_warnings():
                 # An empty body warns; Dataset rejects it.
@@ -218,30 +232,29 @@ def load_dataset(path: str | Path) -> Dataset:
         return Dataset(data, feature_names=header)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, csv.Error) as exc:
-        # Decoding, csv, cell and Dataset errors alike: the error pass names
-        # them, but it cannot read a drained pipe again.
-        if not regular:
-            raise DatasetError(f"{path}: {exc}") from exc
-    raise _first_fault(path)
+    except (ValueError, csv.Error):
+        # Decoding, csv, cell and Dataset errors alike: the error pass names them.
+        raise _first_fault(path, raw) from None
 
 
 # The suffixes of the paths that NumPy opens as compressed files.
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _first_fault(path: Path) -> DatasetError:
+def _first_fault(path: Path, raw: bytes | None = None) -> DatasetError:
     """The error for the first fault of the dataset file at ``path``, in file order.
 
     This is the error pass of :func:`load_dataset` and its only per-cell
-    loop.  It decodes the whole file as UTF-8, so a decoding error gives
-    its position in the file.  Then, as the bulk read does, it drops a
-    leading byte-order mark and reads the header, and it splits the body
-    into lines and cells as NumPy's C reader does.  Last, it lets
-    :class:`Dataset` judge the header names, on one row of zeros.
+    loop.  It decodes the file's bytes as UTF-8 whole, so a decoding error
+    gives its position in the file: ``raw`` when given (the bytes of a
+    pipe, which cannot be read again), else the file read anew.  Then, as
+    the bulk read does, it drops a leading byte-order mark and reads the
+    header, and it splits the body into lines and cells as NumPy's C
+    reader does.  Last, it judges the header names by :class:`Dataset`'s
+    rule.
     """
     try:
-        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        text = (path.read_bytes() if raw is None else raw).decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         return DatasetError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -275,7 +288,7 @@ def _first_fault(path: Path) -> DatasetError:
         return EmptyDatasetError(f"{path}: no data rows below the header")
     try:
         # Only a name that still starts with a byte-order mark is left.
-        Dataset(np.zeros((1, len(header))), feature_names=header)
+        _feature_names(header, len(header), DatasetError)
     except DatasetError as exc:
         return DatasetError(f"{path}: {exc}")
     raise AssertionError(f"{path}: the bulk read failed but no line is bad")
@@ -368,18 +381,12 @@ def constraint_text(constraint: LinearConstraint, feature_names: Sequence[str] |
     """Render a constraint as human-readable text, e.g. ``2.1469 <= 0.4772*X0 + X1``.
 
     Zero coefficients are elided and unit coefficients print as the bare
-    feature name.  ``feature_names`` is a sequence of names; a plain string
-    is rejected, not read one character per name.
+    feature name.  ``feature_names`` is read by :class:`Dataset`'s rule for
+    names, raising ValueError: a plain string is rejected, not read one
+    character per name, each name is read by ``str``, and an empty name or
+    one with surrounding whitespace is rejected.
     """
-    if isinstance(feature_names, str):
-        raise ValueError(f"feature_names must be a sequence of names, not the string {feature_names!r}")
-    names = (
-        default_feature_names(constraint.n_features)
-        if feature_names is None
-        else tuple(feature_names)
-    )
-    if len(names) != constraint.n_features:
-        raise ValueError(f"expected {constraint.n_features} feature names, got {len(names)}")
+    names = _feature_names(feature_names, constraint.n_features)
     pieces: list[str] = []
     for name, coeff in zip(names, constraint.coeffs):
         if coeff == 0:
@@ -408,10 +415,12 @@ def constraint_to_dict(constraint: LinearConstraint) -> dict:
 def constraint_from_dict(payload: dict) -> LinearConstraint:
     """Rebuild a constraint from :func:`constraint_to_dict` output.
 
-    A missing key, an unknown relation and every value that
-    :class:`LinearConstraint` rejects raise ValueError naming the field.
+    A payload that is not an object, an unknown key, a missing key, an
+    unknown relation and every value that :class:`LinearConstraint`
+    rejects raise ValueError naming the field.
     """
     try:
+        _check_keys("constraint", payload, ("coeffs", "bound", "relation"))
         return LinearConstraint(payload["coeffs"], payload["bound"], _direction("relation", payload["relation"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed constraint payload: {exc}") from exc
@@ -561,11 +570,15 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Descent-loop settings: epochs, step size, masking, seeding."""
+    """Descent-loop settings: epochs, step size, masking, seeding.
+
+    ``mask_threshold`` is a number ``>= 0``; masking is on exactly when it
+    is positive, and ``0`` trains without masking.
+    """
 
     epochs: int = 400
     learning_rate: float = 1e-8
-    mask_threshold: float | None = 0.001
+    mask_threshold: float = 0.001
     seed: int = 0
     runs: int = 1
 
@@ -575,10 +588,9 @@ class TrainConfig:
         object.__setattr__(self, "learning_rate", _real("learning_rate", self.learning_rate))
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.mask_threshold is not None:
-            object.__setattr__(self, "mask_threshold", _real("mask_threshold", self.mask_threshold))
-            if self.mask_threshold < 0:
-                raise ValueError(f"mask_threshold must be >= 0 or None, got {self.mask_threshold}")
+        object.__setattr__(self, "mask_threshold", _real("mask_threshold", self.mask_threshold))
+        if self.mask_threshold < 0:
+            raise ValueError(f"mask_threshold must be >= 0, got {self.mask_threshold}")
 
 
 class LossBreakdown(NamedTuple):

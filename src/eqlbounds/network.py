@@ -159,25 +159,25 @@ def initialize(dataset: Dataset, seed: int = 0) -> EqlNetwork:
 def apply_mask(net: EqlNetwork, threshold: float) -> EqlNetwork:
     """Freeze small weights at exactly zero; returns a new network.
 
-    A weight is set to +0.0 when its magnitude falls below ``threshold``
-    or it is zero already (``-0.0`` included), so a zero weight stays zero
-    whatever the threshold.  The output bias is never masked.  Applying
-    the same threshold twice is a no-op the second time.
+    A weight is set to +0.0 when its magnitude falls below ``threshold``.
+    For a positive threshold that includes every zero weight (``-0.0``
+    too), so a zero weight stays zero; a threshold of 0 masks nothing and
+    returns an equal copy, in which ``-0.0`` stays ``-0.0``.  The output
+    bias is never masked.  Applying the same threshold twice is a no-op
+    the second time.
 
     The new network is built from ``net``'s parameters, so it runs the
     checks of :class:`EqlNetwork` (a non-finite weight raises
     ``ValueError``) and holds the constructor's copies, the only new weight
     arrays.  Per weight layer, masking is then one comparison and one
-    masked assignment on the network's own copy: for ``threshold > 0``,
-    ``|w| < threshold`` already holds at ``w == 0``, and ``threshold == 0``
-    compares ``w == 0``.  Masking only zeroes finite values, so the checks
-    hold for the result.  ``net`` is not written to.  The threshold follows
-    the package's rule for numbers.
+    masked assignment on the network's own copy.  Masking only zeroes
+    finite values, so the checks hold for the result.  ``net`` is not
+    written to.  The threshold follows the package's rule for numbers.
     """
     threshold = _real("threshold", threshold)
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     masked = EqlNetwork(net.w_in, net.w_out, net.b_out)
     for w in (masked.w_in, masked.w_out):
-        w[np.abs(w) < threshold if threshold > 0 else w == 0.0] = 0.0
+        w[np.abs(w) < threshold] = 0.0
     return masked

@@ -3,9 +3,9 @@
 The loss is piecewise smooth: the percentile subset and the worst-error
 index are held fixed while differentiating one evaluation, which matches
 central finite differences everywhere away from membership ties.  The
-update rule is plain descent, ``theta <- theta - lr * grad``, with optional
-per-epoch magnitude masking that freezes small weights at exactly zero for
-the rest of the run.
+update rule is plain descent, ``theta <- theta - lr * grad``, with
+per-epoch magnitude masking, on at any positive threshold, that freezes
+small weights at exactly zero for the rest of the run.
 """
 
 from __future__ import annotations
@@ -105,14 +105,16 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     """Run one seeded training run and extract the resulting constraint.
 
     Each epoch records the loss breakdown at its start, as one row of
-    ``TrainReport.records``, then applies one descent step; when masking
-    is enabled the step is followed by a mask pass, so a weight that ends
-    an epoch below the threshold is zero for every later epoch.  A frozen
-    weight is one that is exactly zero: under masking the gradient of
-    every zero weight is zeroed before the step.  So an initial weight
-    drawn as exactly 0.0 (probability 2**-53 per draw) is frozen from
-    epoch 0 on.  Each epoch's percentile subset is the next epoch's warm
-    start; the first epoch starts cold.
+    ``TrainReport.records``, then applies one descent step.  Masking is on
+    exactly when ``train_cfg.mask_threshold > 0``: the step is then
+    followed by a mask pass, so a weight that ends an epoch below the
+    threshold is zero for every later epoch.  A frozen weight is one that
+    is exactly zero: under masking the gradient of every zero weight is
+    zeroed before the step.  So an initial weight drawn as exactly 0.0
+    (probability 2**-53 per draw) is frozen from epoch 0 on.  A threshold
+    of 0 runs plain descent: no weight is frozen and no mask pass runs.
+    Each epoch's percentile subset is the next epoch's warm start; the
+    first epoch starts cold.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking;
@@ -140,13 +142,13 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
             records[epoch] = breakdown
-            if threshold is not None:
+            if threshold > 0:
                 grads.d_w_in[net.w_in == 0.0] = 0.0
                 grads.d_w_out[net.w_out == 0.0] = 0.0
             net.w_in = net.w_in - lr * grads.d_w_in
             net.w_out = net.w_out - lr * grads.d_w_out
             net.b_out = net.b_out - lr * grads.d_b_out
-            if threshold is not None:
+            if threshold > 0:
                 try:
                     net = apply_mask(net, threshold)
                 except ValueError as exc:

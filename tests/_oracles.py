@@ -71,10 +71,11 @@ def directional_errors(preds, direction):
 def freeze(weights, threshold):
     """Masking rule of ``apply_mask`` as first written, with two terms.
 
-    A weight is masked when its magnitude is below ``threshold`` or it is
-    exactly zero; masked weights become 0.0.
+    At a positive ``threshold`` a weight is masked when its magnitude is
+    below it or it is exactly zero; masked weights become 0.0.  A
+    threshold of 0 masks nothing.
     """
-    masked = (np.abs(weights) < threshold) | (weights == 0.0)
+    masked = ((np.abs(weights) < threshold) | (weights == 0.0)) & (threshold > 0)
     return np.where(masked, 0.0, weights)
 
 
@@ -84,7 +85,8 @@ def masked_train(dataset, loss_cfg, train_cfg):
     Each layer keeps a mask of its frozen weights, which only grows: after
     every step the weights that are masked, small or exactly zero join it
     and become 0.0, and before every step the gradient at a masked position
-    is set to zero.  The masks start empty, so an initial weight of exactly
+    is set to zero.  Masking is on at a positive threshold only; at 0 the
+    masks stay empty.  The masks start empty, so an initial weight of exactly
     0.0 takes one step before it is frozen.  Returns the final weights
     ``(w_in, w_out, b_out)`` and the ``TrainReport``, whose records stack
     each epoch's breakdown as a tuple.
@@ -108,7 +110,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
             w_in = w_in - lr * d_w_in
             w_out = w_out - lr * d_w_out
             b_out = b_out - lr * grads.d_b_out
-            if threshold is not None:
+            if threshold > 0:
                 mask_in |= (np.abs(w_in) < threshold) | (w_in == 0.0)
                 mask_out |= (np.abs(w_out) < threshold) | (w_out == 0.0)
                 w_in = np.where(mask_in, 0.0, w_in)

@@ -293,7 +293,7 @@ def test_criterion_6_masking_behavior(capsys):
             now = zeros(train(data, loss_cfg, masked_cfg(budget, seed))[0])
             assert np.all(now[frozen]), f"a frozen weight moved at epoch {budget}"
             frozen = now
-            unmasked = replace(masked_cfg(budget, seed), mask_threshold=None)
+            unmasked = replace(masked_cfg(budget, seed), mask_threshold=0.0)
             assert not zeros(train(data, loss_cfg, unmasked)[0]).any()
         assert frozen.any()
 
@@ -304,7 +304,7 @@ def test_criterion_6_masking_behavior(capsys):
         for seed in CONTRAST_SEEDS:
             masked_constraint = finals[seed][1].constraint
             unmasked_cfg = TrainConfig(
-                epochs=400, learning_rate=TUNED_LR, mask_threshold=None, seed=seed
+                epochs=400, learning_rate=TUNED_LR, mask_threshold=0.0, seed=seed
             )
             unmasked_net, unmasked_report = train(data, loss_cfg, unmasked_cfg)
             assert not zeros(unmasked_net).any()

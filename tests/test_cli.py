@@ -244,15 +244,26 @@ class TestTrain:
         assert main(self.train_args(square_low_csv, dir_file, seed=24)) == 0
         assert (dir_flag / "summary.json").read_bytes() == (dir_file / "summary.json").read_bytes()
 
-    def test_no_mask_flag(self, square_low_csv, tmp_path):
+    def test_zero_mask_threshold_trains(self, square_low_csv, tmp_path):
         out_dir = tmp_path / "runs"
-        args = self.train_args(square_low_csv, out_dir, seed=24) + ["--no-mask"]
+        args = self.train_args(square_low_csv, out_dir, seed=24, mask_threshold=0)
         assert main(args) == 0
 
-    def test_no_mask_conflicts_with_threshold(self, square_low_csv, tmp_path, capsys):
-        args = self.train_args(square_low_csv, tmp_path / "r", seed=24, mask_threshold=0.01) + ["--no-mask"]
+    # A threshold of 0 is the one way to train without masking.
+    def test_no_mask_is_a_usage_error(self, square_low_csv, tmp_path, capsys):
+        args = self.train_args(square_low_csv, tmp_path / "r", seed=24) + ["--no-mask"]
+        with pytest.raises(SystemExit) as raised:
+            main(args)
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --no-mask" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_null_mask_threshold_in_a_config_is_input_error(self, square_low_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mask_threshold": None}), encoding="utf-8")
+        args = self.train_args(square_low_csv, tmp_path / "r") + ["--config", str(cfg)]
         assert main(args) == 2
-        assert "conflicts" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: mask_threshold must be a number, got None\n"
 
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(self.train_args(tmp_path / "absent.csv", tmp_path / "r")) == 2
@@ -295,7 +306,7 @@ class TestTrain:
         assert "epoch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("epochs", ["5", "1"], ids=["mid-run", "last-epoch"])
-    @pytest.mark.parametrize("mask_flags", [[], ["--no-mask"]], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("mask_flags", [[], ["--mask-threshold", "0"]], ids=["masked", "unmasked"])
     def test_overflowing_step_exits_3(self, square_low_csv, tmp_path, capsys, mask_flags, epochs):
         args = self.train_args(square_low_csv, tmp_path / "r", learning_rate=1e308, epochs=epochs) + mask_flags
         with warnings.catch_warnings():
@@ -324,7 +335,7 @@ class TestTrain:
             return EqlNetwork(np.array([[1e301, 1e-8]]), np.array([1.0]), 0.0)
 
         monkeypatch.setattr(trainer, "initialize", fit)
-        args = self.train_args(tmp_path / "d.csv", tmp_path / "r", epochs=1, learning_rate=1e-12) + ["--no-mask"]
+        args = self.train_args(tmp_path / "d.csv", tmp_path / "r", epochs=1, learning_rate=1e-12, mask_threshold=0)
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: dividing by the lead coefficient") and "overflows" in err
@@ -334,11 +345,11 @@ class TestTrain:
         assert main(args) == 3
         assert "zero" in capsys.readouterr().err
 
-    def test_flags_are_the_config_fields_plus_no_mask(self):
+    def test_flags_are_the_config_fields(self):
         (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         flags = {opt for action in subcommands.choices["train"]._actions for opt in action.option_strings}
         config_fields = [*dataclasses.fields(LossConfig), *dataclasses.fields(TrainConfig)]
-        expected = {"--" + f.name.replace("_", "-") for f in config_fields} | {"--no-mask"}
+        expected = {"--" + f.name.replace("_", "-") for f in config_fields}
         assert flags - {"-h", "--help", "--data", "--config", "--out-dir"} == expected
 
     def test_each_flag_reaches_its_config(self, square_low_csv, tmp_path, monkeypatch):
@@ -354,14 +365,14 @@ class TestTrain:
         monkeypatch.setattr(cli, "train_multi", fake_train_multi)
         loss_values = {"alpha1": 0.25, "alpha2": 0.75, "alpha3": 0.125, "gamma": 2.5, "l1": 0.01, "l2": 0.02}
         train_values = {"epochs": 7, "learning_rate": 0.003, "mask_threshold": 0.004, "seed": 9, "runs": 3}
-        unmasked = {key: value for key, value in train_values.items() if key != "mask_threshold"}
+        unmasked = {**train_values, "mask_threshold": 0}
         base = ["train", "--data", str(square_low_csv), "--out-dir", str(tmp_path / "r"), "--direction", "upper"]
         assert main(base + flags({**loss_values, **train_values})) == 0
-        assert main(base + flags({**loss_values, **unmasked}) + ["--no-mask"]) == 0
+        assert main(base + flags({**loss_values, **unmasked})) == 0
         loss_cfg = LossConfig(**loss_values, direction=Direction.UPPER)
         assert seen == [
             (loss_cfg, TrainConfig(**train_values)),
-            (loss_cfg, TrainConfig(**unmasked, mask_threshold=None)),
+            (loss_cfg, TrainConfig(**unmasked)),
         ]
 
 
@@ -457,6 +468,15 @@ class TestEval:
         cpath.write_text(json.dumps({"coeffs": [0.5, 1.0], "bound": bound, "relation": "lower"}), encoding="utf-8")
         assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
         assert capsys.readouterr().err == f"error: malformed constraint payload: bound must be a number, got {bound!r}\n"
+
+    def test_unknown_constraint_key_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        save_dataset(Dataset(np.ones((2, 2))), data)
+        cpath = tmp_path / "c.json"
+        payload = {"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower", "bonud": 7}
+        cpath.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
+        assert capsys.readouterr() == ("", "error: malformed constraint payload: unknown constraint keys: ['bonud']\n")
 
 
 class TestPlotdata:

@@ -436,13 +436,21 @@ class TestLoadDataset:
         assert loaded == _outcome(load_dataset, regular)
         assert loaded[1] == original.points.tobytes()
 
-    # The error pass cannot read a drained pipe again, so the bulk read's error is reported.
+    # A pipe's bytes are held, so its error pass reads them as a file's reads the file.
     @_needs_pipes
     @pytest.mark.parametrize("kind", ["pipe", "fifo"])
-    def test_bad_cell_in_a_pipe_or_fifo_names_the_path(self, tmp_path, kind):
-        path, (error, message) = _load_from_a_writer(tmp_path, kind, b"X0,X1\n1,2\n3,x\n")
-        assert error is DatasetError
-        assert message.startswith(f"{path}: ") and "'x'" in message
+    @pytest.mark.parametrize(
+        "body",
+        [b"X0,X1\n1,2\n3,x\n", b"X0,X1\n1,2\n3\n", b"X0,X1\n1,2\nnan,4\n", b"X0,X1\n1,\xe9\n", b"", b"X0,X1\n"],
+        ids=["bad-cell", "ragged-row", "nan", "not-utf-8", "empty", "header-only"],
+    )
+    def test_bad_cell_in_a_pipe_or_fifo_names_the_path(self, tmp_path, kind, body):
+        regular = tmp_path / "d.csv"
+        regular.write_bytes(body)
+        error, message = _outcome(load_dataset, regular)
+        assert message.startswith(f"{regular}: ")
+        path, loaded = _load_from_a_writer(tmp_path, kind, body)
+        assert loaded == (error, message.replace(str(regular), str(path), 1))
 
     def test_cell_at_the_csv_field_limit_loads(self, tmp_path):
         path = write(tmp_path, "d.csv", "X0\n" + "0" * (csv.field_size_limit() - 1) + "1\n")
@@ -750,6 +758,29 @@ class TestConstraintText:
         with pytest.raises(ValueError):
             constraint_text(c, ("a", "b"))
 
+    # Names are read by Dataset's rule: each is read by str, and a name that
+    # Dataset rejects is rejected here with Dataset's message.
+    def test_int_names_are_read_as_text(self):
+        c = LinearConstraint(np.array([0.5, 1.0]), 2.0, Direction.LOWER)
+        assert constraint_text(c, [1, 2]) == "2 <= 0.5*1 + 2"
+        assert constraint_text(c, (1.5, 2)) == "2 <= 0.5*1.5 + 2"
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("a", ""), "feature 1 has an empty name"),
+            ((" a", "b"), "feature 0 name ' a' has surrounding whitespace"),
+            (("a", "b\n"), "feature 1 name 'b\\n' has surrounding whitespace"),
+            (("\ufeffa", "b"), "feature 0 name '\\ufeffa' starts with a byte-order mark"),
+        ],
+        ids=["empty", "leading-space", "trailing-newline", "byte-order-mark"],
+    )
+    def test_names_dataset_rejects_are_rejected(self, names, message):
+        c = LinearConstraint(np.array([0.5, 1.0]), 2.0, Direction.LOWER)
+        with pytest.raises(ValueError) as raised:
+            constraint_text(c, names)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
 
 class TestConstraintValidation:
     def test_requires_canonical_lead(self):
@@ -856,6 +887,17 @@ class TestConstraintFiles:
         with pytest.raises(ValueError, match=r"^malformed constraint payload: coeffs must be a list"):
             constraint_from_dict({"coeffs": coeffs, "bound": 1.0, "relation": "lower"})
 
+    def test_unknown_key_is_malformed_naming_it(self):
+        with pytest.raises(ValueError) as raised:
+            constraint_from_dict({"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower", "bonud": 7})
+        assert str(raised.value) == "malformed constraint payload: unknown constraint keys: ['bonud']"
+
+    @pytest.mark.parametrize("payload", [None, [1.0], "lower"])
+    def test_non_object_is_malformed(self, payload):
+        with pytest.raises(ValueError) as raised:
+            constraint_from_dict(payload)
+        assert str(raised.value) == f"malformed constraint payload: constraint must be an object, got {payload!r}"
+
     def test_unknown_relation_is_malformed_naming_the_field(self):
         with pytest.raises(ValueError) as raised:
             constraint_from_dict({"coeffs": [1.0], "bound": 1.0, "relation": "above"})
@@ -960,7 +1002,7 @@ class TestTrainConfig:
         assert cfg.runs == 1
 
     def test_mask_can_be_disabled(self):
-        assert TrainConfig(mask_threshold=None).mask_threshold is None
+        assert TrainConfig(mask_threshold=0.0).mask_threshold == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -987,7 +1029,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{name: bad} for name in ("learning_rate", "mask_threshold") for bad in (True, "5")],
+        [{name: bad} for name in ("learning_rate", "mask_threshold") for bad in (True, "5", None)],
         ids=repr,
     )
     def test_rejects_non_number_naming_it(self, kwargs):

@@ -328,17 +328,21 @@ class TestApplyMask:
         assert np.array_equal(masked.w_out, [0.0, 0.8])
         assert np.array_equal(masked.w_in, net.w_in)
 
-    def test_threshold_zero_masks_only_exact_zeros(self):
+    # |w| < 0 holds for no weight: the result is an equal copy, signed zeros kept.
+    def test_threshold_zero_masks_nothing(self):
         net = make_net([[-0.0, 1e-300]], [0.2], 0.0)
         masked = apply_mask(net, 0.0)
-        assert same_bits(masked.w_in, np.array([[0.0, 1e-300]]))
+        assert same_bits(masked.w_in, np.array([[-0.0, 1e-300]]))
+        assert same_bits(masked.w_out, np.array([0.2]))
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.001])
-    def test_negative_zero_becomes_positive_zero(self, threshold):
+    @pytest.mark.parametrize(
+        "threshold, expected_zero", [(0.0, -0.0), (0.001, 0.0)], ids=["zero-keeps-it", "positive-masks-it"]
+    )
+    def test_negative_zero_is_masked_only_at_a_positive_threshold(self, threshold, expected_zero):
         net = make_net([[-0.0, 0.5]], [-0.0], 0.0)
         masked = apply_mask(net, threshold)
-        assert same_bits(masked.w_in, np.array([[0.0, 0.5]]))
-        assert same_bits(masked.w_out, np.array([0.0]))
+        assert same_bits(masked.w_in, np.array([[expected_zero, 0.5]]))
+        assert same_bits(masked.w_out, np.array([expected_zero]))
 
     def test_idempotent(self):
         net = make_net([[0.0002, 0.9], [0.4, -0.0001]], [0.7, 0.0003], 0.3)
@@ -401,7 +405,7 @@ class TestApplyMask:
         for new, old in ((masked.w_in, net.w_in), (masked.w_out, net.w_out)):
             assert not np.shares_memory(new, old)
         assert (net.w_in.tobytes(), net.w_out.tobytes()) == before
-        assert masked.w_in.tolist() == [[0.0, 0.0005 if threshold == 0.0 else 0.0, 0.5]]
+        assert same_bits(masked.w_in, np.array([[-0.0, 0.0005, 0.5]] if threshold == 0.0 else [[0.0, 0.0, 0.5]]))
 
 
 # Signed zeros, subnormals, values on either side of the thresholds below,

@@ -84,10 +84,11 @@ class TestGradients:
         _, grads = gradients(net, dataset, cfg)
         assert np.array_equal(grads.d_w_out, 2.0 * 0.3 * net.w_out)
 
-    @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3, None], ids=["zero", "small", "unmasked"])
+    @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3], ids=["zero", "small"])
     def test_zero_weights_are_frozen_from_epoch_0_under_masking(self, mask_threshold):
         # gradients returns the raw gradient at zero weights; train zeroes it
-        # under masking, so a zero weight never takes a step.
+        # under masking, so a zero weight never takes a step.  A threshold
+        # of 0 is no masking: the zero weights move.
         rng = np.random.default_rng(2)
         dataset = Dataset(rng.uniform(-5, 25, size=(20, 2)))
 
@@ -103,7 +104,7 @@ class TestGradients:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trainer, "initialize", start)
             net, _ = train(dataset, LossConfig(), cfg)
-        frozen = mask_threshold is not None
+        frozen = mask_threshold > 0
         assert bool(net.w_in[1, 0] == 0.0) is frozen and bool(net.w_out[2] == 0.0) is frozen
 
     def test_matches_finite_differences_everywhere(self):
@@ -243,7 +244,7 @@ class TestTrain:
         _, grads = gradients(start, dataset, loss_cfg)
         lr = 1e-3
         net, report = train(
-            dataset, loss_cfg, TrainConfig(epochs=1, learning_rate=lr, mask_threshold=None, seed=seed)
+            dataset, loss_cfg, TrainConfig(epochs=1, learning_rate=lr, mask_threshold=0.0, seed=seed)
         )
         assert np.array_equal(net.w_in, start.w_in - lr * grads.d_w_in)
         assert np.array_equal(net.w_out, start.w_out - lr * grads.d_w_out)
@@ -258,7 +259,7 @@ class TestTrain:
         _, grads = gradients(start, dataset, loss_cfg)
         with pytest.warns(RuntimeWarning):
             net, _ = train(
-                dataset, loss_cfg, TrainConfig(epochs=1, learning_rate=0.01, mask_threshold=None, seed=0)
+                dataset, loss_cfg, TrainConfig(epochs=1, learning_rate=0.01, mask_threshold=0.0, seed=0)
             )
         assert np.array_equal(net.w_in, start.w_in - 0.01 * grads.d_w_in)
 
@@ -280,7 +281,7 @@ class TestTrain:
         seed = 4
         start = initialize(dataset, seed=seed)
         _, report = train(
-            dataset, loss_cfg, TrainConfig(epochs=3, learning_rate=1e-3, mask_threshold=None, seed=seed)
+            dataset, loss_cfg, TrainConfig(epochs=3, learning_rate=1e-3, mask_threshold=0.0, seed=seed)
         )
         assert report.records[0, 0] == loss_value(start, dataset, loss_cfg)
         assert len(report.records) == 3
@@ -313,7 +314,7 @@ class TestTrain:
         _, report = train(
             dataset,
             loss_cfg,
-            TrainConfig(epochs=200, learning_rate=1e-4, mask_threshold=None, seed=1),
+            TrainConfig(epochs=200, learning_rate=1e-4, mask_threshold=0.0, seed=1),
         )
         z = report.records[:, 0]
         assert np.all(np.diff(z) <= 1e-12)
@@ -332,7 +333,7 @@ class TestTrain:
                 assert np.all(zero[frozen]), f"a frozen weight moved at epoch {epochs}"
             frozen = zero
             plain, _ = train(
-                dataset, loss_cfg, TrainConfig(epochs=epochs, learning_rate=1e-3, mask_threshold=None, seed=8)
+                dataset, loss_cfg, TrainConfig(epochs=epochs, learning_rate=1e-3, mask_threshold=0.0, seed=8)
             )
             assert np.all(plain.w_in != 0.0) and np.all(plain.w_out != 0.0)
         assert frozen.any()
@@ -347,7 +348,7 @@ class TestTrain:
     # A step size of 1e308 overflows the first step, so epoch 1 is the first to
     # start from non-finite parameters; with one epoch it is also the count.
     @pytest.mark.parametrize("epochs", [5, 1], ids=["mid-run", "last-epoch"])
-    @pytest.mark.parametrize("mask_threshold", [1e-3, None], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("mask_threshold", [1e-3, 0.0], ids=["masked", "unmasked"])
     def test_overflowing_step_diverges_at_the_next_epoch(self, mask_threshold, epochs):
         cfg = TrainConfig(epochs=epochs, learning_rate=1e308, mask_threshold=mask_threshold)
         with warnings.catch_warnings():
@@ -361,7 +362,7 @@ class TestTrain:
     # leaves non-finite parameters and epoch 1 is the one that diverges.
     OVERFLOWING_GRADIENT = np.array([[1.1e154, 9e153]])
 
-    @pytest.mark.parametrize("mask_threshold", [1e-3, None], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("mask_threshold", [1e-3, 0.0], ids=["masked", "unmasked"])
     def test_overflowing_gradient_diverges_at_the_next_epoch(self, mask_threshold):
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, mask_threshold=mask_threshold)
         with warnings.catch_warnings():
@@ -384,6 +385,31 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
             train(Dataset(np.empty((0, 2))), LossConfig(), TrainConfig())
+
+    # Masking is on exactly at a positive threshold: at 0 no mask pass runs,
+    # so each run builds only its initial network.
+    @pytest.mark.parametrize(
+        "mask_threshold, masks_per_epoch", [(0.0, 0), (1e-3, 1)], ids=["zero", "positive"]
+    )
+    def test_mask_pass_runs_only_at_a_positive_threshold(self, monkeypatch, mask_threshold, masks_per_epoch):
+        built, masked = [], []
+        post_init = EqlNetwork.__post_init__
+
+        def counting_post_init(net):
+            built.append(net)
+            post_init(net)
+
+        def spy(net, threshold):
+            masked.append(threshold)
+            return apply_mask(net, threshold)
+
+        monkeypatch.setattr(EqlNetwork, "__post_init__", counting_post_init)
+        monkeypatch.setattr(trainer, "apply_mask", spy)
+        epochs, runs = 20, 3
+        cfg = TrainConfig(epochs=epochs, learning_rate=1e-3, mask_threshold=mask_threshold, seed=3, runs=runs)
+        assert len(train_multi(self.small_dataset(), LossConfig(), cfg)) == runs
+        assert masked == [mask_threshold] * (masks_per_epoch * epochs * runs)
+        assert len(built) == runs * (1 + masks_per_epoch * epochs)
 
 
 class TestWarmStart:
@@ -525,7 +551,7 @@ class TestMatchesExplicitMasks:
 
     # square-low has 100 points and square-high 2 000, below the warm-start
     # gate; the cut square is drawn above it.
-    @pytest.mark.parametrize("mask_threshold", [None, 0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3, 0.05])
     @pytest.mark.parametrize(
         "name, epochs, seeds",
         [("square-low", 200, (8, 24, 25)), ("square-high", 200, (8, 24, 38)), ("cut-square", 40, (0, 8))],
@@ -620,14 +646,14 @@ class TestConfigLoading:
 
     def test_split_and_override(self):
         loss_cfg, train_cfg = configs_from_mapping(
-            {"alpha2": 0.25, "gamma": 2.5, "direction": "upper", "epochs": 10, "mask_threshold": None, "l1": 0}
+            {"alpha2": 0.25, "gamma": 2.5, "direction": "upper", "epochs": 10, "mask_threshold": 0, "l1": 0}
         )
         assert loss_cfg.alpha2 == 0.25
         assert loss_cfg.l1 == 0
         assert loss_cfg.gamma == 2.5
         assert loss_cfg.direction is Direction.UPPER
         assert train_cfg.epochs == 10
-        assert train_cfg.mask_threshold is None
+        assert train_cfg.mask_threshold == 0.0
 
     def test_unknown_direction_rejected_naming_the_key(self):
         with pytest.raises(ValueError) as raised:
