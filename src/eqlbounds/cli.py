@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,11 @@ from .datamodel import (
     LossConfig,
     TrainConfig,
     _display_number,
+    _load_json,
     constraint_text,
     constraint_to_dict,
     load_constraint,
     load_dataset,
-    read_json_object,
     save_constraint,
     save_dataset,
 )
@@ -129,12 +129,13 @@ def _first_stale_run_file(out_dir: Path, runs: int) -> Path | None:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
-    payload = read_json_object(args.config, "config") if args.config else {}
-    for name in CONFIG_KEYS:
-        value = getattr(args, name)
-        if value is not None:
-            payload[name] = value
-    loss_cfg, train_cfg = configs_from_mapping(payload)
+    # The file is checked on its own, so that its faults name it and a bad flag's do not.
+    configs = _load_json(args.config, "config", configs_from_mapping) if args.config else (LossConfig(), TrainConfig())
+    flags = {name: value for name in CONFIG_KEYS if (value := getattr(args, name)) is not None}
+    loss_cfg, train_cfg = (
+        replace(cfg, **{name: value for name, value in flags.items() if CONFIG_KEYS[name] is type(cfg)})
+        for cfg in configs
+    )
 
     out_dir = Path(args.out_dir)
     stale = _first_stale_run_file(out_dir, train_cfg.runs)

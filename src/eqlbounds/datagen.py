@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Dataset, Direction, _check_integer, _check_keys, _direction, _frozen, _real, _reals
-from .datamodel import read_json_object
+from .datamodel import Dataset, Direction, _check_integer, _direction, _frozen, _from_json, _load_json, _real
+from .datamodel import _reals, _to_json
 
 
 class RejectionBudgetExceededError(RuntimeError):
@@ -30,7 +30,8 @@ class LinearCut:
 
     LOWER keeps points with ``bound < coeffs . x``; UPPER keeps points with
     ``coeffs . x < bound``.  Both are strict, matching how cut regions are
-    usually written; the enclosing box bounds stay inclusive.
+    usually written; the enclosing box bounds stay inclusive.  ``direction``
+    is a :class:`Direction` or its string value.
     """
 
     coeffs: np.ndarray
@@ -40,8 +41,7 @@ class LinearCut:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _frozen(_reals("coeffs", self.coeffs)))
         object.__setattr__(self, "bound", _real("bound", self.bound))
-        if not isinstance(self.direction, Direction):
-            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
+        object.__setattr__(self, "direction", _direction("direction", self.direction))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,66 +204,32 @@ def paper_dataset(name: str, seed: int = 0) -> Dataset:
     return generate(factory(), count, seed)
 
 
-def region_spec_to_dict(spec: RegionSpec) -> dict:
-    payload: dict = {
-        "box": [[float(lo), float(hi)] for lo, hi in spec.box],
-        "linear_cuts": [
-            {
-                "coeffs": [float(v) for v in cut.coeffs],
-                "bound": cut.bound,
-                "direction": cut.direction.value,
-            }
-            for cut in spec.linear_cuts
-        ],
-        "quadratic_cap": None,
-    }
-    if spec.quadratic_cap is not None:
-        payload["quadratic_cap"] = {
-            "center": [float(v) for v in spec.quadratic_cap.center],
-            "radius": spec.quadratic_cap.radius,
-        }
-    return payload
-
-
 def region_spec_from_dict(payload: dict) -> RegionSpec:
-    """Rebuild a region spec from :func:`region_spec_to_dict` output.
+    """Rebuild a region spec from its JSON form, the object that :func:`save_region_spec` writes.
 
     ``linear_cuts``, ``quadratic_cap`` and a cut's ``direction`` may be left
     out.  Every error is a ValueError prefixed ``malformed region spec:``.
     """
+
+    def cuts(value) -> tuple[LinearCut, ...]:
+        if not isinstance(value, list):
+            raise ValueError(f"linear_cuts must be a list, got {value!r}")
+        return tuple(_from_json(LinearCut, cut, f"linear_cuts[{i}]", nested=True) for i, cut in enumerate(value))
+
+    def cap(value) -> BallCap | None:
+        return None if value is None else _from_json(BallCap, value, "quadratic_cap", nested=True)
+
     try:
-        _check_keys("region spec", payload, ("box", "linear_cuts", "quadratic_cap"))
-        cuts = payload.get("linear_cuts", [])
-        if not isinstance(cuts, list):
-            raise ValueError(f"linear_cuts must be a list, got {cuts!r}")
-        linear_cuts = []
-        for i, cut in enumerate(cuts):
-            name = f"linear_cuts[{i}]"
-            _check_keys(name, cut, ("coeffs", "bound", "direction"))
-            direction = _direction(f"{name}.direction", cut.get("direction", "lower"))
-            linear_cuts.append(_named(name, LinearCut, cut["coeffs"], cut["bound"], direction))
-        cap = payload.get("quadratic_cap")
-        if cap is not None:
-            _check_keys("quadratic_cap", cap, ("center", "radius"))
-            cap = _named("quadratic_cap", BallCap, cap["center"], cap["radius"])
-        return RegionSpec(payload["box"], tuple(linear_cuts), cap)
+        return _from_json(RegionSpec, payload, "region spec", linear_cuts=cuts, quadratic_cap=cap)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed region spec: {exc}") from exc
 
 
-def _named(name: str, build, *args):
-    """``build(*args)``; a ValueError it raises gets ``name.`` put before the field it names."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ValueError(f"{name}.{exc}") from None
-
-
 def load_region_spec(path: str | Path) -> RegionSpec:
-    """Read a region spec from JSON."""
-    return region_spec_from_dict(read_json_object(path, "region spec"))
+    """Read a region spec from JSON; every error names the file."""
+    return _load_json(path, "region spec", region_spec_from_dict)
 
 
 def save_region_spec(spec: RegionSpec, path: str | Path) -> None:
-    """Write a region spec as JSON."""
-    Path(path).write_text(json.dumps(region_spec_to_dict(spec), indent=2) + "\n", encoding="utf-8")
+    """Write a region spec as JSON: the object of its constructor fields, nested objects alike."""
+    Path(path).write_text(json.dumps(_to_json(spec), indent=2) + "\n", encoding="utf-8")

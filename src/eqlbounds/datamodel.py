@@ -15,7 +15,7 @@ import numbers
 import os
 import stat
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -105,14 +105,16 @@ def _feature_names(names, count: int, error: type[ValueError] = ValueError) -> t
 
     ``None`` gives the default names; a plain string is rejected, not read
     one character per name.  Each name is read by ``str`` and must be
-    non-empty, be free of surrounding whitespace and not start with a
-    byte-order mark (U+FEFF).  A fault raises ``error``.
+    non-empty, be free of surrounding whitespace, not start with a
+    byte-order mark (U+FEFF) and differ from every name before it.  A
+    fault raises ``error``.
     """
     if isinstance(names, str):
         raise error(f"feature_names must be a sequence of names, not the string {names!r}")
     names = default_feature_names(count) if names is None else tuple(str(s) for s in names)
     if len(names) != count:
         raise error(f"expected {count} feature names, got {len(names)}")
+    first: dict[str, int] = {}
     for i, name in enumerate(names):
         if not name:
             raise error(f"feature {i} has an empty name")
@@ -120,6 +122,8 @@ def _feature_names(names, count: int, error: type[ValueError] = ValueError) -> t
             raise error(f"feature {i} name {name!r} has surrounding whitespace")
         if name.startswith("\ufeff"):
             raise error(f"feature {i} name {name!r} starts with a byte-order mark")
+        if (j := first.setdefault(name, i)) != i:
+            raise error(f"feature {i} name {name!r} repeats feature {j}")
     return names
 
 
@@ -131,9 +135,9 @@ class Dataset:
     so no target is stored.  The points must be real numbers: an array of
     bool, complex, string or object dtype raises :class:`DatasetError`.
     They are copied and frozen on construction.  Each feature name is read
-    by ``str`` and must be non-empty, be free of surrounding whitespace and
-    not start with a byte-order mark (U+FEFF), the rule that
-    :func:`constraint_text` applies too.
+    by ``str`` and must be non-empty, be free of surrounding whitespace,
+    not start with a byte-order mark (U+FEFF) and not repeat an earlier
+    name, the rule that :func:`constraint_text` applies too.
     :func:`load_dataset` strips header cells, rejects empty ones and drops
     a byte-order mark at the start of the file, so only such names survive
     a save and reload.
@@ -220,7 +224,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 raw = stream.buffer.read()
                 stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
             reader = csv.reader(stream)
-            header = tuple(cell.strip() for cell in next(filter(None, reader), []))
+            header = _header(reader)
             # NumPy decompresses a path by its suffix; a stream it reads as
             # it is, line by line, from where the header ended.
             from_path = raw is None and path.suffix not in _COMPRESSED
@@ -239,6 +243,11 @@ def load_dataset(path: str | Path) -> Dataset:
 
 # The suffixes of the paths that NumPy opens as compressed files.
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _header(reader) -> tuple[str, ...]:
+    """The header of a CSV file: the first row of ``reader`` that is not blank, each cell stripped."""
+    return tuple(cell.strip() for cell in next(filter(None, reader), []))
 
 
 def _first_fault(path: Path, raw: bytes | None = None) -> DatasetError:
@@ -261,7 +270,7 @@ def _first_fault(path: Path, raw: bytes | None = None) -> DatasetError:
         return DatasetError(f"{path}: {exc}")
     lines = io.StringIO(text, newline="")
     try:
-        header = tuple(cell.strip() for cell in next(filter(None, csv.reader(lines)), []))
+        header = _header(csv.reader(lines))
     except csv.Error as exc:
         return DatasetError(f"{path}: {exc}")
     if not header:
@@ -287,7 +296,7 @@ def _first_fault(path: Path, raw: bytes | None = None) -> DatasetError:
     if r == 0:
         return EmptyDatasetError(f"{path}: no data rows below the header")
     try:
-        # Only a name that still starts with a byte-order mark is left.
+        # Only a name that still starts with a byte-order mark or repeats one is left.
         _feature_names(header, len(header), DatasetError)
     except DatasetError as exc:
         return DatasetError(f"{path}: {exc}")
@@ -335,7 +344,8 @@ class LinearConstraint:
 
     Canonical form: the highest-indexed coefficient with magnitude at least
     COEFF_EPS equals exactly 1.0.  The extraction module produces this form;
-    hand-built constraints must already satisfy it.
+    hand-built constraints must already satisfy it.  ``relation`` is a
+    :class:`Direction` or its string value.
     """
 
     coeffs: np.ndarray
@@ -344,8 +354,7 @@ class LinearConstraint:
 
     def __post_init__(self) -> None:
         a = _reals("coeffs", self.coeffs)
-        if not isinstance(self.relation, Direction):
-            raise ValueError(f"relation must be a Direction, got {self.relation!r}")
+        object.__setattr__(self, "relation", _direction("relation", self.relation))
         significant = (np.abs(a) >= COEFF_EPS).nonzero()[0]
         if significant.size == 0:
             raise ValueError("constraint has no coefficient of significant magnitude")
@@ -405,11 +414,7 @@ def constraint_text(constraint: LinearConstraint, feature_names: Sequence[str] |
 
 
 def constraint_to_dict(constraint: LinearConstraint) -> dict:
-    return {
-        "coeffs": [float(v) for v in constraint.coeffs],
-        "bound": constraint.bound,
-        "relation": constraint.relation.value,
-    }
+    return _to_json(constraint)
 
 
 def constraint_from_dict(payload: dict) -> LinearConstraint:
@@ -420,8 +425,7 @@ def constraint_from_dict(payload: dict) -> LinearConstraint:
     rejects raise ValueError naming the field.
     """
     try:
-        _check_keys("constraint", payload, ("coeffs", "bound", "relation"))
-        return LinearConstraint(payload["coeffs"], payload["bound"], _direction("relation", payload["relation"]))
+        return _from_json(LinearConstraint, payload, "constraint")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed constraint payload: {exc}") from exc
 
@@ -452,13 +456,16 @@ def save_constraint(
     _constraint_file(path, ".json").write_text(json.dumps(constraint_to_dict(constraint)) + "\n", encoding="utf-8")
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """Read a JSON file whose top-level value must be an object.
+def _load_json(path: str | Path, what: str, build):
+    """``build`` applied to the JSON object in the file at ``path``, a ``what`` file.
 
-    Every failure (unreadable file, invalid JSON, nesting too deep, an int
-    past Python's digit limit, any other top-level value) raises ValueError
-    naming the path; ``what`` says which kind of file was expected.  A
-    leading UTF-8 byte-order mark is dropped, as ``load_dataset`` drops it.
+    This reads every JSON file: constraint, region spec and config.  Every
+    failure raises ValueError naming the path: an unreadable file, invalid
+    JSON, nesting too deep, an int past Python's digit limit, a top-level
+    value that is not an object, and a ValueError from ``build``, which
+    gets ``"{path}: "`` put before its message, as :func:`load_dataset`
+    names a dataset file.  A leading UTF-8 byte-order mark is dropped, as
+    ``load_dataset`` drops it.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
@@ -466,12 +473,57 @@ def read_json_object(path: str | Path, what: str) -> dict:
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")
-    return payload
+    try:
+        return build(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _to_json(value):
+    """``value`` in its JSON form, the one form of every value type's file.
+
+    A value type (a dataclass) is the object of its constructor fields, in
+    field order; an array and a tuple are lists, a :class:`Direction` is
+    its string value, and anything else is itself.
+    """
+    if isinstance(value, Direction):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.init}
+    return value
+
+
+def _from_json(cls, payload, name: str, nested: bool = False, **readers):
+    """Build ``cls`` from ``payload``, the JSON object of its constructor fields.
+
+    This reads what :func:`_to_json` writes.  A payload that is not an
+    object or has a key that is no constructor field raises ValueError
+    naming the object ``name``; a missing field without a default raises
+    KeyError naming the field.  ``readers`` maps a field to the function
+    that reads its JSON value (a nested object); every other value goes to
+    ``cls`` as it is, which checks it.  A ValueError that ``cls`` raises
+    for a ``nested`` object gets ``name.`` put before the field it names.
+    """
+    init = [f for f in fields(cls) if f.init]
+    _check_keys(name, payload, [f.name for f in init])
+    if missing := [f.name for f in init if f.name not in payload and f.default is MISSING]:
+        raise KeyError(missing[0])
+    kwargs = {key: readers[key](value) if key in readers else value for key, value in payload.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not nested:
+            raise
+        raise ValueError(f"{name}.{exc}") from None
 
 
 def load_constraint(path: str | Path) -> LinearConstraint:
-    """Read a constraint from the JSON half of a saved pair."""
-    return constraint_from_dict(read_json_object(_constraint_file(path, ".json"), "constraint"))
+    """Read a constraint from the JSON half of a saved pair; every error names the file."""
+    return _load_json(_constraint_file(path, ".json"), "constraint", constraint_from_dict)
 
 
 def _real(name: str, value) -> float:
@@ -530,7 +582,7 @@ def _check_keys(name: str, payload, known) -> None:
 
 
 def _direction(name: str, value) -> Direction:
-    """Read a direction from its string value, naming the field."""
+    """``value``, a :class:`Direction` or its string value, as a Direction, naming the field."""
     try:
         return Direction(value)
     except ValueError:
@@ -544,7 +596,7 @@ class LossConfig:
     alpha1 scales the signed error mean, alpha2 the quadratic penalty on
     the percentile subset, alpha3 the worst-error anchor.  gamma is the
     percentile width in percent.  l1/l2 regularize the output-layer
-    weights.
+    weights.  ``direction`` is a :class:`Direction` or its string value.
     """
 
     alpha1: float = 1.0
@@ -564,8 +616,7 @@ class LossConfig:
             raise ValueError("at least one alpha must be positive")
         if not (0 < self.gamma <= 100):
             raise ValueError(f"gamma must lie in (0, 100], got {self.gamma}")
-        if not isinstance(self.direction, Direction):
-            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
+        object.__setattr__(self, "direction", _direction("direction", self.direction))
 
 
 @dataclass(frozen=True)

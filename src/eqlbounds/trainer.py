@@ -24,7 +24,6 @@ from .datamodel import (
     TrainReport,
     _all_finite,
     _check_keys,
-    _direction,
     _frozen,
     _write_csv,
 )
@@ -199,14 +198,12 @@ def configs_from_mapping(payload: dict) -> tuple[LossConfig, TrainConfig]:
 
     Keys absent from the mapping keep their defaults; unknown keys are an
     error, so that typos do not silently fall back to defaults.  The
-    direction is read from its string value; the config objects check
-    every other value themselves.
+    config objects check every value themselves, the direction's string
+    value included.
     """
     _check_keys("config", payload, CONFIG_KEYS)
     kwargs: dict[type, dict] = {LossConfig: {}, TrainConfig: {}}
     for key, value in payload.items():
-        if key == "direction":
-            value = _direction(f"config key {key!r}", value)
         kwargs[CONFIG_KEYS[key]][key] = value
     return LossConfig(**kwargs[LossConfig]), TrainConfig(**kwargs[TrainConfig])
 

@@ -19,7 +19,7 @@ from eqlbounds import Direction, LinearConstraint, load_dataset, save_constraint
 from eqlbounds import Dataset, LinearCut, RegionSpec
 from eqlbounds import configs_from_mapping, load_constraint, load_region_spec
 from eqlbounds.cli import main
-from eqlbounds.datamodel import read_json_object
+from eqlbounds.datamodel import _load_json
 
 
 @pytest.fixture
@@ -263,7 +263,7 @@ class TestTrain:
         cfg.write_text(json.dumps({"mask_threshold": None}), encoding="utf-8")
         args = self.train_args(square_low_csv, tmp_path / "r") + ["--config", str(cfg)]
         assert main(args) == 2
-        assert capsys.readouterr().err == "error: mask_threshold must be a number, got None\n"
+        assert capsys.readouterr().err == f"error: {cfg}: mask_threshold must be a number, got None\n"
 
     def test_missing_data_file(self, tmp_path, capsys):
         assert main(self.train_args(tmp_path / "absent.csv", tmp_path / "r")) == 2
@@ -279,6 +279,14 @@ class TestTrain:
         data.write_bytes(body)
         assert main(self.train_args(data, tmp_path / "r")) == 2
         assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+    # Trained, X0,X0 once printed 0.8916*X0 + X0 <= 3.1958, which no solver can read back.
+    def test_repeated_feature_name_is_input_error_naming_the_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("X0,X0\n1,2\n3,4\n", encoding="utf-8")
+        assert main(self.train_args(data, tmp_path / "r")) == 2
+        assert capsys.readouterr() == ("", f"error: {data}: feature 1 name 'X0' repeats feature 0\n")
+        assert not (tmp_path / "r").exists()
 
     def test_bad_config_key(self, square_low_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -467,7 +475,9 @@ class TestEval:
         cpath = tmp_path / "c.json"
         cpath.write_text(json.dumps({"coeffs": [0.5, 1.0], "bound": bound, "relation": "lower"}), encoding="utf-8")
         assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
-        assert capsys.readouterr().err == f"error: malformed constraint payload: bound must be a number, got {bound!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: {cpath}: malformed constraint payload: bound must be a number, got {bound!r}\n"
+        )
 
     def test_unknown_constraint_key_is_an_input_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -476,7 +486,10 @@ class TestEval:
         payload = {"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower", "bonud": 7}
         cpath.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["eval", "--constraint", str(cpath), "--data", str(data)]) == 2
-        assert capsys.readouterr() == ("", "error: malformed constraint payload: unknown constraint keys: ['bonud']\n")
+        assert capsys.readouterr() == (
+            "",
+            f"error: {cpath}: malformed constraint payload: unknown constraint keys: ['bonud']\n",
+        )
 
 
 class TestPlotdata:
@@ -593,7 +606,7 @@ class TestJsonFiles:
     READERS = {
         "spec": (load_region_spec, lambda path, data, out: ["gen", "--spec", path, "--n", "10", "--out", out]),
         "config": (
-            lambda path: configs_from_mapping(read_json_object(path, "config")),
+            lambda path: _load_json(path, "config", configs_from_mapping),
             lambda path, data, out: ["train", "--data", data, "--out-dir", out, "--config", path],
         ),
         "constraint": (load_constraint, lambda path, data, out: ["eval", "--constraint", path, "--data", data]),
@@ -651,6 +664,54 @@ class TestJsonFiles:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert f"{field} must be finite, got a number too large for a float" in line
+
+
+    # A fault inside a JSON object, each command that reads such a file, and the error it gives.
+    FAULTS = {
+        "spec": (
+            {"box": [[0.0, 1.0]], "linear_cuts": [{"coeffs": [1.0], "bound": 0.5, "direction": "x"}]},
+            "malformed region spec: linear_cuts[0].direction must be 'lower' or 'upper', got 'x'",
+        ),
+        "config": ({"epoch": 10}, "unknown config keys: ['epoch']"),
+        "constraint": (
+            {"coeffs": [0.5, 1.0], "bound": 1.0, "relation": "lower", "bonud": 7},
+            "malformed constraint payload: unknown constraint keys: ['bonud']",
+        ),
+    }
+    COMMANDS = {
+        "gen --spec": ("spec", READERS["spec"][1]),
+        "train --config": ("config", READERS["config"][1]),
+        "eval --constraint": ("constraint", READERS["constraint"][1]),
+        "plotdata --constraint": (
+            "constraint",
+            lambda path, data, out: ["plotdata", "--constraint", path, "--data", data, "--out-dir", out],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_fault_in_the_payload_is_an_input_error_naming_the_file(self, command, square_low_csv, tmp_path, capsys):
+        kind, argv = self.COMMANDS[command]
+        payload, message = self.FAULTS[kind]
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(argv(str(path), str(square_low_csv), str(out))) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert not out.exists()
+
+    # The file is checked before the flags are merged in: a bad flag does
+    # not blame the file, and a flag does not mend a bad file.
+    def test_a_bad_train_flag_does_not_name_the_config_file(self, square_low_csv, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"gamma": 2.5}), encoding="utf-8")
+        bad.write_text(json.dumps({"epochs": 0}), encoding="utf-8")
+        out = tmp_path / "out"
+        base = ["train", "--data", str(square_low_csv), "--out-dir", str(out), "--config"]
+        assert main(base + [str(good), "--epochs", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: epochs must be >= 1, got 0\n")
+        assert main(base + [str(bad), "--epochs", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: epochs must be >= 1, got 0\n")
+        assert not out.exists()
 
 
 class TestParser:

@@ -232,12 +232,19 @@ class TestRegionSpecValidation:
         with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be a number, got {value!r}") + "$"):
             build(value)
 
-    # A string direction once passed, and membership_mask kept the opposite side.
-    @pytest.mark.parametrize("direction", ["lower", "upper", None, 1])
+    @pytest.mark.parametrize("direction", ["sideways", None, 1])
     def test_cut_direction_must_be_a_direction(self, direction):
         with pytest.raises(ValueError) as info:
             LinearCut([1.0, 2.0], 4.0, direction)
-        assert str(info.value) == f"direction must be a Direction, got {direction!r}"
+        assert str(info.value) == f"direction must be 'lower' or 'upper', got {direction!r}"
+
+    # A string direction once passed unread, and membership_mask kept the opposite side.
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_cut_direction_is_read_from_its_string_value(self, direction):
+        cut = LinearCut([1.0, 2.0], 4.0, direction.value)
+        assert cut.direction is direction
+        spec = RegionSpec(box=[[0.0, 10.0], [0.0, 10.0]], linear_cuts=(cut,))
+        assert spec.membership_mask(np.array([[9.0, 9.0]]))[0] == (direction is Direction.LOWER)
 
     def test_ball_cap_compares_against_radius_to_the_power_two(self):
         # radius**2 and radius * radius differ by an ulp for some radii; sampled points follow **.
@@ -281,6 +288,43 @@ class TestRegionSpecFiles:
         a = generate(spec, 40, seed=9)
         b = generate(loaded, 40, seed=9)
         assert np.array_equal(a.points, b.points)
+
+    # The exact text, key order and indentation included, as other tools may read it.
+    def test_saved_bytes(self, tmp_path):
+        spec = RegionSpec(
+            box=[[-5.0, 25.0], [0.0, 1e-300]],
+            linear_cuts=(
+                LinearCut([1.0, -0.0], 4.0, Direction.LOWER),
+                LinearCut([0.1 + 0.2, 1.0], 20.0, Direction.UPPER),
+            ),
+            quadratic_cap=BallCap([10.0, -0.0], 1.5),
+        )
+        path = tmp_path / "region.json"
+        save_region_spec(spec, path)
+        assert path.read_bytes().decode("utf-8") == (
+            "{\n"
+            '  "box": [\n'
+            "    [\n      -5.0,\n      25.0\n    ],\n"
+            "    [\n      0.0,\n      1e-300\n    ]\n"
+            "  ],\n"
+            '  "linear_cuts": [\n'
+            "    {\n"
+            '      "coeffs": [\n        1.0,\n        -0.0\n      ],\n'
+            '      "bound": 4.0,\n'
+            '      "direction": "lower"\n'
+            "    },\n"
+            "    {\n"
+            '      "coeffs": [\n        0.30000000000000004,\n        1.0\n      ],\n'
+            '      "bound": 20.0,\n'
+            '      "direction": "upper"\n'
+            "    }\n"
+            "  ],\n"
+            '  "quadratic_cap": {\n'
+            '    "center": [\n      10.0,\n      -0.0\n    ],\n'
+            '    "radius": 1.5\n'
+            "  }\n"
+            "}\n"
+        )
 
     def test_round_trip_without_cap(self, tmp_path):
         path = tmp_path / "region.json"

@@ -507,6 +507,16 @@ class TestLoadDataset:
         assert str(raised.value) == f"{path}: {feature} starts with a byte-order mark"
         assert _outcome(load_dataset, path) == _outcome(csv_load, path)
 
+    # A solver could not tell the columns of X0,X0 apart in a constraint's text.
+    @pytest.mark.parametrize("header", ["X0,X0", "X0, X0 ", "X0,X1,X0"], ids=["plain", "stripped", "apart"])
+    def test_repeated_name_is_an_error_naming_the_file(self, tmp_path, header):
+        last = header.count(",")
+        path = write(tmp_path, "d.csv", header + "\n" + "1," * last + "2\n")
+        with pytest.raises(DatasetError) as raised:
+            load_dataset(path)
+        assert str(raised.value) == f"{path}: feature {last} name 'X0' repeats feature 0"
+        assert _outcome(load_dataset, path) == _outcome(csv_load, path)
+
     # Dataset checks the points before the names; the report follows file order.
     def test_byte_order_mark_left_in_a_name_yields_to_a_non_finite_cell(self, tmp_path):
         path = write(tmp_path, "d.csv", "X0,\ufeffX1\n1,2\n3,nan\n")
@@ -570,6 +580,8 @@ _SAVED_NAMES = st.lists(
     st.text(st.sampled_from('ab ,"X\n\r'), min_size=1, max_size=5).filter(lambda s: s == s.strip()),
     min_size=4,
     max_size=4,
+    # A Dataset rejects a repeated name.
+    unique=True,
 )
 
 
@@ -668,8 +680,9 @@ class TestDatasetValidation:
             ((" a", "b"), "feature 0 name ' a' has surrounding whitespace"),
             (("a", "b\t"), "feature 1 name 'b\\t' has surrounding whitespace"),
             (("\ufeffa", "b"), "feature 0 name '\\ufeffa' starts with a byte-order mark"),
+            (("a", "a"), "feature 1 name 'a' repeats feature 0"),
         ],
-        ids=["empty", "leading-space", "trailing-tab", "byte-order-mark"],
+        ids=["empty", "leading-space", "trailing-tab", "byte-order-mark", "repeated"],
     )
     def test_rejects_names_that_do_not_reload_naming_the_feature(self, names, message):
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
@@ -772,8 +785,9 @@ class TestConstraintText:
             ((" a", "b"), "feature 0 name ' a' has surrounding whitespace"),
             (("a", "b\n"), "feature 1 name 'b\\n' has surrounding whitespace"),
             (("\ufeffa", "b"), "feature 0 name '\\ufeffa' starts with a byte-order mark"),
+            ((1, "1"), "feature 1 name '1' repeats feature 0"),
         ],
-        ids=["empty", "leading-space", "trailing-newline", "byte-order-mark"],
+        ids=["empty", "leading-space", "trailing-newline", "byte-order-mark", "repeated"],
     )
     def test_names_dataset_rejects_are_rejected(self, names, message):
         c = LinearConstraint(np.array([0.5, 1.0]), 2.0, Direction.LOWER)
@@ -802,8 +816,12 @@ class TestConstraintValidation:
             LinearConstraint(np.array([1.0]), float("nan"), Direction.LOWER)
 
     def test_rejects_non_direction_relation(self):
-        with pytest.raises(ValueError):
-            LinearConstraint(np.array([1.0]), 0.0, "lower")
+        with pytest.raises(ValueError, match="^relation must be 'lower' or 'upper', got 'above'$"):
+            LinearConstraint(np.array([1.0]), 0.0, "above")
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_relation_is_read_from_its_string_value(self, direction):
+        assert LinearConstraint(np.array([1.0]), 0.0, direction.value).relation is direction
 
     @pytest.mark.parametrize("value", [True, "1"])
     @pytest.mark.parametrize("field", ["bound", "coeffs[0]"])
@@ -821,6 +839,14 @@ class TestConstraintFiles:
         assert text == "2.1469 <= 0.4772*X0 + X1\n"
         payload = json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))
         assert payload == {"coeffs": [0.4772, 1.0], "bound": 2.1469, "relation": "lower"}
+
+    # The exact text of the JSON half, key order and spacing included, as other tools may read it.
+    def test_saved_json_bytes(self, tmp_path):
+        c = LinearConstraint(np.array([-0.0, 1e-300, 1.0]), 0.1 + 0.2, Direction.UPPER)
+        save_constraint(c, tmp_path / "c")
+        assert (tmp_path / "c.json").read_bytes().decode("utf-8") == (
+            '{"coeffs": [-0.0, 1e-300, 1.0], "bound": 0.30000000000000004, "relation": "upper"}\n'
+        )
 
     def test_round_trip_any_suffix(self, tmp_path):
         c = LinearConstraint(np.array([-1.0 / 3.0, 1.0]), 0.1 + 0.2, Direction.UPPER)
@@ -966,12 +992,16 @@ class TestLossConfig:
             {"gamma": 100.5},
             {"l1": -1.0},
             {"l2": float("nan")},
-            {"direction": "lower"},
+            {"direction": "sideways"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_direction_is_read_from_its_string_value(self, direction):
+        assert LossConfig(direction=direction.value) == LossConfig(direction=direction)
 
     @pytest.mark.parametrize(
         "kwargs",

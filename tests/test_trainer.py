@@ -37,7 +37,7 @@ from eqlbounds import (
     violation_rate,
 )
 from eqlbounds import cli, loss, trainer
-from eqlbounds.datamodel import read_json_object
+from eqlbounds.datamodel import _load_json
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
@@ -658,7 +658,7 @@ class TestConfigLoading:
     def test_unknown_direction_rejected_naming_the_key(self):
         with pytest.raises(ValueError) as raised:
             configs_from_mapping({"direction": "sideways"})
-        assert str(raised.value) == "config key 'direction' must be 'lower' or 'upper', got 'sideways'"
+        assert str(raised.value) == "direction must be 'lower' or 'upper', got 'sideways'"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="learning_rte"):
@@ -683,7 +683,7 @@ class TestConfigLoading:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 7.5, "runs": 2}), encoding="utf-8")
-        loss_cfg, train_cfg = configs_from_mapping(read_json_object(path, "config"))
+        loss_cfg, train_cfg = _load_json(path, "config", configs_from_mapping)
         assert loss_cfg.gamma == 7.5
         assert train_cfg.runs == 2
 
@@ -691,7 +691,7 @@ class TestConfigLoading:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError):
-            configs_from_mapping(read_json_object(path, "config"))
+            _load_json(path, "config", configs_from_mapping)
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError):
-            configs_from_mapping(read_json_object(path, "config"))
+            _load_json(path, "config", configs_from_mapping)
