@@ -127,6 +127,15 @@ def _feature_names(names, count: int, error: type[ValueError] = ValueError) -> t
     return names
 
 
+class _Owned:
+    """A float64 array that its only holder hands to :class:`Dataset`, which keeps it uncopied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A non-empty, finite feature matrix (rows x features) plus its column names.
@@ -134,10 +143,12 @@ class Dataset:
     The boundary-fitting protocol trains every row against the target 0,
     so no target is stored.  The points must be real numbers: an array of
     bool, complex, string or object dtype raises :class:`DatasetError`.
-    They are copied and frozen on construction.  Each feature name is read
-    by ``str`` and must be non-empty, be free of surrounding whitespace,
-    not start with a byte-order mark (U+FEFF) and not repeat an earlier
-    name, the rule that :func:`constraint_text` applies too.
+    They are copied and frozen on construction; only the array that
+    :func:`load_dataset` builds for itself is frozen uncopied.  Each
+    feature name is read by ``str`` and must be non-empty, be free of
+    surrounding whitespace, not start with a byte-order mark (U+FEFF) and
+    not repeat an earlier name, the rule that :func:`constraint_text`
+    applies too.
     :func:`load_dataset` strips header cells, rejects empty ones and drops
     a byte-order mark at the start of the file, so only such names survive
     a save and reload.
@@ -152,7 +163,11 @@ class Dataset:
     column_means: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = np.array(_real_array("points", self.points, DatasetError), dtype=float)
+        if isinstance(self.points, _Owned):
+            # load_dataset's own array: no one else holds it, so a copy would only double the peak.
+            pts = self.points.array
+        else:
+            pts = np.array(_real_array("points", self.points, DatasetError), dtype=float)
         if pts.ndim != 2:
             raise DatasetError(f"points must be 2-D (rows x features), got shape {pts.shape}")
         n, f = pts.shape
@@ -209,11 +224,12 @@ def load_dataset(path: str | Path) -> Dataset:
     C reader, ``np.loadtxt``, reads a regular file's body from the path in
     chunks.  No Python object is built per row or per cell; float parsing
     is the floor.  A regular file's text is never held whole: the peak is
-    the array NumPy grows plus the copy :class:`Dataset` freezes, about
-    twice the points' bytes; a pipe's bytes add to that.  On a 2-vCPU
-    Xeon, a :func:`save_dataset` file of 10⁶ two-feature rows (38 MB)
-    loads in about 1.2 s, and the process peaks at 61 MB RSS, 28 MB of it
-    the interpreter with NumPy.  Only a failed load runs the error pass.
+    the array NumPy grows, which :class:`Dataset` freezes without a copy
+    because no one else holds it, about 1.2 times the points' bytes under
+    tracemalloc; a pipe's bytes add to that.  On a 2-vCPU Xeon, a
+    :func:`save_dataset` file of 10⁶ two-feature rows (38 MB) loads in
+    0.9-1.3 s, and the process peaks at 47 MB RSS, 28 MB of it the
+    interpreter with NumPy.  Only a failed load runs the error pass.
     """
     path = Path(path)
     raw = None
@@ -233,7 +249,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 # An empty body warns; Dataset rejects it.
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(body, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
-        return Dataset(data, feature_names=header)
+        return Dataset(_Owned(data), feature_names=header)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     except (ValueError, csv.Error):

@@ -123,6 +123,27 @@ def forward_batch(
     return out
 
 
+def column_errors(points: np.ndarray, coeffs: np.ndarray, offset: float, direction: Direction) -> np.ndarray:
+    """The directional errors of ``points``' rows, computed one column at a time.
+
+    ``coeffs`` and ``offset`` are :func:`collapse_affine`'s; ``points`` is
+    an (n, F) array of finite reals, not checked.  The error of a row is
+    ``(0 - c) - (x0*a0 + x1*a1 + ...)`` for LOWER and ``(x0*a0 + x1*a1 +
+    ...) + c`` for UPPER, each operation elementwise and rounded once, the
+    sum taken left to right.  So a row's bits depend on that row alone,
+    not on which other rows are computed with it, as a BLAS product's do.
+    That lets a screened epoch compute any subset of the rows, the column
+    means among them, and get the bits a pass over every row would give.
+    """
+    sums = points[:, 0] * coeffs[0]
+    for j in range(1, points.shape[1]):
+        sums += points[:, j] * coeffs[j]
+    if direction is Direction.LOWER:
+        return np.subtract(0.0 - offset, sums, out=sums)
+    sums += offset
+    return sums
+
+
 def initialize(dataset: Dataset, seed: int = 0) -> EqlNetwork:
     """Seeded initialization from the dataset's value range.
 

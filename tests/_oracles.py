@@ -29,6 +29,7 @@ from eqlbounds import (
     extract_constraint,
     gradients,
     initialize,
+    p_gamma_subset,
     violation_rate,
 )
 
@@ -125,6 +126,99 @@ def masked_train(dataset, loss_cfg, train_cfg):
             raise DivergenceError(train_cfg.epochs)
     constraint = extract_constraint(final, loss_cfg.direction)
     history = np.array(records, dtype=np.float64)
+    history.setflags(write=False)
+    report = TrainReport(history, constraint, violation_rate(constraint, dataset), train_cfg.seed)
+    return (w_in, w_out, b_out), report
+
+
+def column_errors_by_hand(points, coeffs, offset, direction):
+    """The directional errors of every row, one column at a time.
+
+    ``(0 - c) - (x0*a0 + x1*a1 + ...)`` for LOWER and ``(x0*a0 + x1*a1 +
+    ...) + c`` for UPPER, each product and sum an elementwise NumPy
+    operation, the sum taken left to right, so a row's bits depend on that
+    row alone.
+    """
+    points = np.asarray(points, dtype=float)
+    sums = points[:, 0] * coeffs[0]
+    for j in range(1, points.shape[1]):
+        sums = sums + points[:, j] * coeffs[j]
+    return (0.0 - offset) - sums if direction is Direction.LOWER else sums + offset
+
+
+def column_mean_epoch(w_in, w_out, b_out, dataset, cfg):
+    """One epoch of the loss and gradient as a screened ``train`` defines them, with no screening.
+
+    Every error is computed by :func:`column_errors_by_hand`; the subset is
+    ``p_gamma_subset``'s of all of them, cold; ``term_e`` is ``alpha1``
+    times the error at the dataset's column means.  The other terms and the
+    gradient are written out plainly.  Returns the breakdown as a tuple,
+    ``(d_w_in, d_w_out, d_b_out)`` and the subset.
+    """
+    h = w_in.shape[0]
+    coeffs = w_out[:h] @ w_in
+    offset = b_out + float(np.add.reduce(w_out[h:]))
+    n = dataset.n_points
+    e = column_errors_by_hand(dataset.points, coeffs, offset, cfg.direction)
+    subset = p_gamma_subset(e, cfg.gamma)
+    e_sub = e[subset]
+    t_e = cfg.alpha1 * float(column_errors_by_hand(dataset.column_means[None], coeffs, offset, cfg.direction)[0])
+    top = int(e_sub.argmax())
+    worst = float(e_sub[top])
+    t_p = cfg.alpha2 * float(e_sub @ e_sub) / n
+    t_a = cfg.alpha3 * abs(worst)
+    t_r = cfg.l1 * float(np.add.reduce(np.abs(w_out))) + cfg.l2 * float(w_out @ w_out)
+    breakdown = (t_e + t_p + t_a + t_r, t_e, t_p, t_a, t_r)
+    s = 1.0 if cfg.direction is Direction.LOWER else -1.0
+    d_sub = (-2.0 * cfg.alpha2 / n * s) * e_sub
+    d_sub[top] += -cfg.alpha3 * s * float(np.sign(worst))
+    mean_weight = (-cfg.alpha1 * s / n) * n
+    d_b_out = float(np.add.reduce(d_sub)) + mean_weight
+    d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
+    d_coeffs += mean_weight * dataset.column_means
+    d_w_in = np.multiply.outer(w_out[:h], d_coeffs)
+    d_w_out = np.full(w_out.shape, d_b_out)
+    d_w_out[:h] = w_in @ d_coeffs
+    d_w_out += cfg.l1 * np.sign(w_out) + 2.0 * cfg.l2 * w_out
+    return breakdown, (d_w_in, d_w_out, d_b_out), subset
+
+
+def column_mean_train(dataset, loss_cfg, train_cfg):
+    """``train`` as a screened run defines it, written as a plain loop with no screening.
+
+    Each epoch is :func:`column_mean_epoch`; the step, the masking rule and
+    the divergence checks are ``train``'s, written out.  Returns the final
+    weights ``(w_in, w_out, b_out)`` and the ``TrainReport``.
+    """
+    net = initialize(dataset, seed=train_cfg.seed)
+    w_in, w_out, b_out = net.w_in, net.w_out, net.b_out
+    lr, threshold = train_cfg.learning_rate, train_cfg.mask_threshold
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            breakdown, (d_w_in, d_w_out, d_b_out), _ = column_mean_epoch(w_in, w_out, b_out, dataset, loss_cfg)
+            if not math.isfinite(breakdown[0]):
+                raise DivergenceError(epoch)
+            records.append(breakdown)
+            if threshold > 0:
+                d_w_in[w_in == 0.0] = 0.0
+                d_w_out[w_out == 0.0] = 0.0
+            w_in = w_in - lr * d_w_in
+            w_out = w_out - lr * d_w_out
+            b_out = b_out - lr * d_b_out
+            if threshold > 0:
+                if not (np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out)):
+                    raise DivergenceError(epoch + 1)
+                w_in = np.where(np.abs(w_in) < threshold, 0.0, w_in)
+                w_out = np.where(np.abs(w_out) < threshold, 0.0, w_out)
+        final = None
+        if np.isfinite(w_in).all() and np.isfinite(w_out).all() and math.isfinite(b_out):
+            final = EqlNetwork(w_in, w_out, b_out)
+            coeffs, offset = collapse_affine(final)
+        if final is None or not (np.isfinite(coeffs).all() and math.isfinite(offset)):
+            raise DivergenceError(train_cfg.epochs)
+    constraint = extract_constraint(final, loss_cfg.direction)
+    history = np.array(records, dtype=np.float64).reshape(-1, 5)
     history.setflags(write=False)
     report = TrainReport(history, constraint, violation_rate(constraint, dataset), train_cfg.seed)
     return (w_in, w_out, b_out), report

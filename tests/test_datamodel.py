@@ -424,6 +424,32 @@ class TestLoadDataset:
         # holding the file's bytes or text breaks it.
         assert peak <= 3 * loaded.points.nbytes
 
+    def test_load_freezes_the_readers_own_array_without_a_copy(self, tmp_path):
+        # 10^5 two-feature rows: a copy in Dataset would take the peak from
+        # NumPy's reader alone, about 1.1 times the points' bytes, to 2.1.
+        path = tmp_path / "d.csv"
+        save_dataset(Dataset(np.random.default_rng(0).uniform(-5.0, 25.0, size=(100_000, 2))), path)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 1.3 * loaded.points.nbytes
+        assert not loaded.points.flags.writeable
+
+    def test_a_callers_array_is_still_copied_and_frozen(self):
+        points = np.arange(6.0).reshape(3, 2)
+        data = Dataset(points)
+        assert not np.shares_memory(data.points, points)
+        assert points.flags.writeable and not data.points.flags.writeable
+        points[0, 0] = 99.0
+        assert data.points[0, 0] == 0.0
+
     # A pipe or FIFO can be read only once, so NumPy reads its body from
     # the open stream; a quoted header name spans two lines here.
     @_needs_pipes

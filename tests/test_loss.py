@@ -14,7 +14,9 @@ from eqlbounds import (
     loss_from_errors,
     p_gamma_subset,
 )
-from eqlbounds.loss import WARM_START_MIN_N
+from eqlbounds import loss
+from eqlbounds.loss import WARM_START_MIN_N, build_cell_index, screened_subset
+from eqlbounds.network import column_errors
 
 from _oracles import brute_force_p_gamma, directional_errors
 
@@ -173,6 +175,114 @@ class TestPGammaSubset:
         for gamma in (0.0, 101.0, True, "5", None):
             with pytest.raises(ValueError, match="^gamma must "):
                 p_gamma_subset(np.array([1.0]), gamma)
+
+
+@st.composite
+def cell_points(draw):
+    """Points with ties, duplicates, a zero-width feature or extreme spans, and a cell size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, f = draw(st.integers(1, 400)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "grid", "duplicated", "constant", "extreme", "tiny"]))
+    if kind == "grid":
+        points = rng.integers(-3, 4, size=(n, f)) * 1.0
+    elif kind == "extreme":
+        # The span, about 3.6e308, overflows; halving keeps the grid finite.
+        points = rng.choice([-1.79e308, -1.0, 0.0, 2.0, 1.79e308], size=(n, f))
+    elif kind == "tiny":
+        # Subnormal spans: the grid's scale overflows, so every row shares a slice.
+        points = rng.choice([0.0, 5e-324, 1e-320], size=(n, f))
+    else:
+        points = rng.uniform(-5.0, 25.0, size=(n, f))
+        if kind == "duplicated":
+            points = points[rng.integers(0, max(1, n // 4), size=n)]
+        elif kind == "constant":
+            points[:, 0] = -2.5
+    return points, draw(st.sampled_from([1, 3, 64, 10**6]))
+
+
+class TestCellIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=cell_points())
+    def test_cells_partition_the_rows_and_box_them_tightly(self, drawn):
+        points, cell_rows = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loss, "CELL_ROWS", cell_rows)
+            cells = build_cell_index(points)
+        n, f = points.shape
+        assert sorted(cells.order.tolist()) == list(range(n))
+        starts = cells.starts.tolist()
+        assert starts[0] == 0 and starts[-1] == n and all(a < b for a, b in zip(starts, starts[1:]))
+        assert cells.grouped.tobytes() == points[cells.order].tobytes()
+        g = len(starts) - 1
+        assert cells.corners.shape == (2 * f, g) and cells.reach.shape == (f, g)
+        for cell, (a, b) in enumerate(zip(starts, starts[1:])):
+            rows = cells.order[a:b]
+            assert all(x < y for x, y in zip(rows, rows[1:]))
+            box = points[rows]
+            assert np.array_equal(cells.corners[:f, cell], box.min(axis=0))
+            assert np.array_equal(cells.corners[f:, cell], box.max(axis=0))
+            assert np.array_equal(cells.reach[:, cell], np.abs(box).max(axis=0))
+
+    def test_about_cell_rows_rows_per_cell_on_spread_data(self):
+        points = np.random.default_rng(0).uniform(-5.0, 25.0, size=(100_000, 2))
+        cells = build_cell_index(points)
+        counts = np.diff(cells.starts)
+        assert counts.size == int(math.sqrt(100_000 / loss.CELL_ROWS)) ** 2
+        assert 0.5 * loss.CELL_ROWS < np.median(counts) < 1.5 * loss.CELL_ROWS
+
+
+class TestScreenedSubset:
+    """``screened_subset`` is p_gamma_subset of every column-wise error, from any k rows as ``near``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=cell_points(),
+        direction=st.sampled_from(list(Direction)),
+        gamma=st.sampled_from([0.001, 2.5, 5.0, 30.0, 100.0]),
+        near_kind=st.sampled_from(["subset", "subset", "random", "none", "unsorted", "short"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_p_gamma_subset_of_every_error(self, drawn, direction, gamma, near_kind, seed):
+        points, cell_rows = drawn
+        n, f = points.shape
+        if np.abs(points).max() > 1e300:
+            # Keep the extreme spans' errors finite: a slope of 0.25 per
+            # feature sums to at most 0.75 * 1.79e308.
+            coeffs, offset = np.full(f, 0.25) * np.sign(np.random.default_rng(seed).standard_normal(f)), 1.0
+        else:
+            rng = np.random.default_rng(seed)
+            coeffs = rng.choice([0.0, -0.0, 0.5, -1.0, 2.0], size=f) if seed % 2 else rng.standard_normal(f)
+            offset = float(rng.choice([0.0, -0.0, 3.0, -1.5]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loss, "CELL_ROWS", cell_rows)
+            cells = build_cell_index(points)
+        errors = column_errors(points, coeffs, offset, direction)
+        want = p_gamma_subset(errors, gamma)
+        k = want.size
+        rng = np.random.default_rng(seed + 1)
+        near = {
+            "subset": p_gamma_subset(errors + rng.standard_normal(n), gamma),
+            "random": np.sort(rng.choice(n, k, replace=False)),
+            "none": None,
+            "unsorted": rng.permutation(want),
+            "short": want[1:],
+        }[near_kind]
+        got = screened_subset(cells, coeffs, offset, direction, gamma, near)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    def test_computes_few_errors_from_a_near_subset(self, monkeypatch):
+        points = np.random.default_rng(1).uniform(-5.0, 25.0, size=(100_000, 2))
+        cells = build_cell_index(points)
+        coeffs, offset = np.array([0.5, 1.0]), -3.0
+        near = p_gamma_subset(column_errors(points, coeffs * 1.001, offset, Direction.LOWER), 5.0)
+        computed = []
+        real = loss.column_errors
+        monkeypatch.setattr(loss, "column_errors", lambda rows, *args: computed.append(len(rows)) or real(rows, *args))
+        screened_subset(cells, coeffs, offset, Direction.LOWER, 5.0, near)
+        # The k = 5 000 rows of near, then the rows of the cells that can reach m.
+        assert computed[0] == near.size
+        assert near.size < computed[1] < 1.5 * near.size
 
 
 class TestTermP:

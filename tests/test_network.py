@@ -21,6 +21,7 @@ from eqlbounds import (
     forward_batch,
     initialize,
 )
+from eqlbounds.network import column_errors
 
 
 def make_net(w_in, w_out, b_out):
@@ -217,6 +218,43 @@ class TestDirectionalForward:
         net = make_net([[1.0]], [1.0], 0.0)
         with pytest.raises(ValueError, match=f"^direction must be a Direction or None, got {direction!r}$"):
             forward_batch(net, np.ones((1, 1)), direction)
+
+
+class TestColumnErrors:
+    """``column_errors`` computes each row's error on its own, column by column."""
+
+    @staticmethod
+    def by_row(points, coeffs, offset, direction):
+        """One Python float operation at a time, the sum left to right."""
+        errors = []
+        for row in points.tolist():
+            total = row[0] * float(coeffs[0])
+            for x, a in zip(row[1:], coeffs[1:].tolist()):
+                total = total + x * a
+            errors.append((0.0 - offset) - total if direction is Direction.LOWER else total + offset)
+        return np.array(errors, dtype=float).reshape(-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=network_and_points(), direction=st.sampled_from(list(Direction)), data=st.data())
+    def test_a_rows_bits_are_its_own(self, drawn, direction, data):
+        net, points = drawn
+        coeffs, offset = collapse_affine(net)
+        errors = column_errors(points, coeffs, offset, direction)
+        assert errors.tobytes() == self.by_row(points, coeffs, offset, direction).tobytes()
+        # Any subset of the rows, in any order, gives the same bits at its rows.
+        rows = data.draw(st.lists(st.integers(0, max(0, len(points) - 1)), max_size=len(points)))
+        picked = column_errors(points[rows], coeffs, offset, direction)
+        assert picked.tobytes() == errors[rows].tobytes()
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_leaves_its_inputs_unchanged(self, direction):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-5.0, 5.0, size=(40, 2))
+        coeffs = rng.standard_normal(2)
+        before = points.tobytes(), coeffs.tobytes()
+        out = column_errors(points, coeffs, 0.5, direction)
+        assert not np.shares_memory(out, points)
+        assert (points.tobytes(), coeffs.tobytes()) == before
 
 
 class TestCollapse:

@@ -1,6 +1,7 @@
 """Analytic gradients against finite differences, plus the descent loop."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -41,7 +42,16 @@ from eqlbounds.datamodel import _load_json
 from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
-from _oracles import LAYOUTS, brute_force_p_gamma, central_difference, directional_errors, identity_rows, masked_train
+from _oracles import (
+    LAYOUTS,
+    brute_force_p_gamma,
+    central_difference,
+    column_mean_epoch,
+    column_mean_train,
+    directional_errors,
+    identity_rows,
+    masked_train,
+)
 
 
 def loss_value(net, dataset, cfg):
@@ -568,6 +578,185 @@ class TestMatchesExplicitMasks:
             want = _bits(*masked_train(dataset, loss_cfg, cfg))
             net, report = train(dataset, loss_cfg, cfg)
             assert _bits((net.w_in, net.w_out, net.b_out), report) == want, f"seed {seed}"
+
+
+CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+
+
+def _outcome(fit, *args):
+    """What a fit leaves behind as bytes, or the epoch its DivergenceError names."""
+    try:
+        weights, report = fit(*args)
+    except DivergenceError as exc:
+        return ("diverged", exc.epoch)
+    return _bits(weights, report)
+
+
+def _train_weights(dataset, loss_cfg, train_cfg):
+    net, report = train(dataset, loss_cfg, train_cfg)
+    return (net.w_in, net.w_out, net.b_out), report
+
+
+def _screen_data(kind, n, f, rng):
+    """Points for the screened-train property: ties, duplicates and zero-width boxes included."""
+    if kind == "grid":
+        # Integers on a 7-wide grid: exact ties at the k-th error, and
+        # cell boxes that share their faces.
+        return rng.integers(-3, 4, size=(n, f)) * 1.0
+    points = rng.uniform(-5.0, 25.0, size=(n, f))
+    if kind == "duplicated":
+        return points[rng.integers(0, max(1, n // 4), size=n)]
+    if kind == "constant-column":
+        points[:, 0] = 3.0
+    return points
+
+
+class TestScreenedTrain:
+    """At or above the screening gate, ``train`` equals a plain loop that computes every error."""
+
+    @given(
+        direction=st.sampled_from(list(Direction)),
+        mask_threshold=st.sampled_from([0.0, 1e-3]),
+        f=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["uniform", "grid", "duplicated", "constant-column"]),
+        # 10**6 rows per cell puts every row in one cell.
+        cell_rows=st.sampled_from([1, 4, 16, 10**6]),
+        gamma=st.sampled_from([2.5, 5.0, 30.0, 100.0]),
+        learning_rate=st.sampled_from([1e-3, 0.05]),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_dense_oracle_bit_for_bit(
+        self, direction, mask_threshold, f, kind, cell_rows, gamma, learning_rate, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        dataset = Dataset(_screen_data(kind, n, f, rng))
+        loss_cfg = LossConfig(gamma=gamma, direction=direction)
+        train_cfg = TrainConfig(epochs=12, learning_rate=learning_rate, mask_threshold=mask_threshold, seed=seed % 7)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            # A dataset of one repeated value pins the initial bias, with a warning.
+            warnings.filterwarnings("ignore", "dataset values are all identical", RuntimeWarning)
+            want = _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+            patch.setattr(trainer, "SCREEN_MIN_N", 1)
+            patch.setattr(loss, "CELL_ROWS", cell_rows)
+            assert _outcome(_train_weights, dataset, loss_cfg, train_cfg) == want
+
+    @pytest.fixture(scope="class")
+    def cut_squares(self):
+        return {seed: generate(CUT_SQUARE, 200_000, seed=seed) for seed in range(3)}
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_the_real_gate(self, cut_squares, seed, direction, monkeypatch):
+        dataset = cut_squares[seed]
+        assert dataset.n_points >= trainer.SCREEN_MIN_N and dataset.n_features <= trainer.SCREEN_MAX_F
+        computed = []
+        column_errors = loss.column_errors
+
+        def counted(points, *args):
+            computed.append(points.shape[0])
+            return column_errors(points, *args)
+
+        monkeypatch.setattr(loss, "column_errors", counted)
+        loss_cfg = LossConfig(direction=direction)
+        train_cfg = TrainConfig(epochs=20, learning_rate=1e-3, seed=seed)
+        got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
+        assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+        # The first epoch computes every error; each later one the k = 10^4
+        # errors at the previous subset, then those of the cells that can
+        # reach the new one, far fewer than all 2x10^5.
+        assert computed[0] == dataset.n_points
+        assert len(computed) == 1 + 2 * (train_cfg.epochs - 1)
+        assert max(computed[1:]) < dataset.n_points // 10
+
+    @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("learning_rate", [1e150, 1e300])
+    def test_an_overflowing_step_diverges_at_the_oracles_epoch(
+        self, learning_rate, direction, mask_threshold, monkeypatch
+    ):
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        monkeypatch.setattr(loss, "CELL_ROWS", 8)
+        dataset = generate(CUT_SQUARE, 2_000, seed=3)
+        loss_cfg = LossConfig(direction=direction)
+        train_cfg = TrainConfig(epochs=30, learning_rate=learning_rate, mask_threshold=mask_threshold, seed=1)
+        got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
+        assert got[0] == "diverged"
+        assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+
+    @staticmethod
+    def far_rows_dataset():
+        # Two rows far out on the bounded side share the one cell with the
+        # rest: the cell's bound, 0.6 * 1.5e308 twice, overflows, while each
+        # row's own error, about -0.9e308, is finite.
+        points = np.vstack([generate(CUT_SQUARE, 500, seed=4).points, [[1.5e308, 0.0], [0.0, 1.5e308]]])
+        return Dataset(points)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_non_finite_cell_bound_takes_a_full_pass(self, direction, monkeypatch):
+        dataset = self.far_rows_dataset()
+        monkeypatch.setattr(loss, "CELL_ROWS", 10**6)
+        cells = loss.build_cell_index(dataset.points)
+        # a = s * (0.6, 0.6) puts the far rows' errors at about -0.9e308.
+        sign = 1.0 if direction is Direction.LOWER else -1.0
+        net = EqlNetwork(np.eye(2), sign * np.array([0.6, 0.6]), sign * -4.0)
+        cfg = LossConfig(direction=direction)
+        full_passes = []
+        p_gamma_subset = loss.p_gamma_subset
+
+        def spy(e, gamma, near=None):
+            full_passes.append(e.size)
+            return p_gamma_subset(e, gamma, near)
+
+        monkeypatch.setattr(loss, "p_gamma_subset", spy)
+        near = gradients(net, dataset, cfg, cells=cells)[1].subset
+        breakdown, grads = gradients(net, dataset, cfg, near, cells)
+        assert full_passes == [dataset.n_points, dataset.n_points]
+        with np.errstate(over="ignore"):
+            want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
+            # The dense epoch's term_e sums the two far errors, to -inf.
+            dense_z = gradients(net, dataset, cfg)[0].z
+        assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
+        assert (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex()) == (
+            want_grads[0].tobytes(),
+            want_grads[1].tobytes(),
+            want_grads[2].hex(),
+        )
+        assert np.array_equal(grads.subset, want_subset)
+        assert math.isfinite(breakdown.z) and dense_z == -math.inf
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_far_rows_diverge_at_the_oracles_epoch(self, direction, monkeypatch):
+        # The initial bias is drawn from the data's range, so the far rows
+        # make it about 1e307 and the subset's squares overflow: the run
+        # diverges at the same epoch as the oracle, through the full-pass
+        # fallback.
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        dataset = self.far_rows_dataset()
+        loss_cfg = LossConfig(direction=direction)
+        train_cfg = TrainConfig(epochs=5, learning_rate=1e-3, seed=0)
+        got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
+        assert got[0] == "diverged"
+        assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+
+    def test_cells_of_other_points_are_rejected(self):
+        dataset = generate(CUT_SQUARE, 300, seed=0)
+        copy = Dataset(dataset.points)
+        cells = loss.build_cell_index(copy.points)
+        net = initialize(dataset, seed=0)
+        with pytest.raises(ValueError, match="^cells must be the cell index of this dataset's points$"):
+            gradients(net, dataset, LossConfig(), cells=cells)
+        gradients(net, copy, LossConfig(), cells=cells)
+
+    def test_below_the_gate_no_index_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points))
+        train(generate(CUT_SQUARE, trainer.SCREEN_MIN_N - 1, seed=0), LossConfig(), TrainConfig(epochs=2))
+        points = np.zeros((trainer.SCREEN_MIN_N, trainer.SCREEN_MAX_F + 1))
+        points[:, 0] = np.arange(trainer.SCREEN_MIN_N)
+        train(Dataset(points), LossConfig(), TrainConfig(epochs=2))
+        assert built == []
 
 
 class TestTrainMulti:
