@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Direction, LossBreakdown, LossConfig, _real
+from .datamodel import Direction, LossBreakdown, LossConfig, _frozen, _real
 from .network import EqlNetwork, column_errors
 
 
@@ -165,17 +165,17 @@ class CellIndex:
 
     ``order`` lists the row numbers cell by cell, ascending within a cell,
     as int32 below 2^31 rows; cell ``g`` holds
-    ``order[starts[g]:starts[g + 1]]``, and only non-empty cells are kept.  ``grouped`` is ``points[order]``.
+    ``order[starts[g]:starts[g + 1]]``, and only non-empty cells are kept.
     ``corners`` holds each cell's lows then highs, ``(2F, G)``: the
     smallest and largest value of each feature over the cell's rows.
-    ``reach`` is the larger of their magnitudes, ``(F, G)``, a bound on
-    ``|x_j|`` in the cell.
+    ``reach`` is the largest ``|x_j|`` over all rows, ``(F,)``.  Per row
+    the index holds its row number, 4 bytes below 2^31 rows, and no copy
+    of ``points``; every array but ``points`` is read-only.
     """
 
     points: np.ndarray
     order: np.ndarray
     starts: np.ndarray
-    grouped: np.ndarray
     corners: np.ndarray
     reach: np.ndarray
 
@@ -189,8 +189,9 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
     slice.  No result depends on where a row lands: the boxes are taken
     from the rows each cell got.  One sort of int64 keys, the cell number
     above the row number, groups the rows (SIMD quicksort: every key is
-    distinct), and ``reduceat`` gives the boxes: about 4 ms at 10^5
-    two-feature rows, 9 ms at 2x10^5 and 65 ms at 10^6.
+    distinct), and ``reduceat`` over a temporary cell-ordered copy of the
+    rows gives the boxes: about 4 ms at 10^5 two-feature rows, 9 ms at
+    2x10^5 and 65 ms at 10^6.
     """
     n, f = points.shape
     slices = max(1, int((n / CELL_ROWS) ** (1.0 / f)))
@@ -217,8 +218,8 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
     grouped = points.take(order, axis=0)
     lows = np.minimum.reduceat(grouped, starts[:-1], axis=0).T
     highs = np.maximum.reduceat(grouped, starts[:-1], axis=0).T
-    reach = np.maximum(np.abs(lows), np.abs(highs))
-    return CellIndex(points, order, starts, grouped, np.vstack((lows, highs)), reach)
+    reach = np.maximum(np.abs(lows), np.abs(highs)).max(axis=1)
+    return CellIndex(points, _frozen(order), _frozen(starts), _frozen(np.vstack((lows, highs))), _frozen(reach))
 
 
 def screened_subset(
@@ -237,13 +238,14 @@ def screened_subset(
     member lies in a cell whose errors can reach ``m``.  Each cell's bound
     on its errors comes from its box in one product: the affine error is
     largest at one corner.  Only the rows of the cells whose bound reaches
-    ``m`` get their errors computed and ranked; at 2x10^5 cut-square
-    points and ``gamma = 5`` that is about 6% of them, 5% being the
-    subset.  The result is intp, as ``p_gamma_subset``'s.
+    ``m`` get their errors computed and ranked, gathered from ``points``
+    through ``order``; at 2x10^5 cut-square points and ``gamma = 5`` that
+    is about 6% of them, 5% being the subset.  The result is intp, as
+    ``p_gamma_subset``'s.
 
-    Without a valid ``near``, or when a cell bound is not finite (then an
-    error may be too), every error is computed and ranked, as
-    ``p_gamma_subset`` does.
+    Without a valid ``near``, or when the epoch's rounding scale ``T =
+    |a| . reach + |c|`` is not finite (then an error may not be either),
+    every error is computed and ranked, as ``p_gamma_subset`` does.
     """
     points = cells.points
     n, f = points.shape
@@ -252,10 +254,10 @@ def screened_subset(
     # The errors are sc + x . sa exactly, before rounding.
     sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
     sc = 0.0 - offset if direction is Direction.LOWER else offset
-    # The scale T of a cell bounds |x . a| + |c| over its box.  Rounding
-    # error bound (u = eps / 2, gamma_j = j u / (1 - j u); any summation
-    # order, with or without FMA, obeys gamma_j times the sum of the
-    # magnitudes):
+    # The epoch's scale T = |a| . reach + |c| bounds |x . a| + |c| over
+    # every row and every cell's box.  Rounding error bound (u = eps / 2,
+    # gamma_j = j u / (1 - j u); any summation order, with or without FMA,
+    # obeys gamma_j times the sum of the magnitudes):
     # - a row's computed error is within (F + 2) u T(1 + O(u)) of the exact
     #   one: F products and F - 1 sums give gamma_F, the final +/- c one u;
     # - the box bound, sc + (corner . sa) by a 2F-term product of which F
@@ -269,10 +271,11 @@ def screened_subset(
     # covers that where T is too small for the relative slack to.
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflow here is the answer, not a fault: it sends the epoch to the full pass.
-        scale = np.abs(coeffs) @ cells.reach + abs(offset)
-    slack_factor = 2 * (f + 1) * np.finfo(float).eps
+        scale = float(np.abs(coeffs) @ cells.reach + abs(offset))
+    # Python floats: T(1 + slack) may overflow, to inf, without a warning.
+    slack_factor = 2 * (f + 1) * math.ulp(1.0)
     # Where T(1 + slack) is finite, every step of every row's error is.
-    if near is None or not math.isfinite(float(scale.max()) * (1.0 + slack_factor)):
+    if near is None or not math.isfinite(scale * (1.0 + slack_factor)):
         return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma, near)
     pick = np.concatenate((np.minimum(sa, 0.0), np.maximum(sa, 0.0)))
     bound = pick @ cells.corners
@@ -280,15 +283,16 @@ def screened_subset(
     bound += slack_factor * scale + f * math.ulp(0.0)
     m = column_errors(points.take(near, axis=0), coeffs, offset, direction).min()
     hit = (bound >= m).nonzero()[0]
-    # The positions in grouped of every row of the hit cells.
+    # The positions in order of every row of the hit cells, then their row numbers.
     first, counts = cells.starts[hit], cells.starts[hit + 1] - cells.starts[hit]
     ends = np.cumsum(counts)
     rows = np.repeat(first - (ends - counts), counts)
     rows += np.arange(ends[-1])
-    values = column_errors(cells.grouped.take(rows, axis=0), coeffs, offset, direction)
+    rows = cells.order.take(rows)
+    values = column_errors(points.take(rows, axis=0), coeffs, offset, direction)
     # The candidates come cell by cell, many short ascending runs: SIMD
     # quicksort orders them about ten times faster than a stable merge.
-    return _top_k(values, k, cells.order.take(rows), kind="quicksort").astype(np.intp)
+    return _top_k(values, k, rows, kind="quicksort").astype(np.intp)
 
 
 def loss_from_errors(

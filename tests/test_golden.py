@@ -5,16 +5,22 @@ the numerics shows up as a hash mismatch.  Drift is allowed, but only on
 purpose: regenerate the fixture and record in CHANGES.md why the numbers
 moved.  Regenerate from the root of a checkout with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    python tests/test_golden.py --write
 
 Hashes depend on the floating-point behavior of NumPy, so the comparison
-runs only under the NumPy version the fixture was recorded with.
+runs only under the NumPy version the fixture was recorded with.  They also
+depend on the BLAS kernel, which picks the summation order of a product:
+the commands run in one child interpreter, under the OpenBLAS kernel the
+fixture records (Haswell: AVX2 and FMA, which every current x86-64 CI
+runner has), whatever kernel the parent runs under.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,41 +28,49 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqlbounds.cli import main
-
 FIXTURE = Path(__file__).with_name("data") / "golden_train.json"
-FIXTURE_VERSION = 1
+FIXTURE_VERSION = 2
 PRESETS = ("square-low", "circle", "cube")
 DATA_SEED = 0
 TRAIN_FLAGS = ("--runs", "2", "--epochs", "50", "--learning-rate", "1e-3", "--seed", "24")
+OPENBLAS_CORETYPE = "Haswell"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs each argument list of its JSON argument through the CLI, stopping at the first failure.
+CHILD = "import json, sys; from eqlbounds.cli import main; sys.exit(any(main(a) for a in json.loads(sys.argv[1])))"
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_hashes(workdir: Path) -> dict:
-    """Generate each preset, train on it, and hash the data and run files."""
-    hashes = {}
+def run_hashes(workdir: Path, coretype: str) -> dict:
+    """Generate each preset and train on it under the kernel ``coretype``, and hash the data and run files."""
+    commands = []
     for preset in PRESETS:
-        data = workdir / f"{preset}.csv"
-        out_dir = workdir / preset
-        assert main(["gen", "--preset", preset, "--seed", str(DATA_SEED), "--out", str(data)]) == 0
-        assert main(["train", "--data", str(data), "--out-dir", str(out_dir), *TRAIN_FLAGS]) == 0
-        hashes[preset] = {
-            "data": _sha256(data),
-            "run_dir": {p.name: _sha256(p) for p in sorted(out_dir.iterdir())},
+        data, out_dir = workdir / f"{preset}.csv", workdir / preset
+        commands.append(["gen", "--preset", preset, "--seed", str(DATA_SEED), "--out", str(data)])
+        commands.append(["train", "--data", str(data), "--out-dir", str(out_dir), *TRAIN_FLAGS])
+    pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": pythonpath}
+    argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error", "-c", CHILD, json.dumps(commands)]
+    child = subprocess.run(argv, env=env, capture_output=True, encoding="utf-8")
+    assert child.returncode == 0, child.stderr
+    return {
+        preset: {
+            "data": _sha256(workdir / f"{preset}.csv"),
+            "run_dir": {p.name: _sha256(p) for p in sorted((workdir / preset).iterdir())},
         }
-    return hashes
+        for preset in PRESETS
+    }
 
 
-def test_train_outputs_match_golden_fixture(tmp_path, capsys):
+def test_train_outputs_match_golden_fixture(tmp_path):
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert golden["version"] == FIXTURE_VERSION
     assert golden["train_flags"] == list(TRAIN_FLAGS)
     if golden["numpy"] != np.__version__:
         pytest.skip(f"fixture recorded with NumPy {golden['numpy']}, running {np.__version__}")
-    assert run_hashes(tmp_path) == golden["hashes"]
+    assert run_hashes(tmp_path, golden["openblas_coretype"]) == golden["hashes"]
 
 
 if __name__ == "__main__":
@@ -68,7 +82,8 @@ if __name__ == "__main__":
             "numpy": np.__version__,
             "data_seed": DATA_SEED,
             "train_flags": list(TRAIN_FLAGS),
-            "hashes": run_hashes(Path(tmp)),
+            "openblas_coretype": OPENBLAS_CORETYPE,
+            "hashes": run_hashes(Path(tmp), OPENBLAS_CORETYPE),
         }
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(fixture, indent=2) + "\n", encoding="utf-8")

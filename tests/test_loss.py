@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from eqlbounds import (
     Direction,
     EqlNetwork,
+    LinearCut,
     LossConfig,
+    RegionSpec,
+    generate,
     loss_from_errors,
     p_gamma_subset,
 )
@@ -212,16 +215,16 @@ class TestCellIndex:
         assert sorted(cells.order.tolist()) == list(range(n))
         starts = cells.starts.tolist()
         assert starts[0] == 0 and starts[-1] == n and all(a < b for a, b in zip(starts, starts[1:]))
-        assert cells.grouped.tobytes() == points[cells.order].tobytes()
         g = len(starts) - 1
-        assert cells.corners.shape == (2 * f, g) and cells.reach.shape == (f, g)
+        assert cells.corners.shape == (2 * f, g) and cells.reach.shape == (f,)
         for cell, (a, b) in enumerate(zip(starts, starts[1:])):
             rows = cells.order[a:b]
             assert all(x < y for x, y in zip(rows, rows[1:]))
             box = points[rows]
             assert np.array_equal(cells.corners[:f, cell], box.min(axis=0))
             assert np.array_equal(cells.corners[f:, cell], box.max(axis=0))
-            assert np.array_equal(cells.reach[:, cell], np.abs(box).max(axis=0))
+        lows, highs = np.abs(cells.corners[:f]), np.abs(cells.corners[f:])
+        assert np.array_equal(cells.reach, np.maximum(lows, highs).max(axis=1))
 
     def test_about_cell_rows_rows_per_cell_on_spread_data(self):
         points = np.random.default_rng(0).uniform(-5.0, 25.0, size=(100_000, 2))
@@ -229,6 +232,21 @@ class TestCellIndex:
         counts = np.diff(cells.starts)
         assert counts.size == int(math.sqrt(100_000 / loss.CELL_ROWS)) ** 2
         assert 0.5 * loss.CELL_ROWS < np.median(counts) < 1.5 * loss.CELL_ROWS
+
+    def test_stores_no_copy_of_the_points(self):
+        cut_square = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+        points = generate(cut_square, 200_000, seed=0).points
+        cells = build_cell_index(points)
+        assert cells.points is points
+        # A 4-byte row number per row, plus each cell's box: 0.9 MB against 3.2 MB of points.
+        stored = sum(array.nbytes for name, array in vars(cells).items() if name != "points")
+        assert stored < points.nbytes / 3
+
+    def test_is_read_only(self):
+        cells = build_cell_index(np.random.default_rng(0).uniform(-5.0, 25.0, size=(500, 2)))
+        for name in ("order", "starts", "corners", "reach"):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+                getattr(cells, name).setflags(write=True)
 
 
 class TestScreenedSubset:
@@ -283,6 +301,16 @@ class TestScreenedSubset:
         # The k = 5 000 rows of near, then the rows of the cells that can reach m.
         assert computed[0] == near.size
         assert near.size < computed[1] < 1.5 * near.size
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_scale_at_the_float_maximum_takes_the_full_pass_without_a_warning(self, direction):
+        # T = |a| . reach + |c| is the largest float, so T(1 + slack) overflows.
+        points = np.vstack([np.random.default_rng(2).uniform(0.0, 1.0, size=(2_000, 2)), [[np.finfo(float).max, 0.0]]])
+        cells = build_cell_index(points)
+        coeffs = np.array([1.0, 0.0])
+        errors = column_errors(points, coeffs, 0.0, direction)
+        want = p_gamma_subset(errors, 5.0)
+        assert np.array_equal(screened_subset(cells, coeffs, 0.0, direction, 5.0, want), want)
 
 
 class TestTermP:

@@ -727,6 +727,36 @@ class TestScreenedTrain:
         assert math.isfinite(breakdown.z) and dense_z == -math.inf
 
     @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_non_finite_epoch_scale_takes_a_full_pass(self, direction, monkeypatch):
+        dataset = self.far_rows_dataset()
+        cells = loss.build_cell_index(dataset.points)
+        # Each far row has a cell of its own, whose scale 0.7 * 1.5e308 + 4 is
+        # finite; the epoch's one scale, 0.7 * 1.5e308 twice plus 4, is not.
+        far = np.searchsorted(cells.starts, np.flatnonzero(cells.order >= 500), side="right") - 1
+        assert np.diff(cells.starts)[far].tolist() == [1, 1]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(0.7 * np.abs(cells.corners).reshape(2, 2, -1).max(axis=0).sum(axis=0) + 4.0).all()
+            assert 0.7 * np.abs(dataset.points).max(axis=0).sum() + 4.0 == math.inf
+        sign = 1.0 if direction is Direction.LOWER else -1.0
+        net = EqlNetwork(np.eye(2), sign * np.array([0.7, 0.7]), sign * -4.0)
+        cfg = LossConfig(direction=direction)
+        full_passes = []
+        p_gamma_subset = loss.p_gamma_subset
+
+        def spy(e, gamma, near=None):
+            full_passes.append(e.size)
+            return p_gamma_subset(e, gamma, near)
+
+        monkeypatch.setattr(loss, "p_gamma_subset", spy)
+        near = gradients(net, dataset, cfg, cells=cells)[1].subset
+        breakdown, grads = gradients(net, dataset, cfg, near, cells)
+        assert full_passes == [dataset.n_points, dataset.n_points]
+        want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
+        assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
+        got = (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes())
+        assert got == (want_grads[0].tobytes(), want_grads[1].tobytes(), want_grads[2].hex(), want_subset.tobytes())
+
+    @pytest.mark.parametrize("direction", list(Direction))
     def test_far_rows_diverge_at_the_oracles_epoch(self, direction, monkeypatch):
         # The initial bias is drawn from the data's range, so the far rows
         # make it about 1e307 and the subset's squares overflow: the run
