@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -127,15 +127,18 @@ def _first_stale_run_file(out_dir: Path, runs: int) -> Path | None:
     return out_dir / min(stale)[1] if stale else None
 
 
+def _checked_config(payload: dict) -> dict:
+    """``payload`` itself, once :func:`configs_from_mapping` accepts it."""
+    configs_from_mapping(payload)
+    return payload
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     # The file is checked on its own, so that its faults name it and a bad flag's do not.
-    configs = _load_json(args.config, "config", configs_from_mapping) if args.config else (LossConfig(), TrainConfig())
+    payload = _load_json(args.config, "config", _checked_config) if args.config else {}
     flags = {name: value for name in CONFIG_KEYS if (value := getattr(args, name)) is not None}
-    loss_cfg, train_cfg = (
-        replace(cfg, **{name: value for name, value in flags.items() if CONFIG_KEYS[name] is type(cfg)})
-        for cfg in configs
-    )
+    loss_cfg, train_cfg = configs_from_mapping({**payload, **flags})
 
     out_dir = Path(args.out_dir)
     stale = _first_stale_run_file(out_dir, train_cfg.runs)

@@ -162,46 +162,27 @@ def generate(spec: RegionSpec, n: int, seed: int = 0) -> Dataset:
     return Dataset(points)
 
 
-def _square_region() -> RegionSpec:
-    return RegionSpec(
-        box=[[-5.0, 25.0], [-5.0, 25.0]],
-        linear_cuts=(LinearCut([1.0, 2.0], 4.0, Direction.LOWER),),
-    )
+_CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
+_DISK_RADIUS = math.sqrt(200.0)
 
-
-def _circle_region() -> RegionSpec:
-    r = math.sqrt(200.0)
-    return RegionSpec(
-        box=[[-r, r], [-r, r]],
-        quadratic_cap=BallCap([0.0, 0.0], r),
-    )
-
-
-def _cube_region() -> RegionSpec:
-    return RegionSpec(
-        box=[[-5.0, 25.0], [-5.0, 25.0], [-5.0, 25.0]],
-        linear_cuts=(LinearCut([1.0, 2.0, -3.0], 4.0, Direction.LOWER),),
-    )
-
-
-# name -> (region factory, point count)
-PAPER_PRESETS: dict[str, tuple] = {
-    "square-high": (_square_region, 600),
-    "circle": (_circle_region, 250),
-    "square-low": (_square_region, 100),
-    "cube": (_cube_region, 2000),
+# name -> (region, point count); a RegionSpec is frozen, so presets share one.
+PAPER_PRESETS: dict[str, tuple[RegionSpec, int]] = {
+    "square-high": (_CUT_SQUARE, 600),
+    "circle": (RegionSpec([[-_DISK_RADIUS, _DISK_RADIUS]] * 2, quadratic_cap=BallCap([0.0, 0.0], _DISK_RADIUS)), 250),
+    "square-low": (_CUT_SQUARE, 100),
+    "cube": (RegionSpec([[-5.0, 25.0]] * 3, (LinearCut([1.0, 2.0, -3.0], 4.0, Direction.LOWER),)), 2000),
 }
 
 
 def paper_dataset(name: str, seed: int = 0) -> Dataset:
     """Generate one of the named benchmark datasets."""
     try:
-        factory, count = PAPER_PRESETS[name]
+        spec, count = PAPER_PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; choose from {sorted(PAPER_PRESETS)}"
         ) from None
-    return generate(factory(), count, seed)
+    return generate(spec, count, seed)
 
 
 def region_spec_from_dict(payload: dict) -> RegionSpec:

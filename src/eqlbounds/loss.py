@@ -168,16 +168,18 @@ class CellIndex:
     ``order[starts[g]:starts[g + 1]]``, and only non-empty cells are kept.
     ``corners`` holds each cell's lows then highs, ``(2F, G)``: the
     smallest and largest value of each feature over the cell's rows.
-    ``reach`` is the largest ``|x_j|`` over all rows, ``(F,)``.  Per row
-    the index holds its row number, 4 bytes below 2^31 rows, and no copy
-    of ``points``; every array but ``points`` is read-only.
+    Every operation of :func:`~eqlbounds.network.column_errors` is rounded
+    once and monotone in its operands, so the error it computes at a box's
+    worst corner bounds the computed error of every row in the cell: a
+    screened epoch evaluates the G corners that way.  Per row the index
+    holds its row number, 4 bytes below 2^31 rows, and no copy of
+    ``points``; every array but ``points`` is read-only.
     """
 
     points: np.ndarray
     order: np.ndarray
     starts: np.ndarray
     corners: np.ndarray
-    reach: np.ndarray
 
 
 def build_cell_index(points: np.ndarray) -> CellIndex:
@@ -191,7 +193,8 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
     above the row number, groups the rows (SIMD quicksort: every key is
     distinct), and ``reduceat`` over a temporary cell-ordered copy of the
     rows gives the boxes: about 4 ms at 10^5 two-feature rows, 9 ms at
-    2x10^5 and 65 ms at 10^6.
+    2x10^5 and 65 ms at 10^6.  A screened epoch evaluates the boxes'
+    corners with :func:`~eqlbounds.network.column_errors`.
     """
     n, f = points.shape
     slices = max(1, int((n / CELL_ROWS) ** (1.0 / f)))
@@ -218,8 +221,7 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
     grouped = points.take(order, axis=0)
     lows = np.minimum.reduceat(grouped, starts[:-1], axis=0).T
     highs = np.maximum.reduceat(grouped, starts[:-1], axis=0).T
-    reach = np.maximum(np.abs(lows), np.abs(highs)).max(axis=1)
-    return CellIndex(points, _frozen(order), _frozen(starts), _frozen(np.vstack((lows, highs))), _frozen(reach))
+    return CellIndex(points, _frozen(order), _frozen(starts), _frozen(np.vstack((lows, highs))))
 
 
 def screened_subset(
@@ -236,51 +238,36 @@ def screened_subset(
     earlier call (k strictly increasing indices), ``m``, the smallest
     current error at ``near``, is at most the k-th largest error, so every
     member lies in a cell whose errors can reach ``m``.  Each cell's bound
-    on its errors comes from its box in one product: the affine error is
-    largest at one corner.  Only the rows of the cells whose bound reaches
-    ``m`` get their errors computed and ranked, gathered from ``points``
-    through ``order``; at 2x10^5 cut-square points and ``gamma = 5`` that
-    is about 6% of them, 5% being the subset.  The result is intp, as
+    is ``column_errors`` at its box's worst corner, each feature at its
+    high where the directional coefficient (``-a`` for LOWER, ``a`` for
+    UPPER) is positive and at its low otherwise.  Every operation there is
+    rounded once, and rounding is monotone, so that computed error bounds
+    the computed error of every row in the cell exactly, with no slack.
+    Only the rows of the cells whose bound reaches ``m`` get their errors
+    computed and ranked, gathered from ``points`` through ``order``; at
+    2x10^5 cut-square points and ``gamma = 5`` that is about 6% of them,
+    5% being the subset, plus the G corners.  The result is intp, as
     ``p_gamma_subset``'s.
 
-    Without a valid ``near``, or when the epoch's rounding scale ``T =
-    |a| . reach + |c|`` is not finite (then an error may not be either),
-    every error is computed and ranked, as ``p_gamma_subset`` does.
+    Without a valid ``near``, or when a bound is NaN or ``+inf``, every
+    error is computed and ranked, as ``p_gamma_subset`` does.  By the same
+    monotonicity a row whose error is NaN or ``+inf``, or whose partial sum
+    overflows toward it, has such a bound, so a screened ``m`` is a number
+    or ``-inf``.
     """
     points = cells.points
     n, f = points.shape
     k = _subset_size(gamma, n)
     near = _checked_near(near, k, n)
-    # The errors are sc + x . sa exactly, before rounding.
-    sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
-    sc = 0.0 - offset if direction is Direction.LOWER else offset
-    # The epoch's scale T = |a| . reach + |c| bounds |x . a| + |c| over
-    # every row and every cell's box.  Rounding error bound (u = eps / 2,
-    # gamma_j = j u / (1 - j u); any summation order, with or without FMA,
-    # obeys gamma_j times the sum of the magnitudes):
-    # - a row's computed error is within (F + 2) u T(1 + O(u)) of the exact
-    #   one: F products and F - 1 sums give gamma_F, the final +/- c one u;
-    # - the box bound, sc + (corner . sa) by a 2F-term product of which F
-    #   terms are exactly 0, is within (2F + 1) u T(1 + O(u)) of the exact
-    #   maximum, which no exact error exceeds;
-    # - T itself is computed low by at most gamma_(F+1) T, and adding the
-    #   slack to the bound rounds once more, u T.
-    # That sums to (3F + 4) u T(1 + O(F u)); the slack 2(F + 1) eps T =
-    # (4F + 4) u T exceeds it for every F >= 1.  A product that underflows
-    # errs by up to 2^-1075 absolutely, 2F of them at most: the last term
-    # covers that where T is too small for the relative slack to.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # An overflow here is the answer, not a fault: it sends the epoch to the full pass.
-        scale = float(np.abs(coeffs) @ cells.reach + abs(offset))
-    # Python floats: T(1 + slack) may overflow, to inf, without a warning.
-    slack_factor = 2 * (f + 1) * math.ulp(1.0)
-    # Where T(1 + slack) is finite, every step of every row's error is.
-    if near is None or not math.isfinite(scale * (1.0 + slack_factor)):
+    if near is not None:
+        # Each feature at its high where the error rises with it: the worst corner.
+        sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
+        corner = cells.corners[np.arange(f) + f * (sa > 0)].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            # An overflow or a NaN here is the answer, not a fault: it sends the epoch to the full pass.
+            bound = column_errors(corner, coeffs, offset, direction)
+    if near is None or not math.isfinite(bound.max()):
         return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma, near)
-    pick = np.concatenate((np.minimum(sa, 0.0), np.maximum(sa, 0.0)))
-    bound = pick @ cells.corners
-    bound += sc
-    bound += slack_factor * scale + f * math.ulp(0.0)
     m = column_errors(points.take(near, axis=0), coeffs, offset, direction).min()
     hit = (bound >= m).nonzero()[0]
     # The positions in order of every row of the hit cells, then their row numbers.

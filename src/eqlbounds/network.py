@@ -134,6 +134,9 @@ def column_errors(points: np.ndarray, coeffs: np.ndarray, offset: float, directi
     not on which other rows are computed with it, as a BLAS product's do.
     That lets a screened epoch compute any subset of the rows, the column
     means among them, and get the bits a pass over every row would give.
+    Each of those operations is monotone in its operands, so the error at
+    a cell's worst corner bounds the computed error of every row in the
+    cell: a screened epoch also evaluates the cells' corners here.
     """
     sums = points[:, 0] * coeffs[0]
     for j in range(1, points.shape[1]):

@@ -216,15 +216,13 @@ class TestCellIndex:
         starts = cells.starts.tolist()
         assert starts[0] == 0 and starts[-1] == n and all(a < b for a, b in zip(starts, starts[1:]))
         g = len(starts) - 1
-        assert cells.corners.shape == (2 * f, g) and cells.reach.shape == (f,)
+        assert cells.corners.shape == (2 * f, g)
         for cell, (a, b) in enumerate(zip(starts, starts[1:])):
             rows = cells.order[a:b]
             assert all(x < y for x, y in zip(rows, rows[1:]))
             box = points[rows]
             assert np.array_equal(cells.corners[:f, cell], box.min(axis=0))
             assert np.array_equal(cells.corners[f:, cell], box.max(axis=0))
-        lows, highs = np.abs(cells.corners[:f]), np.abs(cells.corners[f:])
-        assert np.array_equal(cells.reach, np.maximum(lows, highs).max(axis=1))
 
     def test_about_cell_rows_rows_per_cell_on_spread_data(self):
         points = np.random.default_rng(0).uniform(-5.0, 25.0, size=(100_000, 2))
@@ -244,7 +242,7 @@ class TestCellIndex:
 
     def test_is_read_only(self):
         cells = build_cell_index(np.random.default_rng(0).uniform(-5.0, 25.0, size=(500, 2)))
-        for name in ("order", "starts", "corners", "reach"):
+        for name in ("order", "starts", "corners"):
             with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
                 getattr(cells, name).setflags(write=True)
 
@@ -298,19 +296,24 @@ class TestScreenedSubset:
         real = loss.column_errors
         monkeypatch.setattr(loss, "column_errors", lambda rows, *args: computed.append(len(rows)) or real(rows, *args))
         screened_subset(cells, coeffs, offset, Direction.LOWER, 5.0, near)
-        # The k = 5 000 rows of near, then the rows of the cells that can reach m.
-        assert computed[0] == near.size
-        assert near.size < computed[1] < 1.5 * near.size
+        # The G = 39^2 cells' worst corners, the k = 5 000 rows of near, then
+        # the rows of the cells that can reach m.
+        assert computed[:2] == [cells.starts.size - 1, near.size] == [1_521, 5_000]
+        assert near.size < computed[2] < 1.5 * near.size
 
     @pytest.mark.parametrize("direction", list(Direction))
-    def test_a_scale_at_the_float_maximum_takes_the_full_pass_without_a_warning(self, direction):
-        # T = |a| . reach + |c| is the largest float, so T(1 + slack) overflows.
+    def test_an_error_at_the_float_maximum_is_screened_without_a_warning(self, direction, monkeypatch):
+        # The far row's error, +/- the largest float, is its cell's bound:
+        # finite, so the epoch screens, and no step of it overflows.
         points = np.vstack([np.random.default_rng(2).uniform(0.0, 1.0, size=(2_000, 2)), [[np.finfo(float).max, 0.0]]])
         cells = build_cell_index(points)
         coeffs = np.array([1.0, 0.0])
         errors = column_errors(points, coeffs, 0.0, direction)
         want = p_gamma_subset(errors, 5.0)
+        full_passes = []
+        monkeypatch.setattr(loss, "p_gamma_subset", lambda *args: full_passes.append(args))
         assert np.array_equal(screened_subset(cells, coeffs, 0.0, direction, 5.0, want), want)
+        assert full_passes == []
 
 
 class TestTermP:

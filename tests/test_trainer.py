@@ -663,11 +663,12 @@ class TestScreenedTrain:
         train_cfg = TrainConfig(epochs=20, learning_rate=1e-3, seed=seed)
         got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
         assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
-        # The first epoch computes every error; each later one the k = 10^4
-        # errors at the previous subset, then those of the cells that can
-        # reach the new one, far fewer than all 2x10^5.
+        # The first epoch computes every error; each later one the errors at
+        # the G cells' worst corners, the k = 10^4 at the previous subset,
+        # then those of the cells that can reach the new one, far fewer than
+        # all 2x10^5.
         assert computed[0] == dataset.n_points
-        assert len(computed) == 1 + 2 * (train_cfg.epochs - 1)
+        assert len(computed) == 1 + 3 * (train_cfg.epochs - 1)
         assert max(computed[1:]) < dataset.n_points // 10
 
     @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3])
@@ -687,21 +688,15 @@ class TestScreenedTrain:
 
     @staticmethod
     def far_rows_dataset():
-        # Two rows far out on the bounded side share the one cell with the
-        # rest: the cell's bound, 0.6 * 1.5e308 twice, overflows, while each
-        # row's own error, about -0.9e308, is finite.
+        # Two rows far out, at 1.5e308 on one axis each: a slope of 0.6 per
+        # feature puts each row's own error at about +/-0.9e308, finite,
+        # while a corner of a box that holds both sums two of them.
         points = np.vstack([generate(CUT_SQUARE, 500, seed=4).points, [[1.5e308, 0.0], [0.0, 1.5e308]]])
         return Dataset(points)
 
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_a_non_finite_cell_bound_takes_a_full_pass(self, direction, monkeypatch):
-        dataset = self.far_rows_dataset()
-        monkeypatch.setattr(loss, "CELL_ROWS", 10**6)
-        cells = loss.build_cell_index(dataset.points)
-        # a = s * (0.6, 0.6) puts the far rows' errors at about -0.9e308.
-        sign = 1.0 if direction is Direction.LOWER else -1.0
-        net = EqlNetwork(np.eye(2), sign * np.array([0.6, 0.6]), sign * -4.0)
-        cfg = LossConfig(direction=direction)
+    @staticmethod
+    def second_epoch(net, dataset, cfg, cells, monkeypatch):
+        """A cold epoch, then the warm one, against the dense oracle; returns the warm breakdown and the full passes."""
         full_passes = []
         p_gamma_subset = loss.p_gamma_subset
 
@@ -712,49 +707,54 @@ class TestScreenedTrain:
         monkeypatch.setattr(loss, "p_gamma_subset", spy)
         near = gradients(net, dataset, cfg, cells=cells)[1].subset
         breakdown, grads = gradients(net, dataset, cfg, near, cells)
-        assert full_passes == [dataset.n_points, dataset.n_points]
-        with np.errstate(over="ignore"):
-            want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
-            # The dense epoch's term_e sums the two far errors, to -inf.
-            dense_z = gradients(net, dataset, cfg)[0].z
-        assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
-        assert (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex()) == (
-            want_grads[0].tobytes(),
-            want_grads[1].tobytes(),
-            want_grads[2].hex(),
-        )
-        assert np.array_equal(grads.subset, want_subset)
-        assert math.isfinite(breakdown.z) and dense_z == -math.inf
-
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_a_non_finite_epoch_scale_takes_a_full_pass(self, direction, monkeypatch):
-        dataset = self.far_rows_dataset()
-        cells = loss.build_cell_index(dataset.points)
-        # Each far row has a cell of its own, whose scale 0.7 * 1.5e308 + 4 is
-        # finite; the epoch's one scale, 0.7 * 1.5e308 twice plus 4, is not.
-        far = np.searchsorted(cells.starts, np.flatnonzero(cells.order >= 500), side="right") - 1
-        assert np.diff(cells.starts)[far].tolist() == [1, 1]
-        with np.errstate(over="ignore"):
-            assert np.isfinite(0.7 * np.abs(cells.corners).reshape(2, 2, -1).max(axis=0).sum(axis=0) + 4.0).all()
-            assert 0.7 * np.abs(dataset.points).max(axis=0).sum() + 4.0 == math.inf
-        sign = 1.0 if direction is Direction.LOWER else -1.0
-        net = EqlNetwork(np.eye(2), sign * np.array([0.7, 0.7]), sign * -4.0)
-        cfg = LossConfig(direction=direction)
-        full_passes = []
-        p_gamma_subset = loss.p_gamma_subset
-
-        def spy(e, gamma, near=None):
-            full_passes.append(e.size)
-            return p_gamma_subset(e, gamma, near)
-
-        monkeypatch.setattr(loss, "p_gamma_subset", spy)
-        near = gradients(net, dataset, cfg, cells=cells)[1].subset
-        breakdown, grads = gradients(net, dataset, cfg, near, cells)
-        assert full_passes == [dataset.n_points, dataset.n_points]
         want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
         assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
         got = (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes())
         assert got == (want_grads[0].tobytes(), want_grads[1].tobytes(), want_grads[2].hex(), want_subset.tobytes())
+        return breakdown, full_passes
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_far_rows_on_the_bounded_side_are_screened(self, direction, monkeypatch):
+        dataset = self.far_rows_dataset()
+        monkeypatch.setattr(loss, "CELL_ROWS", 10**6)
+        cells = loss.build_cell_index(dataset.points)
+        # a = s * (0.6, 0.6) puts the far rows' errors at about -0.9e308, and
+        # the one cell's worst corner at its lows: a finite bound.
+        sign = 1.0 if direction is Direction.LOWER else -1.0
+        net = EqlNetwork(np.eye(2), sign * np.array([0.6, 0.6]), sign * -4.0)
+        cfg = LossConfig(direction=direction)
+        breakdown, full_passes = self.second_epoch(net, dataset, cfg, cells, monkeypatch)
+        assert full_passes == [dataset.n_points]
+        with np.errstate(over="ignore"):
+            # The dense epoch's term_e sums the two far errors, to -inf.
+            dense_z = gradients(net, dataset, cfg)[0].z
+        assert math.isfinite(breakdown.z) and dense_z == -math.inf
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_far_rows_in_cells_of_their_own_are_screened(self, direction, monkeypatch):
+        dataset = self.far_rows_dataset()
+        cells = loss.build_cell_index(dataset.points)
+        far = np.searchsorted(cells.starts, np.flatnonzero(cells.order >= 500), side="right") - 1
+        assert np.diff(cells.starts)[far].tolist() == [1, 1]
+        # a = s * (0.7, 0.7): each far row is its own cell's worst corner.
+        sign = 1.0 if direction is Direction.LOWER else -1.0
+        net = EqlNetwork(np.eye(2), sign * np.array([0.7, 0.7]), sign * -4.0)
+        _, full_passes = self.second_epoch(net, dataset, LossConfig(direction=direction), cells, monkeypatch)
+        assert full_passes == [dataset.n_points]
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_worst_corner_that_overflows_takes_a_full_pass(self, direction, monkeypatch):
+        dataset = self.far_rows_dataset()
+        monkeypatch.setattr(loss, "CELL_ROWS", 10**6)
+        cells = loss.build_cell_index(dataset.points)
+        # a = -s * (0.6, 0.6) puts the far rows' errors at about +0.9e308, and
+        # the one cell's worst corner at (1.5e308, 1.5e308), whose error overflows.
+        sign = 1.0 if direction is Direction.LOWER else -1.0
+        net = EqlNetwork(np.eye(2), -sign * np.array([0.6, 0.6]), sign * -4.0)
+        # The far rows in the subset overflow its squares and the gradient, as in a dense epoch.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, full_passes = self.second_epoch(net, dataset, LossConfig(direction=direction), cells, monkeypatch)
+        assert full_passes == [dataset.n_points, dataset.n_points]
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_far_rows_diverge_at_the_oracles_epoch(self, direction, monkeypatch):
