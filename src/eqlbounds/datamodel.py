@@ -96,22 +96,18 @@ def _real_array(name: str, values, error: type[ValueError] = ValueError) -> np.n
     return array
 
 
-def default_feature_names(n_features: int) -> tuple[str, ...]:
-    return tuple(f"X{i}" for i in range(n_features))
-
-
 def _feature_names(names, count: int, error: type[ValueError] = ValueError) -> tuple[str, ...]:
     """``names`` as ``count`` feature names, by the package's one rule for names.
 
-    ``None`` gives the default names; a plain string is rejected, not read
-    one character per name.  Each name is read by ``str`` and must be
-    non-empty, be free of surrounding whitespace, not start with a
-    byte-order mark (U+FEFF) and differ from every name before it.  A
-    fault raises ``error``.
+    ``None`` gives the default names ``X0, X1, ...``; a plain string is
+    rejected, not read one character per name.  Each name is read by
+    ``str`` and must be non-empty, be free of surrounding whitespace, not
+    start with a byte-order mark (U+FEFF) and differ from every name before
+    it.  A fault raises ``error``.
     """
     if isinstance(names, str):
         raise error(f"feature_names must be a sequence of names, not the string {names!r}")
-    names = default_feature_names(count) if names is None else tuple(str(s) for s in names)
+    names = tuple(f"X{i}" for i in range(count)) if names is None else tuple(str(s) for s in names)
     if len(names) != count:
         raise error(f"expected {count} feature names, got {len(names)}")
     first: dict[str, int] = {}

@@ -40,14 +40,7 @@ from .datamodel import Direction, LossBreakdown, LossConfig, _frozen, _real
 from .network import EqlNetwork, column_errors
 
 
-# The fewest errors for which p_gamma_subset takes its warm start.  On a
-# 2-vCPU Xeon (NumPy 2.4) the warm start is slower than the cold selection
-# at 4 096 errors, faster at 8 192, and takes about 0.3 of its time at
-# 2x10^5, for 5% subsets of a plane's errors after one small step.
-WARM_START_MIN_N = 8192
-
-
-def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) -> np.ndarray:
+def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     """Indices of the top gamma percent largest errors, sorted ascending.
 
     The subset holds ``k = max(1, ceil(gamma * n / 100))`` indices; ties on
@@ -58,19 +51,6 @@ def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) 
     found in O(n) by selecting the k-th largest error, not by sorting;
     only when a NaN must be taken is it that sort.  ``gamma`` must be a
     number, by the rule the configs follow, in ``(0, 100]``.
-
-    ``near`` is a warm start: the subset an earlier call returned, for
-    errors that have moved little since.  It never changes the result, only
-    its cost.  With ``m`` the smallest error at ``near``, the ``k`` indices
-    of ``near`` already have errors ``>= m``, so every member of the subset
-    is among them or among the other errors ``>= m``; the k-th largest is
-    selected from those candidates alone.  That replaces the negated copy
-    and the partition of all ``n`` errors by one comparison pass over them,
-    plus work on the candidates, which number about ``k`` when the errors
-    barely moved.  The warm start is taken only at ``n >=
-    WARM_START_MIN_N``, when ``near`` is an integer vector of ``k``
-    strictly increasing indices in ``[0, n)`` and ``m`` is not NaN;
-    otherwise ``near`` is ignored.
     """
     e_arr = np.asarray(e, dtype=float)
     if e_arr.ndim != 1:
@@ -79,18 +59,6 @@ def p_gamma_subset(e: np.ndarray, gamma: float, near: np.ndarray | None = None) 
     if n == 0:
         raise ValueError("p_gamma_subset needs at least one error value")
     k = _subset_size(gamma, n)
-    near = _checked_near(near, k, n) if n >= WARM_START_MIN_N else None
-    if near is not None:
-        at_near = e_arr[near]
-        m = at_near.min()
-        if not math.isnan(m):
-            above = e_arr >= m
-            # Clearing near first leaves nonzero a few entrants to find, not
-            # ~k scattered Trues: at 2e5 points and k = 1e4, about 0.05 ms, not 0.3.
-            above[near] = False
-            entrants = above.nonzero()[0]
-            # Two ascending runs, near's and the entrants': a stable sort merges them.
-            return _top_k(np.concatenate((at_near, e_arr[entrants])), k, np.concatenate((near, entrants)), "stable")
     idx = _top_k(e_arr, k)
     if idx is None:
         return np.sort(np.argsort(np.negative(e_arr), kind="stable")[:k])
@@ -116,16 +84,16 @@ def _checked_near(near: np.ndarray | None, k: int, n: int) -> np.ndarray | None:
     return near if (near[1:] > near[:-1]).all() else None
 
 
-def _top_k(values: np.ndarray, k: int, index: np.ndarray | None = None, kind: str = "stable") -> np.ndarray | None:
+def _top_k(values: np.ndarray, k: int, index: np.ndarray | None = None) -> np.ndarray | None:
     """The indices of the k largest ``values``, ascending, by p_gamma_subset's tie rule.
 
-    ``index[i]`` is the index that ``values[i]`` stands for; without it,
-    ``i`` itself, and the kept indices are put in order by a sort of
-    ``kind``.  Every index must be distinct, and the values must hold
-    every error of the whole set that is at least the k-th largest.  More
-    values may tie with the k-th largest than places remain: the
-    highest-indexed ties are dropped.  Returns None when fewer than ``k``
-    values are numbers, which p_gamma_subset answers with a sort.
+    ``index[i]`` is the index that ``values[i]`` stands for, and the kept
+    indices are put in order by a sort; without it, ``i`` itself.  Every
+    index must be distinct, and the values must hold every error of the
+    whole set that is at least the k-th largest.  More values may tie with
+    the k-th largest than places remain: the highest-indexed ties are
+    dropped.  Returns None when fewer than ``k`` values are numbers, which
+    p_gamma_subset answers with a sort.
     """
     t = _kth_largest(values, k)
     if math.isnan(t):
@@ -135,7 +103,7 @@ def _top_k(values: np.ndarray, k: int, index: np.ndarray | None = None, kind: st
         idx = keep.nonzero()[0]
     else:
         idx = index[keep]
-        idx.sort(kind=kind)
+        idx.sort()
     if idx.size > k:
         # More values tie with t than places remain: drop the highest-indexed.
         tied = values == t
@@ -267,7 +235,7 @@ def screened_subset(
             # An overflow or a NaN here is the answer, not a fault: it sends the epoch to the full pass.
             bound = column_errors(corner, coeffs, offset, direction)
     if near is None or not math.isfinite(bound.max()):
-        return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma, near)
+        return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma)
     m = column_errors(points.take(near, axis=0), coeffs, offset, direction).min()
     hit = (bound >= m).nonzero()[0]
     # The positions in order of every row of the hit cells, then their row numbers.
@@ -277,13 +245,14 @@ def screened_subset(
     rows += np.arange(ends[-1])
     rows = cells.order.take(rows)
     values = column_errors(points.take(rows, axis=0), coeffs, offset, direction)
-    # The candidates come cell by cell, many short ascending runs: SIMD
-    # quicksort orders them about ten times faster than a stable merge.
-    return _top_k(values, k, rows, kind="quicksort").astype(np.intp)
+    # The candidates come cell by cell, many short ascending runs: the
+    # default sort, SIMD quicksort, orders them about ten times faster than
+    # a stable merge.
+    return _top_k(values, k, rows).astype(np.intp)
 
 
 def loss_from_errors(
-    e: np.ndarray, net: EqlNetwork, cfg: LossConfig, near: np.ndarray | None = None
+    e: np.ndarray, net: EqlNetwork, cfg: LossConfig
 ) -> tuple[LossBreakdown, float, np.ndarray, np.ndarray]:
     """The full loss and ``dz/dpred`` from the directional errors ``e``.
 
@@ -311,9 +280,6 @@ def loss_from_errors(
     anchor term takes ``e[e.argmax()]``.  A NaN there makes ``d_sub``, and
     with it the whole gradient, NaN, as in the dense chain rule.
 
-    ``near`` is passed to :func:`p_gamma_subset` as its warm start; a
-    training loop passes the subset the previous epoch returned.
-
     A screened training epoch (see ``trainer.gradients``) does not call
     this function: it has no errors outside the subset to sum.  It takes
     ``term_e`` as ``alpha1`` times the error at the column means, and the
@@ -322,7 +288,7 @@ def loss_from_errors(
     """
     e = np.asarray(e, dtype=float)
     n = e.size
-    idx = p_gamma_subset(e, cfg.gamma, near)
+    idx = p_gamma_subset(e, cfg.gamma)
     # The full sum, not a * mean(points) + c: a non-finite error anywhere
     # must make z non-finite.
     t_e = cfg.alpha1 * float(np.add.reduce(e, axis=None)) / n

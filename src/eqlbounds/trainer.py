@@ -44,7 +44,9 @@ from .network import (
 # dense one, byte for byte.  On a 2-vCPU Xeon (NumPy 2.4, one BLAS thread),
 # a 100-epoch fit on cut-square points, index build included, broke even
 # between 5x10^4 and 6.6x10^4 rows and took 0.67 of the dense time at
-# 2x10^5; at 2x10^5 rows it broke even at F = 3.
+# 2x10^5; at 2x10^5 rows it broke even at F = 3.  The dense epochs of
+# those measurements selected the subset from the previous epoch's, a warm
+# start that the dense epoch no longer takes.
 SCREEN_MIN_N = 65_536
 SCREEN_MAX_F = 2
 
@@ -70,7 +72,7 @@ class Gradients:
 
     ``subset`` is the percentile subset the loss was evaluated with, held
     fixed while differentiating; the next epoch's :func:`gradients` takes it
-    as its warm start.
+    as ``near``, which only a screened epoch starts from.
     """
 
     d_w_in: np.ndarray
@@ -90,9 +92,9 @@ def gradients(
 
     The loss and ``dz/dpred`` come from
     :func:`~eqlbounds.loss.loss_from_errors`, which holds the percentile
-    subset and the worst-error index fixed; ``near`` is the subset's warm
-    start (see :func:`~eqlbounds.loss.p_gamma_subset`) and changes no
-    result.  The gradient is the raw one, also at weights that masking
+    subset and the worst-error index fixed.  ``near``, the previous
+    epoch's subset, changes no result; only a screened epoch (below) starts
+    from it.  The gradient is the raw one, also at weights that masking
     froze at zero; :func:`train` zeroes those entries itself.  Non-finite
     values are returned as computed; :func:`train` reports them as
     divergence.
@@ -118,7 +120,7 @@ def gradients(
     """
     if cells is None:
         e = forward_batch(net, dataset, cfg.direction)
-        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
+        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg)
         # take, not fancy indexing: at the paper's sizes it is the faster gather.
         rows = dataset.points.take(subset, axis=0)
     else:
@@ -156,8 +158,8 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     zeroed before the step.  So an initial weight drawn as exactly 0.0
     (probability 2**-53 per draw) is frozen from epoch 0 on.  A threshold
     of 0 runs plain descent: no weight is frozen and no mask pass runs.
-    Each epoch's percentile subset is the next epoch's warm start; the
-    first epoch starts cold.
+    Each epoch's percentile subset is handed to the next epoch, and only a
+    screened epoch (below) starts from it.
 
     A dataset of at least ``SCREEN_MIN_N`` rows and at most
     ``SCREEN_MAX_F`` features is screened: ``train`` builds its

@@ -39,7 +39,6 @@ from eqlbounds import (
 )
 from eqlbounds import cli, loss, trainer
 from eqlbounds.datamodel import _load_json
-from eqlbounds.loss import WARM_START_MIN_N
 from eqlbounds.network import collapse_affine_grad
 
 from _oracles import (
@@ -162,23 +161,24 @@ class TestGradients:
         with pytest.raises(EmptyDatasetError):
             gradients(net, Dataset(np.empty((0, 2))), LossConfig())
 
-    # N on both sides of the warm-start gate.  On the grid, points and
-    # weights are small multiples of 0.5, so predictions, and so errors,
-    # tie often; all-constant networks tie every error.
+    # N small and above 8 192.  On the grid, points and weights are small
+    # multiples of 0.5, so predictions, and so errors, tie often;
+    # all-constant networks tie every error.  ``near``, a nearby network's
+    # subset, must change nothing.
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         f=st.integers(1, 4),
         layout=st.sampled_from(LAYOUTS),
-        n=st.one_of(st.integers(1, 300), st.integers(WARM_START_MIN_N, WARM_START_MIN_N + 300)),
+        n=st.one_of(st.integers(1, 300), st.integers(8192, 8192 + 300)),
         alphas=st.tuples(*[st.sampled_from([0.0, 0.3, 1.0, 1.7])] * 3).filter(any),
         gamma=st.sampled_from([1.0, 5.0, 25.0, 100.0]),
         direction=st.sampled_from(list(Direction)),
         grid=st.booleans(),
         zeros=st.booleans(),
-        warm=st.booleans(),
+        with_near=st.booleans(),
     )
-    def test_equals_the_dense_chain_rule(self, seed, f, layout, n, alphas, gamma, direction, grid, zeros, warm):
+    def test_equals_the_dense_chain_rule(self, seed, f, layout, n, alphas, gamma, direction, grid, zeros, with_near):
         rng = np.random.default_rng(seed)
         n_identity, n_constant = layout
         h = n_identity + n_constant
@@ -197,7 +197,7 @@ class TestGradients:
         a1, a2, a3 = alphas
         cfg = LossConfig(alpha1=a1, alpha2=a2, alpha3=a3, gamma=gamma, direction=direction)
         near = None
-        if warm:
+        if with_near:
             # The subset of a nearby network, as the previous epoch leaves it.
             moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), w_out, b_out)
             near = gradients(moved, dataset, cfg)[1].subset
@@ -422,10 +422,11 @@ class TestTrain:
         assert len(built) == runs * (1 + masks_per_epoch * epochs)
 
 
-class TestWarmStart:
-    def test_train_equals_a_loop_that_starts_every_epoch_cold(self, monkeypatch):
-        # 2x10^4 points are above the warm-start gate, so from the second
-        # epoch on train selects the subset from the previous one's.
+class TestNearChangesNoDenseEpoch:
+    def test_train_equals_a_loop_that_passes_no_near(self):
+        # 2x10^4 points are below the screen's gate: from the second epoch
+        # on train passes the previous subset as near, and a dense epoch
+        # must give the same bits without it.
         spec = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
         dataset = generate(spec, 20_000, seed=0)
         loss_cfg = LossConfig()
@@ -444,15 +445,6 @@ class TestWarmStart:
             net.b_out = net.b_out - lr * grads.d_b_out
             net = apply_mask(net, train_cfg.mask_threshold)
         constraint = extract_constraint(net, loss_cfg.direction)
-
-        starts = []
-        cold_subset = loss.p_gamma_subset
-
-        def spy(e, gamma, near=None):
-            starts.append(near)
-            return cold_subset(e, gamma, near)
-
-        monkeypatch.setattr(loss, "p_gamma_subset", spy)
         _, report = train(dataset, loss_cfg, train_cfg)
 
         assert len(report.records) == len(records)
@@ -462,10 +454,7 @@ class TestWarmStart:
         assert report.constraint.bound.hex() == constraint.bound.hex()
         assert report.constraint.relation is constraint.relation
         assert report.violation_rate == violation_rate(constraint, dataset)
-        # The first epoch starts cold; every later one from the subset before it.
-        assert starts[0] is None
-        assert all(np.array_equal(a, b) for a, b in zip(starts[1:], subsets))
-        # The subset moves, so the warm start has entrants to find.
+        # The subset moves, so near differs from the subset it must not change.
         assert any(not np.array_equal(a, b) for a, b in zip(subsets, subsets[1:]))
 
 
@@ -475,10 +464,10 @@ class TestInPlaceErrors:
     CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
 
     @staticmethod
-    def public_path(net, dataset, cfg, near):
+    def public_path(net, dataset, cfg):
         """The gather of ``gradients``, on what the public functions give as the errors."""
         e = directional_errors(forward_batch(net, dataset), cfg.direction)
-        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg, near)
+        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg)
         mean_weight = fill * dataset.n_points
         d_b_out = float(np.add.reduce(d_sub)) + mean_weight
         d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
@@ -493,7 +482,7 @@ class TestInPlaceErrors:
         return history, grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes()
 
     @pytest.mark.parametrize("direction", list(Direction))
-    @pytest.mark.parametrize("n", [600, WARM_START_MIN_N + 600], ids=["cold", "warm"])
+    @pytest.mark.parametrize("n", [600, 8192 + 600], ids=["small", "large"])
     @pytest.mark.parametrize("on_cut", [True, False], ids=["on-the-cut", "perturbed"])
     def test_same_bits_as_the_public_path(self, direction, n, on_cut):
         rng = np.random.default_rng(n)
@@ -516,12 +505,12 @@ class TestInPlaceErrors:
         moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.w_out, net.b_out)
         near = gradients(moved, dataset, cfg)[1].subset
         got = self.as_bytes(*gradients(net, dataset, cfg, near))
-        assert got == self.as_bytes(*self.public_path(net, dataset, cfg, near))
+        assert got == self.as_bytes(*self.public_path(net, dataset, cfg))
 
-    def test_a_warm_epoch_keeps_one_n_length_float_array(self):
-        # From the warm start on, the selection makes no N-length float
-        # array, so the predictions, overwritten by the errors, are the
-        # only one; a copy for the errors would double the peak.
+    def test_a_dense_epoch_keeps_two_n_length_float_arrays(self):
+        # The predictions, overwritten by the errors, and the selection's
+        # negated copy of them are the only N-length float arrays; a copy
+        # for the errors would make a third.
         dataset = generate(self.CUT_SQUARE, 50_000, seed=0)
         net = initialize(dataset, seed=0)
         for direction in Direction:
@@ -537,7 +526,7 @@ class TestInPlaceErrors:
             finally:
                 if started:
                     tracemalloc.stop()
-            assert peak < 1.5 * 8 * dataset.n_points, direction
+            assert peak < 2.5 * 8 * dataset.n_points, direction
 
 
 def _bits(weights, report):
@@ -559,8 +548,8 @@ def _bits(weights, report):
 class TestMatchesExplicitMasks:
     """``train``, which freezes zero weights, against the loop that kept boolean masks."""
 
-    # square-low has 100 points and square-high 2 000, below the warm-start
-    # gate; the cut square is drawn above it.
+    # square-low has 100 points and square-high 2 000; the cut square is
+    # drawn above 8 192.
     @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3, 0.05])
     @pytest.mark.parametrize(
         "name, epochs, seeds",
@@ -569,7 +558,7 @@ class TestMatchesExplicitMasks:
     def test_same_bits(self, name, epochs, seeds, mask_threshold):
         if name == "cut-square":
             spec = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
-            dataset = generate(spec, WARM_START_MIN_N + 500, seed=0)
+            dataset = generate(spec, 8192 + 500, seed=0)
         else:
             dataset = paper_dataset(name, seed=0)
         loss_cfg = LossConfig(gamma=2.5 if name == "square-low" else 5.0)
@@ -696,13 +685,13 @@ class TestScreenedTrain:
 
     @staticmethod
     def second_epoch(net, dataset, cfg, cells, monkeypatch):
-        """A cold epoch, then the warm one, against the dense oracle; returns the warm breakdown and the full passes."""
+        """A cold epoch, then one from its subset, against the dense oracle; returns its breakdown and the full passes."""
         full_passes = []
         p_gamma_subset = loss.p_gamma_subset
 
-        def spy(e, gamma, near=None):
+        def spy(e, gamma):
             full_passes.append(e.size)
-            return p_gamma_subset(e, gamma, near)
+            return p_gamma_subset(e, gamma)
 
         monkeypatch.setattr(loss, "p_gamma_subset", spy)
         near = gradients(net, dataset, cfg, cells=cells)[1].subset
