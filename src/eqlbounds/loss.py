@@ -59,10 +59,10 @@ def p_gamma_subset(e: np.ndarray, gamma: float) -> np.ndarray:
     if n == 0:
         raise ValueError("p_gamma_subset needs at least one error value")
     k = _subset_size(gamma, n)
-    idx = _top_k(e_arr, k)
-    if idx is None:
+    t = _kth_largest(e_arr, k)
+    if math.isnan(t):
         return np.sort(np.argsort(np.negative(e_arr), kind="stable")[:k])
-    return idx
+    return _top_k(e_arr, k, t)
 
 
 def _subset_size(gamma: float, n: int) -> int:
@@ -73,31 +73,16 @@ def _subset_size(gamma: float, n: int) -> int:
     return min(n, max(1, math.ceil(gamma * n / 100.0)))
 
 
-def _checked_near(near: np.ndarray | None, k: int, n: int) -> np.ndarray | None:
-    """``near`` as intp when it is ``k`` strictly increasing indices in ``[0, n)``, else None."""
-    if near is None:
-        return None
-    near = np.asarray(near)
-    if near.dtype.kind not in "iu" or near.shape != (k,) or near[0] < 0 or near[-1] >= n:
-        return None
-    near = near.astype(np.intp, copy=False)
-    return near if (near[1:] > near[:-1]).all() else None
-
-
-def _top_k(values: np.ndarray, k: int, index: np.ndarray | None = None) -> np.ndarray | None:
+def _top_k(values: np.ndarray, k: int, t: float, index: np.ndarray | None = None) -> np.ndarray:
     """The indices of the k largest ``values``, ascending, by p_gamma_subset's tie rule.
 
-    ``index[i]`` is the index that ``values[i]`` stands for, and the kept
-    indices are put in order by a sort; without it, ``i`` itself.  Every
-    index must be distinct, and the values must hold every error of the
-    whole set that is at least the k-th largest.  More values may tie with
-    the k-th largest than places remain: the highest-indexed ties are
-    dropped.  Returns None when fewer than ``k`` values are numbers, which
-    p_gamma_subset answers with a sort.
+    ``t`` is the k-th largest of ``values``, a number.  ``index[i]`` is
+    the index that ``values[i]`` stands for, and the kept indices are put
+    in order by a sort; without it, ``i`` itself.  Every index must be
+    distinct, and the values must hold every error of the whole set that
+    is at least ``t``.  More values may tie with ``t`` than places remain:
+    the highest-indexed ties are dropped.
     """
-    t = _kth_largest(values, k)
-    if math.isnan(t):
-        return None
     keep = values >= t
     if index is None:
         idx = keep.nonzero()[0]
@@ -157,17 +142,22 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
     ``CELL_ROWS`` rows per cell for evenly spread rows.  A feature of zero
     width, or whose width or scale overflows, puts every row in its first
     slice.  No result depends on where a row lands: the boxes are taken
-    from the rows each cell got.  One sort of int64 keys, the cell number
+    from the rows each cell got.  One sort of integer keys, the cell number
     above the row number, groups the rows (SIMD quicksort: every key is
-    distinct), and ``reduceat`` over a temporary cell-ordered copy of the
-    rows gives the boxes: about 4 ms at 10^5 two-feature rows, 9 ms at
-    2x10^5 and 65 ms at 10^6.  A screened epoch evaluates the boxes'
-    corners with :func:`~eqlbounds.network.column_errors`.
+    distinct).  The keys are int32 when both numbers fit in 31 bits, as
+    they do below 270 400 two-feature rows, and int64 otherwise; the order
+    is the same either way.  ``reduceat`` over a temporary cell-ordered
+    copy of the rows gives the boxes.  A build takes about 4 ms at 10^5
+    two-feature rows and 9 ms at 2x10^5, with int32 keys, and 65 ms at
+    10^6, with int64 keys.  A screened epoch evaluates the boxes' corners
+    with :func:`~eqlbounds.network.column_errors`.
     """
     n, f = points.shape
     slices = max(1, int((n / CELL_ROWS) ** (1.0 / f)))
     bits = n.bit_length()
-    key = np.arange(n, dtype=np.int64)
+    # Half the bytes to sort where the keys fit in int32.
+    key_type = np.int32 if bits + (slices**f - 1).bit_length() <= 31 else np.int64
+    key = np.arange(n, dtype=key_type)
     weight = 1 << bits
     for j in range(f):
         column = points[:, j]
@@ -177,13 +167,13 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
             at = np.subtract(column, low)
             at *= scale
             np.minimum(at, slices - 1, out=at)
-            cell = at.astype(np.int64)
+            cell = at.astype(key_type)
             cell *= weight
             key += cell
         weight *= slices
     key.sort()
     # int32 row numbers where they fit: the screened selection sorts them twice as fast.
-    order = (key & ((1 << bits) - 1)).astype(np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+    order = (key & ((1 << bits) - 1)).astype(np.int32 if n <= np.iinfo(np.int32).max else np.intp, copy=False)
     key >>= bits
     starts = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1, [n]))
     grouped = points.take(order, axis=0)
@@ -202,53 +192,80 @@ def screened_subset(
 ) -> np.ndarray:
     """``p_gamma_subset`` of ``column_errors(cells.points, ...)``, computing few of the errors.
 
-    The result is exactly that subset.  With ``near`` the subset of an
-    earlier call (k strictly increasing indices), ``m``, the smallest
-    current error at ``near``, is at most the k-th largest error, so every
-    member lies in a cell whose errors can reach ``m``.  Each cell's bound
-    is ``column_errors`` at its box's worst corner, each feature at its
-    high where the directional coefficient (``-a`` for LOWER, ``a`` for
-    UPPER) is positive and at its low otherwise.  Every operation there is
-    rounded once, and rounding is monotone, so that computed error bounds
-    the computed error of every row in the cell exactly, with no slack.
-    Only the rows of the cells whose bound reaches ``m`` get their errors
-    computed and ranked, gathered from ``points`` through ``order``; at
-    2x10^5 cut-square points and ``gamma = 5`` that is about 6% of them,
-    5% being the subset, plus the G corners.  The result is intp, as
+    The result is exactly that subset, for any ``near``.  ``near`` is an
+    (m, F) array of points, any points: in training, the previous epoch's
+    subset rows (``Gradients.rows``).  Its floor is the smallest current
+    error of those points.  Each cell's bound is ``column_errors`` at its
+    box's worst corner, each feature at its high where the directional
+    coefficient (``-a`` for LOWER, ``a`` for UPPER) is positive and at its
+    low otherwise.  Every operation there is rounded once, and rounding is
+    monotone, so that computed error bounds the computed error of every
+    row in the cell exactly, with no slack.  Only the rows of the cells
+    whose bound reaches the floor, the candidates, get their errors
+    computed, gathered from ``points`` through ``order``.  The selection
+    among them is kept when it is certified: at least k candidates, and
+    their k-th largest error at or above the floor.  Every other row's
+    error is below its cell's bound, which is below the floor, so then
+    every error that ties or beats the k-th largest is a candidate's, and
+    the candidates' top k are the top k of all.  Previous subset rows
+    always pass: k of them already reach the floor.  At 2x10^5 cut-square
+    points and ``gamma = 5`` about 6% of the rows are candidates, 5% being
+    the subset, plus the G corners.  The result is intp, as
     ``p_gamma_subset``'s.
 
-    Without a valid ``near``, or when a bound is NaN or ``+inf``, every
-    error is computed and ranked, as ``p_gamma_subset`` does.  By the same
-    monotonicity a row whose error is NaN or ``+inf``, or whose partial sum
-    overflows toward it, has such a bound, so a screened ``m`` is a number
-    or ``-inf``.
+    Without ``near``, when a bound is NaN or ``+inf``, or when the
+    certificate fails, every error is computed and ranked, as
+    ``p_gamma_subset`` does.  By the same monotonicity a row whose error
+    is NaN or ``+inf``, or whose partial sum overflows toward it, has such
+    a bound.  A ``near`` that is not an (m, F) array raises ValueError.
     """
     points = cells.points
     n, f = points.shape
     k = _subset_size(gamma, n)
-    near = _checked_near(near, k, n)
     if near is not None:
-        # Each feature at its high where the error rises with it: the worst corner.
-        sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
-        corner = cells.corners[np.arange(f) + f * (sa > 0)].T
-        with np.errstate(over="ignore", invalid="ignore"):
-            # An overflow or a NaN here is the answer, not a fault: it sends the epoch to the full pass.
-            bound = column_errors(corner, coeffs, offset, direction)
-    if near is None or not math.isfinite(bound.max()):
-        return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma)
-    m = column_errors(points.take(near, axis=0), coeffs, offset, direction).min()
-    hit = (bound >= m).nonzero()[0]
+        near = np.asarray(near)
+        if near.ndim != 2 or near.shape[1] != f:
+            raise ValueError(f"near must be an (m, {f}) array of points, got shape {near.shape}")
+        idx = _certified_top_k(cells, coeffs, offset, direction, k, near)
+        if idx is not None:
+            return idx
+    return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma)
+
+
+def _certified_top_k(
+    cells: CellIndex, coeffs: np.ndarray, offset: float, direction: Direction, k: int, near: np.ndarray
+) -> np.ndarray | None:
+    """screened_subset's selection among the candidates, or None where its certificate fails."""
+    f = near.shape[1]
+    # Each feature at its high where the error rises with it: the worst corner.
+    sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
+    corner = cells.corners[np.arange(f) + f * (sa > 0)].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # An overflow or a NaN is an answer here, not a fault: a bound that
+        # is not finite sends the epoch to the full pass, and a floor that is
+        # NaN or too high fails the certificate.
+        bound = column_errors(corner, coeffs, offset, direction)
+        if not math.isfinite(bound.max()):
+            return None
+        floor = column_errors(near, coeffs, offset, direction).min(initial=math.inf)
+    hit = (bound >= floor).nonzero()[0]
     # The positions in order of every row of the hit cells, then their row numbers.
     first, counts = cells.starts[hit], cells.starts[hit + 1] - cells.starts[hit]
     ends = np.cumsum(counts)
+    if ends.size == 0 or ends[-1] < k:
+        return None
     rows = np.repeat(first - (ends - counts), counts)
     rows += np.arange(ends[-1])
     rows = cells.order.take(rows)
-    values = column_errors(points.take(rows, axis=0), coeffs, offset, direction)
+    values = column_errors(cells.points.take(rows, axis=0), coeffs, offset, direction)
+    t = _kth_largest(values, k)
+    # False also when t or the floor is NaN.
+    if not t >= floor:
+        return None
     # The candidates come cell by cell, many short ascending runs: the
     # default sort, SIMD quicksort, orders them about ten times faster than
     # a stable merge.
-    return _top_k(values, k, rows).astype(np.intp)
+    return _top_k(values, k, t, rows).astype(np.intp)
 
 
 def loss_from_errors(

@@ -46,7 +46,10 @@ from .network import (
 # between 5x10^4 and 6.6x10^4 rows and took 0.67 of the dense time at
 # 2x10^5; at 2x10^5 rows it broke even at F = 3.  The dense epochs of
 # those measurements selected the subset from the previous epoch's, a warm
-# start that the dense epoch no longer takes.
+# start that the dense epoch no longer takes, and the index build has since
+# become cheaper (int32 keys, one index per train_multi): both move the
+# break-even, but no benchmark workload sits between the gates to measure
+# where, so the gates stay.
 SCREEN_MIN_N = 65_536
 SCREEN_MAX_F = 2
 
@@ -71,14 +74,17 @@ class Gradients:
     """Partial derivatives of the total loss for every parameter.
 
     ``subset`` is the percentile subset the loss was evaluated with, held
-    fixed while differentiating; the next epoch's :func:`gradients` takes it
-    as ``near``, which only a screened epoch starts from.
+    fixed while differentiating, and ``rows`` its points,
+    ``dataset.points[subset]``, which the gradient gathers anyway.  The
+    next epoch's :func:`gradients` takes ``rows`` as ``near``, which only a
+    screened epoch starts from.
     """
 
     d_w_in: np.ndarray
     d_w_out: np.ndarray
     d_b_out: float
     subset: np.ndarray
+    rows: np.ndarray
 
 
 def gradients(
@@ -92,12 +98,12 @@ def gradients(
 
     The loss and ``dz/dpred`` come from
     :func:`~eqlbounds.loss.loss_from_errors`, which holds the percentile
-    subset and the worst-error index fixed.  ``near``, the previous
-    epoch's subset, changes no result; only a screened epoch (below) starts
-    from it.  The gradient is the raw one, also at weights that masking
-    froze at zero; :func:`train` zeroes those entries itself.  Non-finite
-    values are returned as computed; :func:`train` reports them as
-    divergence.
+    subset and the worst-error index fixed.  ``near``, an (m, F) array of
+    points such as the previous epoch's ``Gradients.rows``, changes no
+    result; only a screened epoch (below) reads it.  The gradient is the
+    raw one, also at weights that masking froze at zero; :func:`train`
+    zeroes those entries itself.  Non-finite values are returned as
+    computed; :func:`train` reports them as divergence.
 
     Beyond the forward pass and the loss, the gradient costs one gather of
     the subset's rows: ``dz/dpred`` is one shared value plus one per subset
@@ -112,11 +118,11 @@ def gradients(
     :func:`~eqlbounds.network.column_errors`, the subset is
     :func:`~eqlbounds.loss.screened_subset`'s, which computes only the
     errors of the cells that can reach it (all of them when ``near`` is
-    None), and ``term_e`` is ``alpha1`` times the error at the column
-    means, the mean of the exact errors, in O(F).  The other terms and the
-    gradient follow the same code as without ``cells``.  A non-finite error
-    outside the subset then leaves the loss finite, and so does a sum of
-    finite errors that overflows.
+    None or fails its certificate), and ``term_e`` is ``alpha1`` times the
+    error at the column means, the mean of the exact errors, in O(F).  The
+    other terms and the gradient follow the same code as without
+    ``cells``.  A non-finite error outside the subset then leaves the loss
+    finite, and so does a sum of finite errors that overflows.
     """
     if cells is None:
         e = forward_batch(net, dataset, cfg.direction)
@@ -143,10 +149,12 @@ def gradients(
     d_coeffs += mean_weight * dataset.column_means
     d_w_in, d_w_out = collapse_affine_grad(net, d_coeffs, d_b_out)
     d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
-    return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset)
+    return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset, rows)
 
 
-def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
+def train(
+    dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig, cells: CellIndex | None = None
+) -> tuple[EqlNetwork, TrainReport]:
     """Run one seeded training run and extract the resulting constraint.
 
     Each epoch records the loss breakdown at its start, as one row of
@@ -158,18 +166,19 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     zeroed before the step.  So an initial weight drawn as exactly 0.0
     (probability 2**-53 per draw) is frozen from epoch 0 on.  A threshold
     of 0 runs plain descent: no weight is frozen and no mask pass runs.
-    Each epoch's percentile subset is handed to the next epoch, and only a
-    screened epoch (below) starts from it.
+    Each epoch's percentile subset rows are handed to the next epoch, and
+    only a screened epoch (below) starts from them.
 
     A dataset of at least ``SCREEN_MIN_N`` rows and at most
     ``SCREEN_MAX_F`` features is screened: ``train`` builds its
-    :func:`~eqlbounds.loss.build_cell_index` once, and from the second
-    epoch on each epoch computes only the errors of the grid cells that
-    can reach the percentile subset (see :func:`gradients`).  The subset
+    :func:`~eqlbounds.loss.build_cell_index` once, unless ``cells``
+    already holds it (as :func:`train_multi` passes it), and from the
+    second epoch on each epoch computes only the errors of the grid cells
+    that can reach the percentile subset (see :func:`gradients`).  The subset
     is exactly the one a pass over every error gives; the errors are
     computed column by column and ``term_e`` from the column means, so the
     records differ from an unscreened run's in their last bits.  Below the
-    gate nothing is screened.
+    gate nothing is screened, unless ``cells`` is given.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking
@@ -189,15 +198,14 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     # One row per epoch, written in place: no LossBreakdown outlives its epoch.
     records = np.empty((train_cfg.epochs, len(LossBreakdown._fields)))
     near = None
-    cells = None
-    if dataset.n_points >= SCREEN_MIN_N and dataset.n_features <= SCREEN_MAX_F:
-        cells = build_cell_index(dataset.points)
+    if cells is None:
+        cells = _cell_index(dataset)
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
             breakdown, grads = gradients(net, dataset, loss_cfg, near, cells)
-            near = grads.subset
+            near = grads.rows
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
@@ -228,18 +236,27 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     return net, report
 
 
+def _cell_index(dataset: Dataset) -> CellIndex | None:
+    """The dataset's cell index where train screens it, else None."""
+    if dataset.n_points >= SCREEN_MIN_N and dataset.n_features <= SCREEN_MAX_F:
+        return build_cell_index(dataset.points)
+    return None
+
+
 def train_multi(
     dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig
 ) -> list[tuple[EqlNetwork, TrainReport]]:
     """Run ``train_cfg.runs`` independent runs seeded seed, seed+1, ...
 
     Results come back sorted by final violation rate, best first; ties keep
-    seed order.
+    seed order.  At or above the screening gate every run shares one cell
+    index, built once here.
     """
+    cells = _cell_index(dataset)
     results = []
     for offset in range(train_cfg.runs):
         cfg = replace(train_cfg, seed=train_cfg.seed + offset, runs=1)
-        results.append(train(dataset, loss_cfg, cfg))
+        results.append(train(dataset, loss_cfg, cfg, cells))
     results.sort(key=lambda pair: pair[1].violation_rate)
     return results
 

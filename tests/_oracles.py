@@ -101,7 +101,7 @@ def masked_train(dataset, loss_cfg, train_cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
             breakdown, grads = gradients(EqlNetwork(w_in, w_out, b_out), dataset, loss_cfg, near)
-            near = grads.subset
+            near = grads.rows
             if not math.isfinite(breakdown.z):
                 raise DivergenceError(epoch)
             records.append(tuple(breakdown))
@@ -129,6 +129,31 @@ def masked_train(dataset, loss_cfg, train_cfg):
     history.setflags(write=False)
     report = TrainReport(history, constraint, violation_rate(constraint, dataset), train_cfg.seed)
     return (w_in, w_out, b_out), report
+
+
+def cell_index_by_lexsort(points, cell_rows):
+    """``build_cell_index``'s rows, cells and boxes, by ``np.lexsort`` and Python loops.
+
+    Each row's cell is its tuple of slice numbers, one per feature, on the
+    same grid (``cell_rows`` rows per cell); ``np.lexsort`` orders the rows
+    by that tuple, the last feature first, then by row number, with no
+    packed key to overflow.  Returns ``(order, starts, corners)``.
+    """
+    n, f = points.shape
+    slices = max(1, int((n / cell_rows) ** (1.0 / f)))
+    slice_of = np.zeros((n, f), dtype=np.int64)
+    for j in range(f):
+        low = float(points[:, j].min())
+        width = float(points[:, j].max()) - low
+        if width > 0 and 0 < (scale := slices / width) < math.inf:
+            slice_of[:, j] = np.minimum((points[:, j] - low) * scale, slices - 1).astype(np.int64)
+    order = np.lexsort((np.arange(n), *slice_of.T))
+    cell_of = [tuple(row) for row in slice_of[order].tolist()]
+    starts = [0] + [i for i in range(1, n) if cell_of[i] != cell_of[i - 1]] + [n]
+    boxes = [points[order[a:b]] for a, b in zip(starts, starts[1:])]
+    lows = [[min(box[:, j]) for box in boxes] for j in range(f)]
+    highs = [[max(box[:, j]) for box in boxes] for j in range(f)]
+    return order, np.array(starts), np.array(lows + highs)
 
 
 def column_errors_by_hand(points, coeffs, offset, direction):

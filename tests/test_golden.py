@@ -1,7 +1,9 @@
 """Golden fixture: SHA-256 of every file a small ``train`` run writes.
 
-The fixture pins the exact bytes of three short CLI runs, so any change to
-the numerics shows up as a hash mismatch.  Drift is allowed, but only on
+The fixture pins the exact bytes of four short CLI runs, so any change to
+the numerics shows up as a hash mismatch: one on each of three presets, and
+one on 70 000 cut-square points, at or above the screening gate, so that the
+screened epochs and their cell index are pinned too.  Drift is allowed, but only on
 purpose: regenerate the fixture and record in CHANGES.md why the numbers
 moved.  Regenerate from the root of a checkout with
 
@@ -33,6 +35,16 @@ FIXTURE_VERSION = 2
 PRESETS = ("square-low", "circle", "cube")
 DATA_SEED = 0
 TRAIN_FLAGS = ("--runs", "2", "--epochs", "50", "--learning-rate", "1e-3", "--seed", "24")
+# The screened run: its region, point count and train flags.
+SCREENED_RUN = {
+    "name": "cut-square-70000",
+    "spec": {
+        "box": [[-5.0, 25.0], [-5.0, 25.0]],
+        "linear_cuts": [{"coeffs": [1.0, 2.0], "bound": 4.0, "direction": "lower"}],
+    },
+    "n": 70_000,
+    "train_flags": ["--runs", "2", "--epochs", "5", "--learning-rate", "1e-3", "--seed", "24"],
+}
 OPENBLAS_CORETYPE = "Haswell"
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs each argument list of its JSON argument through the CLI, stopping at the first failure.
@@ -44,23 +56,28 @@ def _sha256(path: Path) -> str:
 
 
 def run_hashes(workdir: Path, coretype: str) -> dict:
-    """Generate each preset and train on it under the kernel ``coretype``, and hash the data and run files."""
+    """Generate each run's data and train on it under the kernel ``coretype``, and hash the data and run files."""
+    spec = workdir / "spec.json"
+    spec.write_text(json.dumps(SCREENED_RUN["spec"]), encoding="utf-8")
+    runs = [(preset, ["--preset", preset], TRAIN_FLAGS) for preset in PRESETS]
+    screened_source = ["--spec", str(spec), "--n", str(SCREENED_RUN["n"])]
+    runs.append((SCREENED_RUN["name"], screened_source, SCREENED_RUN["train_flags"]))
     commands = []
-    for preset in PRESETS:
-        data, out_dir = workdir / f"{preset}.csv", workdir / preset
-        commands.append(["gen", "--preset", preset, "--seed", str(DATA_SEED), "--out", str(data)])
-        commands.append(["train", "--data", str(data), "--out-dir", str(out_dir), *TRAIN_FLAGS])
+    for name, source, flags in runs:
+        data, out_dir = workdir / f"{name}.csv", workdir / name
+        commands.append(["gen", *source, "--seed", str(DATA_SEED), "--out", str(data)])
+        commands.append(["train", "--data", str(data), "--out-dir", str(out_dir), *flags])
     pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": pythonpath}
     argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error", "-c", CHILD, json.dumps(commands)]
     child = subprocess.run(argv, env=env, capture_output=True, encoding="utf-8")
     assert child.returncode == 0, child.stderr
     return {
-        preset: {
-            "data": _sha256(workdir / f"{preset}.csv"),
-            "run_dir": {p.name: _sha256(p) for p in sorted((workdir / preset).iterdir())},
+        name: {
+            "data": _sha256(workdir / f"{name}.csv"),
+            "run_dir": {p.name: _sha256(p) for p in sorted((workdir / name).iterdir())},
         }
-        for preset in PRESETS
+        for name, _, _ in runs
     }
 
 
@@ -68,6 +85,7 @@ def test_train_outputs_match_golden_fixture(tmp_path):
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert golden["version"] == FIXTURE_VERSION
     assert golden["train_flags"] == list(TRAIN_FLAGS)
+    assert golden["screened_run"] == SCREENED_RUN
     if golden["numpy"] != np.__version__:
         pytest.skip(f"fixture recorded with NumPy {golden['numpy']}, running {np.__version__}")
     assert run_hashes(tmp_path, golden["openblas_coretype"]) == golden["hashes"]
@@ -82,6 +100,7 @@ if __name__ == "__main__":
             "numpy": np.__version__,
             "data_seed": DATA_SEED,
             "train_flags": list(TRAIN_FLAGS),
+            "screened_run": SCREENED_RUN,
             "openblas_coretype": OPENBLAS_CORETYPE,
             "hashes": run_hashes(Path(tmp), OPENBLAS_CORETYPE),
         }

@@ -21,7 +21,7 @@ from eqlbounds import loss
 from eqlbounds.loss import build_cell_index, screened_subset
 from eqlbounds.network import column_errors
 
-from _oracles import brute_force_p_gamma, directional_errors
+from _oracles import brute_force_p_gamma, cell_index_by_lexsort, directional_errors
 
 
 def reg_net(w_out):
@@ -196,6 +196,22 @@ class TestCellIndex:
             box = points[rows]
             assert np.array_equal(cells.corners[:f, cell], box.min(axis=0))
             assert np.array_equal(cells.corners[f:, cell], box.max(axis=0))
+        order, starts, corners = cell_index_by_lexsort(points, cell_rows)
+        assert np.array_equal(cells.order, order) and np.array_equal(cells.starts, starts)
+        assert np.array_equal(cells.corners, corners)
+
+    # One feature and a row per cell: 32 768 rows pack 16 + 15 bits into
+    # int32 keys, and 32 769 rows need 16 + 16, so int64.
+    @pytest.mark.parametrize("n", [32_768, 32_769], ids=["int32-keys", "int64-keys"])
+    def test_both_key_widths_equal_the_lexsort_oracle(self, n, monkeypatch):
+        monkeypatch.setattr(loss, "CELL_ROWS", 1)
+        points = np.random.default_rng(n).uniform(-5.0, 25.0, size=(n, 1))
+        cells = build_cell_index(points)
+        order, starts, corners = cell_index_by_lexsort(points, 1)
+        assert cells.order.dtype == np.int32
+        assert np.array_equal(cells.order, order)
+        assert np.array_equal(cells.starts, starts)
+        assert np.array_equal(cells.corners, corners)
 
     def test_about_cell_rows_rows_per_cell_on_spread_data(self):
         points = np.random.default_rng(0).uniform(-5.0, 25.0, size=(100_000, 2))
@@ -228,11 +244,13 @@ class TestScreenedSubset:
         drawn=cell_points(),
         direction=st.sampled_from(list(Direction)),
         gamma=st.sampled_from([0.001, 2.5, 5.0, 30.0, 100.0]),
-        near_kind=st.sampled_from(["subset", "subset", "random", "none", "unsorted", "short"]),
+        near_kind=st.sampled_from(
+            ["subset", "nearby", "nearby", "random", "none", "short", "duplicated", "outside", "non-finite"]
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
     # Seed 0 takes the slope 2.0 with signs (+, -): the first row's error
-    # is NaN, so near's smallest error is NaN and its cell's bound +inf.
+    # is NaN, so near's floor is NaN and its cell's bound +inf.
     @example(
         drawn=(np.array([[1.79e308, 1.79e308], [0.0, 0.0]]), 10**6),
         direction=Direction.LOWER,
@@ -269,12 +287,19 @@ class TestScreenedSubset:
         want = p_gamma_subset(errors, gamma)
         k = want.size
         rng = np.random.default_rng(seed + 1)
+        # Any points may be near, in any order and number: data rows or not,
+        # repeated, fewer than k, none, or one whose error is not finite.
+        with np.errstate(**overflows):
+            nearby = p_gamma_subset(errors + rng.standard_normal(n), gamma)
         near = {
-            "subset": p_gamma_subset(errors + rng.standard_normal(n), gamma),
-            "random": np.sort(rng.choice(n, k, replace=False)),
+            "subset": points[want],
+            "nearby": points[nearby],
+            "random": points[rng.choice(n, k)],
             "none": None,
-            "unsorted": rng.permutation(want),
-            "short": want[1:],
+            "short": points[want[1:]],
+            "duplicated": points[rng.choice(want, 2 * k)],
+            "outside": rng.uniform(-50.0, 50.0, size=(int(rng.integers(1, 2 * k + 1)), f)),
+            "non-finite": np.vstack([points[want], np.full((1, f), rng.choice([np.inf, -np.inf, np.nan]))]),
         }[near_kind]
         with np.errstate(**overflows):
             got = screened_subset(cells, coeffs, offset, direction, gamma, near)
@@ -285,15 +310,58 @@ class TestScreenedSubset:
         points = np.random.default_rng(1).uniform(-5.0, 25.0, size=(100_000, 2))
         cells = build_cell_index(points)
         coeffs, offset = np.array([0.5, 1.0]), -3.0
-        near = p_gamma_subset(column_errors(points, coeffs * 1.001, offset, Direction.LOWER), 5.0)
+        near = points[p_gamma_subset(column_errors(points, coeffs * 1.001, offset, Direction.LOWER), 5.0)]
         computed = []
         real = loss.column_errors
         monkeypatch.setattr(loss, "column_errors", lambda rows, *args: computed.append(len(rows)) or real(rows, *args))
         screened_subset(cells, coeffs, offset, Direction.LOWER, 5.0, near)
-        # The G = 39^2 cells' worst corners, the k = 5 000 rows of near, then
-        # the rows of the cells that can reach m.
-        assert computed[:2] == [cells.starts.size - 1, near.size] == [1_521, 5_000]
-        assert near.size < computed[2] < 1.5 * near.size
+        # The G = 39^2 cells' worst corners, the k = 5 000 near points, then
+        # the rows of the cells that can reach their floor.
+        assert computed[:2] == [cells.starts.size - 1, len(near)] == [1_521, 5_000]
+        assert len(near) < computed[2] < 1.5 * len(near)
+
+    @pytest.mark.parametrize("cell_rows", [1, 10**6], ids=["few-candidates", "one-cell"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_a_floor_above_the_kth_largest_error_takes_the_full_pass(self, cell_rows, direction, monkeypatch):
+        # near is the one row of the largest error, so its floor lies above
+        # the k-th largest: with a cell per row too few rows are candidates,
+        # and with one cell the candidates' k-th largest is below the floor.
+        points = np.random.default_rng(3).uniform(-5.0, 25.0, size=(2_000, 2))
+        monkeypatch.setattr(loss, "CELL_ROWS", cell_rows)
+        cells = build_cell_index(points)
+        coeffs, offset = np.array([0.5, -1.0]), 2.0
+        errors = column_errors(points, coeffs, offset, direction)
+        want = p_gamma_subset(errors, 5.0)
+        full_passes = []
+        real = loss.p_gamma_subset
+        monkeypatch.setattr(loss, "p_gamma_subset", lambda e, gamma: full_passes.append(e.size) or real(e, gamma))
+        got = screened_subset(cells, coeffs, offset, direction, 5.0, points[[errors.argmax()]])
+        assert full_passes == [points.shape[0]]
+        assert np.array_equal(got, want)
+
+    def test_a_cell_whose_bound_is_nan_takes_the_full_pass(self, monkeypatch):
+        # With a = (2, 2) the first two rows share a cell whose worst corner,
+        # (1.5e308, -1.5e308), has a NaN error, as the second row has.  The
+        # first row's error is -inf and ties the k-th largest with the last
+        # two rows', so a screen that passed over the NaN cell would keep
+        # rows 3 and 4 where the subset has rows 0 and 3.
+        points = np.array([[1.5e308, -0.8e308], [1.5e308, -1.5e308], [0.0, 0.0], [1.4e308, 1.0], [1.3e308, 2.0]])
+        monkeypatch.setattr(loss, "CELL_ROWS", 1)
+        cells = build_cell_index(points)
+        assert np.diff(cells.starts).tolist() == [2, 1, 2] and cells.order.tolist() == [0, 1, 2, 3, 4]
+        coeffs = np.array([2.0, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = p_gamma_subset(column_errors(points, coeffs, 0.0, Direction.LOWER), 50.0)
+            got = screened_subset(cells, coeffs, 0.0, Direction.LOWER, 50.0, points[want])
+        assert want.tolist() == [0, 2, 3]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(100,), (5, 3), (5, 1), (1, 5, 2), ()])
+    def test_near_that_is_not_an_m_by_f_array_is_rejected(self, shape):
+        # An index array, the meaning near had before it held points, is among them.
+        cells = build_cell_index(np.random.default_rng(4).uniform(-5.0, 25.0, size=(2_000, 2)))
+        with pytest.raises(ValueError, match=r"^near must be an \(m, 2\) array of points, got shape "):
+            screened_subset(cells, np.array([0.5, 1.0]), 0.0, Direction.LOWER, 5.0, np.zeros(shape))
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_an_error_at_the_float_maximum_is_screened_without_a_warning(self, direction, monkeypatch):
@@ -306,7 +374,7 @@ class TestScreenedSubset:
         want = p_gamma_subset(errors, 5.0)
         full_passes = []
         monkeypatch.setattr(loss, "p_gamma_subset", lambda *args: full_passes.append(args))
-        assert np.array_equal(screened_subset(cells, coeffs, 0.0, direction, 5.0, want), want)
+        assert np.array_equal(screened_subset(cells, coeffs, 0.0, direction, 5.0, points[want]), want)
         assert full_passes == []
 
 

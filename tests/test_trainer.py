@@ -164,7 +164,7 @@ class TestGradients:
     # N small and above 8 192.  On the grid, points and weights are small
     # multiples of 0.5, so predictions, and so errors, tie often;
     # all-constant networks tie every error.  ``near``, a nearby network's
-    # subset, must change nothing.
+    # subset rows, must change nothing.
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -198,9 +198,9 @@ class TestGradients:
         cfg = LossConfig(alpha1=a1, alpha2=a2, alpha3=a3, gamma=gamma, direction=direction)
         near = None
         if with_near:
-            # The subset of a nearby network, as the previous epoch leaves it.
+            # The subset rows of a nearby network, as the previous epoch leaves them.
             moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), w_out, b_out)
-            near = gradients(moved, dataset, cfg)[1].subset
+            near = gradients(moved, dataset, cfg)[1].rows
 
         # dz/dpred as one dense vector, term by term, then the chain rule
         # through preds = points @ a + c.
@@ -226,6 +226,7 @@ class TestGradients:
         assert got_a.tolist() == pytest.approx(want_a.tolist(), rel=1e-12)
         assert got_c == grads.d_b_out == pytest.approx(want_c, rel=1e-12)
         assert np.array_equal(grads.subset, idx)
+        assert np.array_equal(grads.rows, points[idx])
         # Every weight, zero or not, gets the raw chain-rule gradient.
         raw_in, raw_out = collapse_affine_grad(net, got_a, got_c)
         raw_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
@@ -425,8 +426,8 @@ class TestTrain:
 class TestNearChangesNoDenseEpoch:
     def test_train_equals_a_loop_that_passes_no_near(self):
         # 2x10^4 points are below the screen's gate: from the second epoch
-        # on train passes the previous subset as near, and a dense epoch
-        # must give the same bits without it.
+        # on train passes the previous subset rows as near, and a dense
+        # epoch must give the same bits without them.
         spec = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
         dataset = generate(spec, 20_000, seed=0)
         loss_cfg = LossConfig()
@@ -470,16 +471,18 @@ class TestInPlaceErrors:
         breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg)
         mean_weight = fill * dataset.n_points
         d_b_out = float(np.add.reduce(d_sub)) + mean_weight
-        d_coeffs = d_sub @ dataset.points.take(subset, axis=0)
+        rows = dataset.points.take(subset, axis=0)
+        d_coeffs = d_sub @ rows
         d_coeffs += mean_weight * dataset.column_means
         d_w_in, d_w_out = collapse_affine_grad(net, d_coeffs, d_b_out)
         d_w_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
-        return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset)
+        return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset, rows)
 
     @staticmethod
     def as_bytes(breakdown, grads):
         history = np.array(tuple(breakdown)).tobytes()
-        return history, grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes()
+        grads_bytes = (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes())
+        return history, *grads_bytes, grads.rows.tobytes()
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("n", [600, 8192 + 600], ids=["small", "large"])
@@ -503,7 +506,7 @@ class TestInPlaceErrors:
             assert np.count_nonzero(forward_batch(net, dataset) == 0.0) >= t.size
 
         moved = EqlNetwork(w_in + 0.01 * rng.standard_normal(w_in.shape), net.w_out, net.b_out)
-        near = gradients(moved, dataset, cfg)[1].subset
+        near = gradients(moved, dataset, cfg)[1].rows
         got = self.as_bytes(*gradients(net, dataset, cfg, near))
         assert got == self.as_bytes(*self.public_path(net, dataset, cfg))
 
@@ -515,7 +518,7 @@ class TestInPlaceErrors:
         net = initialize(dataset, seed=0)
         for direction in Direction:
             cfg = LossConfig(direction=direction)
-            near = gradients(net, dataset, cfg)[1].subset
+            near = gradients(net, dataset, cfg)[1].rows
             started = not tracemalloc.is_tracing()
             tracemalloc.start()
             try:
@@ -581,8 +584,8 @@ def _outcome(fit, *args):
     return _bits(weights, report)
 
 
-def _train_weights(dataset, loss_cfg, train_cfg):
-    net, report = train(dataset, loss_cfg, train_cfg)
+def _train_weights(dataset, loss_cfg, train_cfg, cells=None):
+    net, report = train(dataset, loss_cfg, train_cfg, cells)
     return (net.w_in, net.w_out, net.b_out), report
 
 
@@ -694,7 +697,7 @@ class TestScreenedTrain:
             return p_gamma_subset(e, gamma)
 
         monkeypatch.setattr(loss, "p_gamma_subset", spy)
-        near = gradients(net, dataset, cfg, cells=cells)[1].subset
+        near = gradients(net, dataset, cfg, cells=cells)[1].rows
         breakdown, grads = gradients(net, dataset, cfg, near, cells)
         want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
         assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
@@ -768,6 +771,35 @@ class TestScreenedTrain:
             gradients(net, dataset, LossConfig(), cells=cells)
         gradients(net, copy, LossConfig(), cells=cells)
 
+    def test_a_given_cell_index_is_used_and_none_is_built(self, monkeypatch):
+        # Below the gate a given index still screens the run; train builds none of its own.
+        dataset = generate(CUT_SQUARE, 2_000, seed=5)
+        cells = loss.build_cell_index(dataset.points)
+        built = []
+        monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points))
+        loss_cfg, train_cfg = LossConfig(), TrainConfig(epochs=12, learning_rate=1e-3, seed=2)
+        got = _outcome(lambda *args: _train_weights(*args, cells), dataset, loss_cfg, train_cfg)
+        assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+        assert built == []
+
+    def test_each_screened_epoch_starts_from_the_previous_subset_rows(self, monkeypatch):
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        calls = []
+        real = trainer.gradients
+
+        def spy(net, dataset, cfg, near, cells):
+            breakdown, grads = real(net, dataset, cfg, near, cells)
+            calls.append((near, grads))
+            return breakdown, grads
+
+        monkeypatch.setattr(trainer, "gradients", spy)
+        dataset = generate(CUT_SQUARE, 2_000, seed=6)
+        train(dataset, LossConfig(), TrainConfig(epochs=6, learning_rate=1e-3))
+        assert calls[0][0] is None
+        for (_, before), (near, grads) in zip(calls, calls[1:]):
+            assert near is before.rows
+            assert np.array_equal(grads.rows, dataset.points[grads.subset])
+
     def test_below_the_gate_no_index_is_built(self, monkeypatch):
         built = []
         monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points))
@@ -790,6 +822,27 @@ class TestTrainMulti:
         assert np.array_equal(net.w_in, solo_net.w_in)
         assert report.records.tobytes() == solo_report.records.tobytes()
         assert report.violation_rate == solo_report.violation_rate
+
+    def test_runs_at_the_gate_share_one_cell_index(self, monkeypatch):
+        dataset = generate(CUT_SQUARE, 70_000, seed=0)
+        assert dataset.n_points >= trainer.SCREEN_MIN_N and dataset.n_features <= trainer.SCREEN_MAX_F
+        loss_cfg = LossConfig()
+        solo = {
+            seed: train(dataset, loss_cfg, TrainConfig(epochs=5, learning_rate=1e-3, seed=seed))[1] for seed in (24, 25)
+        }
+        built = []
+        build_cell_index = trainer.build_cell_index
+        monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points) or build_cell_index(points))
+        results = train_multi(dataset, loss_cfg, TrainConfig(epochs=5, learning_rate=1e-3, seed=24, runs=2))
+        assert len(built) == 1
+        assert sorted(report.seed for _, report in results) == [24, 25]
+        for _, report in results:
+            want = solo[report.seed]
+            assert report.records.tobytes() == want.records.tobytes()
+            assert report.constraint.coeffs.tobytes() == want.constraint.coeffs.tobytes()
+            assert report.constraint.bound.hex() == want.constraint.bound.hex()
+            assert report.constraint.relation is want.constraint.relation
+            assert report.violation_rate == want.violation_rate
 
     def test_train_refuses_several_runs_naming_train_multi(self):
         dataset = paper_dataset("square-low", seed=0)
