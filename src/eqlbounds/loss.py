@@ -16,17 +16,20 @@ Three data terms plus regularization:
 The directional errors are what ``forward_batch(net, points, direction)``
 returns: the signed errors against the target 0, ``e = 0 - f(x)`` for a
 lower bound and ``e = f(x)`` for an upper one.  The total ``z`` is the plain
-sum of the four terms.  All four are computed in one function,
-:func:`loss_from_errors`, from those errors, and together with
-``dz/dpred``; it returns them as the :class:`LossBreakdown` that a training
-report records for each epoch, and ``dz/dpred`` in sparse form: one value
-shared by every prediction plus one per member of the percentile subset.
+sum of the four terms.  :func:`loss_from_errors` is the reference
+definition: it computes all four from the errors, and ``dz/dpred`` with
+them, and returns them as the :class:`LossBreakdown` that a training report
+records for each epoch, and ``dz/dpred`` in sparse form: one value shared
+by every prediction plus one per member of the percentile subset.
 
-At large N, training screens its epochs instead: :func:`build_cell_index`
-groups the points by grid cell once, and :func:`screened_subset` finds the
-percentile subset from the errors of the cells whose box can reach it.
-Such an epoch takes ``term_e`` from the column means and shares every
-other term, and ``dz/dpred``, with :func:`loss_from_errors`.
+Training (``trainer.gradients``) needs only the percentile subset's errors
+and ``term_e``.  The errors are affine in the points, so it takes
+``term_e`` as ``alpha1`` times the error at the column means, and every
+other term, and ``dz/dpred``, from :func:`_subset_terms`, the code
+:func:`loss_from_errors` runs.  At large N it also finds the subset from
+few of the errors: :func:`build_cell_index` groups the points by grid cell
+once, and :func:`screened_subset` finds the percentile subset from the
+errors of the cells whose box can reach it.
 """
 
 from __future__ import annotations
@@ -223,13 +226,18 @@ def screened_subset(
     n, f = points.shape
     k = _subset_size(gamma, n)
     if near is not None:
-        near = np.asarray(near)
-        if near.ndim != 2 or near.shape[1] != f:
-            raise ValueError(f"near must be an (m, {f}) array of points, got shape {near.shape}")
-        idx = _certified_top_k(cells, coeffs, offset, direction, k, near)
+        idx = _certified_top_k(cells, coeffs, offset, direction, k, _checked_near(near, f))
         if idx is not None:
             return idx
     return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma)
+
+
+def _checked_near(near: np.ndarray, f: int) -> np.ndarray:
+    """``near`` as an array, after checking that it holds (m, f) points."""
+    near = np.asarray(near)
+    if near.ndim != 2 or near.shape[1] != f:
+        raise ValueError(f"near must be an (m, {f}) array of points, got shape {near.shape}")
+    return near
 
 
 def _certified_top_k(
@@ -297,11 +305,12 @@ def loss_from_errors(
     anchor term takes ``e[e.argmax()]``.  A NaN there makes ``d_sub``, and
     with it the whole gradient, NaN, as in the dense chain rule.
 
-    A screened training epoch (see ``trainer.gradients``) does not call
-    this function: it has no errors outside the subset to sum.  It takes
-    ``term_e`` as ``alpha1`` times the error at the column means, and the
-    percentile, anchor and regularization terms and ``dz/dpred`` from the
-    code this function runs.
+    Training (see ``trainer.gradients``) does not call this function: it
+    takes ``term_e`` as ``alpha1`` times the error at the column means,
+    which equals this mean up to rounding and stays finite where an error
+    outside the subset is not, and the percentile, anchor and
+    regularization terms and ``dz/dpred`` from the code this function
+    runs.
     """
     e = np.asarray(e, dtype=float)
     n = e.size
@@ -320,8 +329,8 @@ def _subset_terms(
     """The loss and sparse ``dz/dpred`` from the subset's errors and ``term_e``.
 
     The one code path for the percentile, anchor and regularization terms
-    and the derivative, shared by :func:`loss_from_errors` and the
-    screened epochs of ``train``.  ``e_sub`` holds the errors at the
+    and the derivative, shared by :func:`loss_from_errors` and every
+    training epoch.  ``e_sub`` holds the errors at the
     percentile subset, in its order, and is written to: it becomes
     ``d_sub``'s storage; ``n`` is the number of all errors.  The anchor
     takes the subset's largest error, the first at a tie, unless ``worst``

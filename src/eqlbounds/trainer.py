@@ -28,9 +28,10 @@ from .datamodel import (
     _write_csv,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import CellIndex, _subset_terms, build_cell_index, loss_from_errors, screened_subset
+from .loss import CellIndex, _checked_near, _subset_terms, build_cell_index, p_gamma_subset, screened_subset
 from .network import (
     EqlNetwork,
+    _point_error,
     apply_mask,
     collapse_affine,
     collapse_affine_grad,
@@ -40,16 +41,16 @@ from .network import (
 )
 
 # The fewest rows, and the most features, at which train screens its
-# epochs by a cell index (see gradients); below the gate every epoch is the
-# dense one, byte for byte.  On a 2-vCPU Xeon (NumPy 2.4, one BLAS thread),
-# a 100-epoch fit on cut-square points, index build included, broke even
-# between 5x10^4 and 6.6x10^4 rows and took 0.67 of the dense time at
-# 2x10^5; at 2x10^5 rows it broke even at F = 3.  The dense epochs of
-# those measurements selected the subset from the previous epoch's, a warm
-# start that the dense epoch no longer takes, and the index build has since
-# become cheaper (int32 keys, one index per train_multi): both move the
-# break-even, but no benchmark workload sits between the gates to measure
-# where, so the gates stay.
+# epochs by a cell index (see gradients).  Screening changes the cost of
+# an epoch, never its result, so these are speed settings only.  On a
+# 2-vCPU Xeon (NumPy 2.4, one BLAS thread), a 100-epoch fit on cut-square
+# points, index build included, broke even between 5x10^4 and 6.6x10^4
+# rows and took 0.67 of the dense time at 2x10^5; at 2x10^5 rows it broke
+# even at F = 3.  The dense epochs of those measurements selected the
+# subset from the previous epoch's, a warm start that the dense epoch no
+# longer takes, and the index build has since become cheaper (int32 keys,
+# one index per train_multi): both move the break-even, but no benchmark
+# workload sits between the gates to measure where, so the gates stay.
 SCREEN_MIN_N = 65_536
 SCREEN_MAX_F = 2
 
@@ -96,49 +97,50 @@ def gradients(
 ) -> tuple[LossBreakdown, Gradients]:
     """Evaluate the loss and its exact gradient at the current parameters.
 
-    The loss and ``dz/dpred`` come from
-    :func:`~eqlbounds.loss.loss_from_errors`, which holds the percentile
-    subset and the worst-error index fixed.  ``near``, an (m, F) array of
-    points such as the previous epoch's ``Gradients.rows``, changes no
-    result; only a screened epoch (below) reads it.  The gradient is the
-    raw one, also at weights that masking froze at zero; :func:`train`
+    One body serves every epoch.  The percentile subset is
+    :func:`~eqlbounds.loss.p_gamma_subset` of the errors that
+    :func:`forward_batch` gives for ``cfg.direction``; with ``cells``, the
+    dataset's :func:`~eqlbounds.loss.build_cell_index`, it is
+    :func:`~eqlbounds.loss.screened_subset`'s, the same subset, found from
+    only the errors of the cells that can reach it.  Both compute an error
+    by :func:`~eqlbounds.network.column_errors`, whose bits depend on the
+    row alone, so the subset's errors are the same either way.  ``term_e``
+    is ``alpha1`` times the error at the dataset's column means: the errors
+    are affine in the points, so that is their mean, in O(F).  The other
+    terms and ``dz/dpred`` come from the subset's errors, by the code that
+    :func:`~eqlbounds.loss.loss_from_errors` runs, with the subset and the
+    worst-error index held fixed.  So ``cells`` changes the cost, never the
+    result, and a non-finite error outside the subset leaves the loss
+    finite.
+
+    ``near``, an (m, F) array of points such as the previous epoch's
+    ``Gradients.rows``, changes no result either: only the screen starts
+    from it, and any other ``near`` raises ``ValueError``.  The gradient is
+    the raw one, also at weights that masking froze at zero; :func:`train`
     zeroes those entries itself.  Non-finite values are returned as
     computed; :func:`train` reports them as divergence.
 
-    Beyond the forward pass and the loss, the gradient costs one gather of
-    the subset's rows: ``dz/dpred`` is one shared value plus one per subset
-    member, and the shared value's share is a multiple of the dataset's
-    column means, so no pass over all N points is made for it.  The errors
-    come from :func:`forward_batch` given ``cfg.direction``: they are
-    computed in the product's own array, which no one else holds, so they
-    cost neither an N-length array nor a pass of their own.
-
-    With ``cells``, the dataset's :func:`~eqlbounds.loss.build_cell_index`,
-    the epoch is screened: the errors are
-    :func:`~eqlbounds.network.column_errors`, the subset is
-    :func:`~eqlbounds.loss.screened_subset`'s, which computes only the
-    errors of the cells that can reach it (all of them when ``near`` is
-    None or fails its certificate), and ``term_e`` is ``alpha1`` times the
-    error at the column means, the mean of the exact errors, in O(F).  The
-    other terms and the gradient follow the same code as without
-    ``cells``.  A non-finite error outside the subset then leaves the loss
-    finite, and so does a sum of finite errors that overflows.
+    Beyond the errors, the gradient costs one gather of the subset's rows:
+    ``dz/dpred`` is one shared value plus one per subset member, and the
+    shared value's share is a multiple of the dataset's column means, so
+    no pass over all N points is made for it.
     """
+    if near is not None:
+        _checked_near(near, dataset.n_features)
+    coeffs, offset = collapse_affine(net)
     if cells is None:
         e = forward_batch(net, dataset, cfg.direction)
-        breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg)
-        # take, not fancy indexing: at the paper's sizes it is the faster gather.
-        rows = dataset.points.take(subset, axis=0)
+        subset = p_gamma_subset(e, cfg.gamma)
     else:
         if cells.points is not dataset.points:
             raise ValueError("cells must be the cell index of this dataset's points")
-        coeffs, offset = collapse_affine(net)
         subset = screened_subset(cells, coeffs, offset, cfg.direction, cfg.gamma, near)
-        rows = dataset.points.take(subset, axis=0)
-        e_sub = column_errors(rows, coeffs, offset, cfg.direction)
-        # The errors are affine in the points, so their mean is the error at the mean point.
-        t_e = cfg.alpha1 * float(column_errors(dataset.column_means[None], coeffs, offset, cfg.direction)[0])
-        breakdown, fill, d_sub = _subset_terms(e_sub, t_e, dataset.n_points, net, cfg)
+    # take, not fancy indexing: at the paper's sizes it is the faster gather.
+    rows = dataset.points.take(subset, axis=0)
+    # The same bits either way: a row's error depends on that row alone.
+    e_sub = e.take(subset) if cells is None else column_errors(rows, coeffs, offset, cfg.direction)
+    t_e = cfg.alpha1 * _point_error(dataset.column_means, coeffs, offset, cfg.direction)
+    breakdown, fill, d_sub = _subset_terms(e_sub, t_e, dataset.n_points, net, cfg)
 
     # preds = points @ a + c, so the gradient in (a, c) is (points^T dz, sum dz).
     # The shared value contributes fill * n times (column means, 1); the
@@ -174,16 +176,14 @@ def train(
     :func:`~eqlbounds.loss.build_cell_index` once, unless ``cells``
     already holds it (as :func:`train_multi` passes it), and from the
     second epoch on each epoch computes only the errors of the grid cells
-    that can reach the percentile subset (see :func:`gradients`).  The subset
-    is exactly the one a pass over every error gives; the errors are
-    computed column by column and ``term_e`` from the column means, so the
-    records differ from an unscreened run's in their last bits.  Below the
-    gate nothing is screened, unless ``cells`` is given.
+    that can reach the percentile subset (see :func:`gradients`).  Below
+    the gate nothing is screened, unless ``cells`` is given.  Every epoch
+    runs the same body, so a screened run writes the same bytes as an
+    unscreened one: the gates choose the speed, not the result.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
-    starting parameters or loss are non-finite, with or without masking
-    (screened, a non-finite error outside the subset leaves the loss
-    finite);
+    starting parameters or loss are non-finite, with or without masking (a
+    non-finite error outside the percentile subset leaves the loss finite);
     after the final step that epoch is ``train_cfg.epochs``, and it is
     also raised when the final parameters are finite but their affine
     collapse is not.

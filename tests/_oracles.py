@@ -171,6 +171,28 @@ def column_errors_by_hand(points, coeffs, offset, direction):
     return (0.0 - offset) - sums if direction is Direction.LOWER else sums + offset
 
 
+def errors_by_row(points, coeffs, offset, direction):
+    """``column_errors`` one Python float operation at a time, the sum left to right."""
+    errors = []
+    for row in np.asarray(points, dtype=float).tolist():
+        total = row[0] * float(coeffs[0])
+        for x, a in zip(row[1:], np.asarray(coeffs).tolist()[1:]):
+            total = total + x * a
+        errors.append((0.0 - offset) - total if direction is Direction.LOWER else total + offset)
+    return np.array(errors, dtype=float).reshape(-1)
+
+
+def mean_point_error(net, dataset, direction):
+    """The error at the dataset's column means, a Python float, by :func:`errors_by_row`."""
+    return float(errors_by_row(dataset.column_means[None], *collapse_affine(net), direction)[0])
+
+
+def with_mean_point_term_e(breakdown, net, dataset, cfg):
+    """``breakdown`` with ``term_e`` from :func:`mean_point_error`, and ``z`` summed again in the same order."""
+    t_e = cfg.alpha1 * mean_point_error(net, dataset, cfg.direction)
+    return breakdown._replace(z=t_e + breakdown.term_p + breakdown.term_anchor + breakdown.term_reg, term_e=t_e)
+
+
 def column_mean_epoch(w_in, w_out, b_out, dataset, cfg):
     """One epoch of the loss and gradient as a screened ``train`` defines them, with no screening.
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import LAYOUTS, directional_errors, freeze, identity_rows, initial_draws, network_checks
+from _oracles import LAYOUTS, directional_errors, errors_by_row, freeze, identity_rows, initial_draws, network_checks
 from eqlbounds import (
     Dataset,
     Direction,
@@ -21,7 +21,7 @@ from eqlbounds import (
     forward_batch,
     initialize,
 )
-from eqlbounds.network import column_errors
+from eqlbounds.network import _point_error, column_errors
 
 
 def make_net(w_in, w_out, b_out):
@@ -190,14 +190,24 @@ class TestDirectionalForward:
             assert errors.tobytes() == directional_errors(preds, direction).tobytes(), direction
 
     @settings(max_examples=300, deadline=None)
+    @given(drawn=network_and_points())
+    def test_is_column_errors_of_every_row(self, drawn):
+        # The library's one error formula: no BLAS product, whose bits
+        # would follow the kernel and the row count.
+        net, points = drawn
+        for direction in (None, *Direction):
+            want = column_errors(points, *collapse_affine(net), direction or Direction.UPPER)
+            assert forward_batch(net, points, direction).tobytes() == want.tobytes(), direction
+
+    @settings(max_examples=300, deadline=None)
     @given(
         products=hnp.arrays(float, st.integers(1, 40), elements=tiny_or_plain | st.sampled_from([np.inf, -np.inf])),
         offset=st.sampled_from(OFFSETS),
     )
     def test_one_pass_is_the_two_pass_formula(self, products, offset):
-        # The identity the LOWER pass rests on, also where the product or
-        # the offset is -0.0, which the collapse and the BLAS product here
-        # do not give: (0 - c) - p == 0 - (p + c), bit for bit.
+        # The identity the LOWER pass rests on, for any sum p of the
+        # products and any offset c, -0.0 and infinities included:
+        # (0 - c) - p == 0 - (p + c), bit for bit.
         assert np.subtract(0.0 - offset, products).tobytes() == (0.0 - (products + offset)).tobytes()
 
     @pytest.mark.parametrize("direction", [None, *Direction], ids=str)
@@ -223,24 +233,16 @@ class TestDirectionalForward:
 class TestColumnErrors:
     """``column_errors`` computes each row's error on its own, column by column."""
 
-    @staticmethod
-    def by_row(points, coeffs, offset, direction):
-        """One Python float operation at a time, the sum left to right."""
-        errors = []
-        for row in points.tolist():
-            total = row[0] * float(coeffs[0])
-            for x, a in zip(row[1:], coeffs[1:].tolist()):
-                total = total + x * a
-            errors.append((0.0 - offset) - total if direction is Direction.LOWER else total + offset)
-        return np.array(errors, dtype=float).reshape(-1)
-
     @settings(max_examples=300, deadline=None)
     @given(drawn=network_and_points(), direction=st.sampled_from(list(Direction)), data=st.data())
     def test_a_rows_bits_are_its_own(self, drawn, direction, data):
         net, points = drawn
         coeffs, offset = collapse_affine(net)
         errors = column_errors(points, coeffs, offset, direction)
-        assert errors.tobytes() == self.by_row(points, coeffs, offset, direction).tobytes()
+        assert errors.tobytes() == errors_by_row(points, coeffs, offset, direction).tobytes()
+        # One row in Python floats, as training evaluates the column means.
+        for i in range(min(3, len(points))):
+            assert np.float64(_point_error(points[i], coeffs, offset, direction)).tobytes() == errors[i : i + 1].tobytes()
         # Any subset of the rows, in any order, gives the same bits at its rows.
         rows = data.draw(st.lists(st.integers(0, max(0, len(points) - 1)), max_size=len(points)))
         picked = column_errors(points[rows], coeffs, offset, direction)

@@ -50,6 +50,7 @@ from _oracles import (
     directional_errors,
     identity_rows,
     masked_train,
+    with_mean_point_term_e,
 )
 
 
@@ -232,6 +233,14 @@ class TestGradients:
         raw_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
         assert np.array_equal(grads.d_w_in, raw_in) and np.array_equal(grads.d_w_out, raw_out)
 
+    @pytest.mark.parametrize("screened", [False, True], ids=["dense", "screened"])
+    def test_near_that_is_not_points_is_rejected_naming_its_shape(self, screened):
+        dataset = generate(CUT_SQUARE, 300, seed=0)
+        cells = loss.build_cell_index(dataset.points) if screened else None
+        net = initialize(dataset, seed=0)
+        with pytest.raises(ValueError, match=r"^near must be an \(m, 2\) array of points, got shape \(15,\)$"):
+            gradients(net, dataset, LossConfig(), near=np.arange(15), cells=cells)
+
     def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
         net = EqlNetwork(np.array([[1e154]]), np.array([1e-300]), 0.0)
@@ -294,7 +303,9 @@ class TestTrain:
         _, report = train(
             dataset, loss_cfg, TrainConfig(epochs=3, learning_rate=1e-3, mask_threshold=0.0, seed=seed)
         )
-        assert report.records[0, 0] == loss_value(start, dataset, loss_cfg)
+        e = forward_batch(start, dataset, loss_cfg.direction)
+        want = with_mean_point_term_e(loss_from_errors(e, start, loss_cfg)[0], start, dataset, loss_cfg)
+        assert report.records[0, 0] == want.z
         assert len(report.records) == 3
 
     @pytest.mark.parametrize("fit", ["train", "train_multi"])
@@ -460,7 +471,11 @@ class TestNearChangesNoDenseEpoch:
 
 
 class TestInPlaceErrors:
-    """``gradients`` takes the errors from its forward pass; the public path computes them from the predictions."""
+    """``gradients`` takes the errors from its forward pass; the public path computes them from the predictions.
+
+    ``term_e`` of the public path is ``alpha1`` times the pure-Python error
+    at the column means, as every epoch takes it.
+    """
 
     CUT_SQUARE = RegionSpec([[-5.0, 25.0], [-5.0, 25.0]], (LinearCut([1.0, 2.0], 4.0, Direction.LOWER),))
 
@@ -469,6 +484,7 @@ class TestInPlaceErrors:
         """The gather of ``gradients``, on what the public functions give as the errors."""
         e = directional_errors(forward_batch(net, dataset), cfg.direction)
         breakdown, fill, d_sub, subset = loss_from_errors(e, net, cfg)
+        breakdown = with_mean_point_term_e(breakdown, net, dataset, cfg)
         mean_weight = fill * dataset.n_points
         d_b_out = float(np.add.reduce(d_sub)) + mean_weight
         rows = dataset.points.take(subset, axis=0)
@@ -717,10 +733,11 @@ class TestScreenedTrain:
         cfg = LossConfig(direction=direction)
         breakdown, full_passes = self.second_epoch(net, dataset, cfg, cells, monkeypatch)
         assert full_passes == [dataset.n_points]
-        with np.errstate(over="ignore"):
-            # The dense epoch's term_e sums the two far errors, to -inf.
-            dense_z = gradients(net, dataset, cfg)[0].z
-        assert math.isfinite(breakdown.z) and dense_z == -math.inf
+        # The dense epoch takes term_e at the column means too, not as the
+        # sum of every error, which the two far errors take to -inf.
+        dense = gradients(net, dataset, cfg)[0]
+        assert math.isfinite(breakdown.z) and dense.z == breakdown.z
+        assert np.array(tuple(dense)).tobytes() == np.array(tuple(breakdown)).tobytes()
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_far_rows_in_cells_of_their_own_are_screened(self, direction, monkeypatch):
@@ -843,6 +860,24 @@ class TestTrainMulti:
             assert report.constraint.bound.hex() == want.constraint.bound.hex()
             assert report.constraint.relation is want.constraint.relation
             assert report.violation_rate == want.violation_rate
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_the_screening_gate_changes_no_byte(self, direction, monkeypatch):
+        # Every epoch runs one body, so screening changes the cost, never the
+        # result: the same rows give the same bytes screened and dense.
+        def fail(*args):
+            raise AssertionError("training must not call loss_from_errors")
+
+        monkeypatch.setattr(loss, "loss_from_errors", fail)
+        dataset = generate(CUT_SQUARE, 3_000, seed=0)
+        loss_cfg = LossConfig(direction=direction)
+        train_cfg = TrainConfig(epochs=60, learning_rate=1e-3, seed=2, runs=2)
+        outcomes = []
+        for gate in (1, 10**9):
+            monkeypatch.setattr(trainer, "SCREEN_MIN_N", gate)
+            results = train_multi(dataset, loss_cfg, train_cfg)
+            outcomes.append([(report.seed, _bits((net.w_in, net.w_out, net.b_out), report)) for net, report in results])
+        assert outcomes[0] == outcomes[1]
 
     def test_train_refuses_several_runs_naming_train_multi(self):
         dataset = paper_dataset("square-low", seed=0)
