@@ -685,6 +685,13 @@ class TestDatasetValidation:
         ds = Dataset(np.array([[1, 2]], dtype=dtype))
         assert ds.points.dtype == np.float64 and ds.points.tolist() == [[1.0, 2.0]]
 
+    def test_a_column_mean_depends_on_its_own_column_alone(self):
+        points = np.random.default_rng(8).uniform(-5.0, 25.0, size=(20_000, 3))
+        means = Dataset(points).column_means
+        for j in range(3):
+            alone = Dataset(points[:, [j]]).column_means
+            assert means[j : j + 1].tobytes() == alone.tobytes(), j
+
     def test_column_means_when_the_column_sum_overflows_both_ways(self):
         # The sum meets inf and -inf, which is NaN, not inf.
         big = sys.float_info.max
