@@ -70,7 +70,7 @@ class EqlNetwork:
 
 
 def collapse_affine(net: EqlNetwork) -> tuple[np.ndarray, float]:
-    """Return (a, c) with ``forward_batch(net, points)`` computing ``points @ a + c``; constant units fold into ``c``."""
+    """Return (a, c) such that the network computes ``f(x) = x @ a + c``; constant units fold into ``c``."""
     h = net.w_in.shape[0]
     coeffs = net.w_out[:h] @ net.w_in
     offset = net.b_out + float(np.add.reduce(net.w_out[h:]))
@@ -145,7 +145,7 @@ def _point_error(point: np.ndarray, coeffs: np.ndarray, offset: float, direction
     """:func:`column_errors` of the one row ``point``, in Python floats.
 
     The same operations in the same order, each rounded once as NumPy's
-    elementwise ones are, so the same bits, in about a fifth of the time
+    elementwise ones are, so the same bits, in about a quarter of the time
     of a one-row array call.  Training evaluates the column means here.
     """
     terms = map(float.__mul__, point.tolist(), coeffs.tolist())
