@@ -173,10 +173,11 @@ def column_errors_by_hand(points, coeffs, offset, direction):
 
 def errors_by_row(points, coeffs, offset, direction):
     """``column_errors`` one Python float operation at a time, the sum left to right."""
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
     errors = []
     for row in np.asarray(points, dtype=float).tolist():
-        total = row[0] * float(coeffs[0])
-        for x, a in zip(row[1:], np.asarray(coeffs).tolist()[1:]):
+        total = row[0] * coeffs[0]
+        for x, a in zip(row[1:], coeffs[1:]):
             total = total + x * a
         errors.append((0.0 - offset) - total if direction is Direction.LOWER else total + offset)
     return np.array(errors, dtype=float).reshape(-1)
