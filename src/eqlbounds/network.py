@@ -81,8 +81,9 @@ def collapse_affine_grad(net: EqlNetwork, d_coeffs: np.ndarray, d_offset: float)
     """Chain rule through :func:`collapse_affine`: (dL/da, dL/dc) to (dL/dw_in, dL/dw_out); dL/db_out is dL/dc."""
     h = net.w_in.shape[0]
     d_w_in = np.multiply.outer(net.w_out[:h], d_coeffs)
-    d_w_out = np.full(net.w_out.shape, d_offset)
+    d_w_out = np.empty(net.w_out.shape)
     d_w_out[:h] = net.w_in @ d_coeffs
+    d_w_out[h:] = d_offset
     return d_w_in, d_w_out
 
 

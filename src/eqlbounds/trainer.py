@@ -11,6 +11,7 @@ small weights at exactly zero for the rest of the run.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .network import (
 # even at F = 3.  The dense epochs of those measurements selected the
 # subset from the previous epoch's, a warm start that the dense epoch no
 # longer takes, and the index build has since become cheaper (int32 keys,
-# one index per train_multi): both move the break-even, but no benchmark
+# one index per dataset): both move the break-even, but no benchmark
 # workload sits between the gates to measure where, so the gates stay.
 SCREEN_MIN_N = 65_536
 SCREEN_MAX_F = 2
@@ -125,10 +126,10 @@ def gradients(
     shared value's share is a multiple of the dataset's column means, so
     no pass over all N points is made for it.
     """
-    if near is not None:
-        _checked_near(near, dataset.n_features)
     coeffs, offset = collapse_affine(net)
     if cells is None:
+        if near is not None:
+            _checked_near(near, dataset.n_features)
         e = forward_batch(net, dataset, cfg.direction)
         subset = p_gamma_subset(e, cfg.gamma)
     else:
@@ -154,9 +155,7 @@ def gradients(
     return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset, rows)
 
 
-def train(
-    dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig, cells: CellIndex | None = None
-) -> tuple[EqlNetwork, TrainReport]:
+def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
     """Run one seeded training run and extract the resulting constraint.
 
     Each epoch records the loss breakdown at its start, as one row of
@@ -172,12 +171,12 @@ def train(
     only a screened epoch (below) starts from them.
 
     A dataset of at least ``SCREEN_MIN_N`` rows and at most
-    ``SCREEN_MAX_F`` features is screened: ``train`` builds its
-    :func:`~eqlbounds.loss.build_cell_index` once, unless ``cells``
-    already holds it (as :func:`train_multi` passes it), and from the
-    second epoch on each epoch computes only the errors of the grid cells
-    that can reach the percentile subset (see :func:`gradients`).  Below
-    the gate nothing is screened, unless ``cells`` is given.  Every epoch
+    ``SCREEN_MAX_F`` features is screened: the first screened fit of a
+    ``Dataset`` object builds its :func:`~eqlbounds.loss.build_cell_index`,
+    every later fit of that object reuses it, and from the second epoch on
+    each epoch computes only the errors of the grid cells that can reach
+    the percentile subset (see :func:`gradients`).  Below the gate nothing
+    is screened.  Every epoch
     runs the same body, so a screened run writes the same bytes as an
     unscreened one: the gates choose the speed, not the result.
 
@@ -198,8 +197,7 @@ def train(
     # One row per epoch, written in place: no LossBreakdown outlives its epoch.
     records = np.empty((train_cfg.epochs, len(LossBreakdown._fields)))
     near = None
-    if cells is None:
-        cells = _cell_index(dataset)
+    cells = _cell_index(dataset)
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,10 +234,18 @@ def train(
     return net, report
 
 
+# Each screened dataset's cell index.  A Dataset freezes its points, so
+# the index holds for the dataset's life; weak keys drop it with the dataset.
+_CELL_INDEXES: weakref.WeakKeyDictionary[Dataset, CellIndex] = weakref.WeakKeyDictionary()
+
+
 def _cell_index(dataset: Dataset) -> CellIndex | None:
-    """The dataset's cell index where train screens it, else None."""
+    """The dataset's cell index where train screens it, else None; built by its first screened fit."""
     if dataset.n_points >= SCREEN_MIN_N and dataset.n_features <= SCREEN_MAX_F:
-        return build_cell_index(dataset.points)
+        cells = _CELL_INDEXES.get(dataset)
+        if cells is None:
+            cells = _CELL_INDEXES[dataset] = build_cell_index(dataset.points)
+        return cells
     return None
 
 
@@ -249,14 +255,13 @@ def train_multi(
     """Run ``train_cfg.runs`` independent runs seeded seed, seed+1, ...
 
     Results come back sorted by final violation rate, best first; ties keep
-    seed order.  At or above the screening gate every run shares one cell
-    index, built once here.
+    seed order.  At or above the screening gate every run shares the
+    dataset's one cell index (see :func:`train`).
     """
-    cells = _cell_index(dataset)
     results = []
     for offset in range(train_cfg.runs):
         cfg = replace(train_cfg, seed=train_cfg.seed + offset, runs=1)
-        results.append(train(dataset, loss_cfg, cfg, cells))
+        results.append(train(dataset, loss_cfg, cfg))
     results.sort(key=lambda pair: pair[1].violation_rate)
     return results
 

@@ -1,9 +1,11 @@
 """Analytic gradients against finite differences, plus the descent loop."""
 
+import gc
 import json
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -600,8 +602,8 @@ def _outcome(fit, *args):
     return _bits(weights, report)
 
 
-def _train_weights(dataset, loss_cfg, train_cfg, cells=None):
-    net, report = train(dataset, loss_cfg, train_cfg, cells)
+def _train_weights(dataset, loss_cfg, train_cfg):
+    net, report = train(dataset, loss_cfg, train_cfg)
     return (net.w_in, net.w_out, net.b_out), report
 
 
@@ -789,15 +791,25 @@ class TestScreenedTrain:
         gradients(net, copy, LossConfig(), cells=cells)
 
     def test_a_given_cell_index_is_used_and_none_is_built(self, monkeypatch):
-        # Below the gate a given index still screens the run; train builds none of its own.
+        # An index the cache already holds for the dataset screens every epoch; train builds none of its own.
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
         dataset = generate(CUT_SQUARE, 2_000, seed=5)
         cells = loss.build_cell_index(dataset.points)
-        built = []
+        monkeypatch.setitem(trainer._CELL_INDEXES, dataset, cells)
+        built, given = [], []
         monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points))
+        real = trainer.gradients
+
+        def spy(net, dataset, cfg, near, cells):
+            given.append(cells)
+            return real(net, dataset, cfg, near, cells)
+
+        monkeypatch.setattr(trainer, "gradients", spy)
         loss_cfg, train_cfg = LossConfig(), TrainConfig(epochs=12, learning_rate=1e-3, seed=2)
-        got = _outcome(lambda *args: _train_weights(*args, cells), dataset, loss_cfg, train_cfg)
+        got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
         assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
         assert built == []
+        assert len(given) == train_cfg.epochs and all(each is cells for each in given)
 
     def test_each_screened_epoch_starts_from_the_previous_subset_rows(self, monkeypatch):
         monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
@@ -827,6 +839,62 @@ class TestScreenedTrain:
         assert built == []
 
 
+class TestCellIndexCache:
+    """One cell index per screened Dataset object, built by its first fit and dropped with it."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(trainer, "_CELL_INDEXES", fresh)
+        return fresh
+
+    @staticmethod
+    def spy_builds(monkeypatch):
+        built = []
+        build_cell_index = trainer.build_cell_index
+        monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points) or build_cell_index(points))
+        return built
+
+    def test_a_second_fit_of_a_dataset_builds_no_index(self, cache, monkeypatch):
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        built = self.spy_builds(monkeypatch)
+        dataset = generate(CUT_SQUARE, 2_000, seed=7)
+        loss_cfg, train_cfg = LossConfig(), TrainConfig(epochs=8, learning_rate=1e-3, seed=3)
+        first = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
+        assert len(built) == 1 and built[0] is dataset.points
+        assert cache[dataset].points is dataset.points
+        second = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
+        assert len(built) == 1
+        assert second == first == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
+        # Another Dataset of the same rows is another object, with an index of its own.
+        twin = Dataset(dataset.points)
+        train(twin, loss_cfg, train_cfg)
+        assert len(built) == 2 and cache[twin] is not cache[dataset]
+
+    def test_the_cache_keeps_no_dataset_alive(self, cache, monkeypatch):
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        dataset = generate(CUT_SQUARE, 2_000, seed=8)
+        train(dataset, LossConfig(), TrainConfig(epochs=3, learning_rate=1e-3))
+        assert len(cache) == 1
+        ref = weakref.ref(dataset)
+        del dataset
+        gc.collect()
+        assert ref() is None
+        assert len(cache) == 0
+
+    def test_below_the_gate_a_fit_builds_and_caches_nothing(self, cache, monkeypatch):
+        built = self.spy_builds(monkeypatch)
+        dataset = generate(CUT_SQUARE, 2_000, seed=9)
+        assert dataset.n_points < trainer.SCREEN_MIN_N
+        train(dataset, LossConfig(), TrainConfig(epochs=3, learning_rate=1e-3))
+        # Too many features: not screened at any row count.
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        wide = Dataset(np.random.default_rng(0).uniform(size=(500, trainer.SCREEN_MAX_F + 1)))
+        train(wide, LossConfig(), TrainConfig(epochs=3, learning_rate=1e-3))
+        assert built == []
+        assert len(cache) == 0
+
+
 class TestTrainMulti:
     def test_single_run_equals_train(self):
         dataset = paper_dataset("square-low", seed=0)
@@ -844,13 +912,14 @@ class TestTrainMulti:
         dataset = generate(CUT_SQUARE, 70_000, seed=0)
         assert dataset.n_points >= trainer.SCREEN_MIN_N and dataset.n_features <= trainer.SCREEN_MAX_F
         loss_cfg = LossConfig()
-        solo = {
-            seed: train(dataset, loss_cfg, TrainConfig(epochs=5, learning_rate=1e-3, seed=seed))[1] for seed in (24, 25)
-        }
         built = []
         build_cell_index = trainer.build_cell_index
         monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points) or build_cell_index(points))
+        solo = {
+            seed: train(dataset, loss_cfg, TrainConfig(epochs=5, learning_rate=1e-3, seed=seed))[1] for seed in (24, 25)
+        }
         results = train_multi(dataset, loss_cfg, TrainConfig(epochs=5, learning_rate=1e-3, seed=24, runs=2))
+        # The first solo fit builds the dataset's index; the second and both runs reuse it.
         assert len(built) == 1
         assert sorted(report.seed for _, report in results) == [24, 25]
         for _, report in results:
