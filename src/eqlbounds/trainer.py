@@ -176,9 +176,9 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     every later fit of that object reuses it, and from the second epoch on
     each epoch computes only the errors of the grid cells that can reach
     the percentile subset (see :func:`gradients`).  Below the gate nothing
-    is screened.  Every epoch
-    runs the same body, so a screened run writes the same bytes as an
-    unscreened one: the gates choose the speed, not the result.
+    is screened.  Every epoch runs the same body, so a screened run writes
+    the same bytes as an unscreened one: the gates choose the speed, not
+    the result.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking (a
