@@ -96,9 +96,12 @@ class RegionSpec:
         Near the edge of the float range a cut's value or the squared
         distance to the ball's center may overflow; an infinite value
         compares with the bound as it should, and a NaN one (``inf - inf``)
-        puts its row outside the region, so neither warns.
+        puts its row outside the region, so neither warns.  Any other
+        shape of ``points`` raises ``ValueError``.
         """
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.n_features:
+            raise ValueError(f"points must have shape (N, {self.n_features}) for this region, got {pts.shape}")
         ok = np.all(pts >= self.box[:, 0], axis=1) & np.all(pts <= self.box[:, 1], axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             for cut in self.linear_cuts:

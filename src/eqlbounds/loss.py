@@ -26,10 +26,11 @@ Training (``trainer.gradients``) needs only the percentile subset's errors
 and ``term_e``.  The errors are affine in the points, so it takes
 ``term_e`` as ``alpha1`` times the error at the column means, and every
 other term, and ``dz/dpred``, from :func:`_subset_terms`, the code
-:func:`loss_from_errors` runs.  At large N it also finds the subset from
-few of the errors: :func:`build_cell_index` groups the points by grid cell
-once, and :func:`screened_subset` finds the percentile subset from the
-errors of the cells whose box can reach it.
+:func:`loss_from_errors` runs.  At large N it finds the subset from few of
+the errors where it can: :func:`build_cell_index` groups the points by
+grid cell once, and :func:`screened_subset` certifies the percentile
+subset from the errors of the cells whose box can reach it, or returns
+None, and then ``gradients`` ranks every error itself.
 """
 
 from __future__ import annotations
@@ -126,10 +127,12 @@ class CellIndex:
     smallest and largest value of each feature over the cell's rows.
     Every operation of :func:`~eqlbounds.network.column_errors` is rounded
     once and monotone in its operands, so the error it computes at a box's
-    worst corner bounds the computed error of every row in the cell: a
-    screened epoch evaluates the G corners that way.  Per row the index
-    holds its row number, 4 bytes below 2^31 rows, and no copy of
-    ``points``; every array but ``points`` is read-only.
+    worst corner bounds the computed error of every row in the cell:
+    :func:`screened_subset` evaluates the G corners that way.  Per row the
+    index holds its row number, 4 bytes below 2^31 rows, and no copy of
+    ``points``; every array but ``points`` is read-only.  Training keeps
+    one index per screened ``Dataset``, which ``trainer.gradients`` looks
+    up at every call.
     """
 
     points: np.ndarray
@@ -186,72 +189,44 @@ def build_cell_index(points: np.ndarray) -> CellIndex:
 
 
 def screened_subset(
-    cells: CellIndex,
-    coeffs: np.ndarray,
-    offset: float,
-    direction: Direction,
-    gamma: float,
-    near: np.ndarray | None = None,
-) -> np.ndarray:
-    """``p_gamma_subset`` of ``column_errors(cells.points, ...)``, computing few of the errors.
-
-    The result is exactly that subset, for any ``near``.  ``near`` is an
-    (m, F) array of points, any points: in training, the previous epoch's
-    subset rows (``Gradients.rows``).  Its floor is the smallest current
-    error of those points.  Each cell's bound is ``column_errors`` at its
-    box's worst corner, each feature at its high where the directional
-    coefficient (``-a`` for LOWER, ``a`` for UPPER) is positive and at its
-    low otherwise.  Every operation there is rounded once, and rounding is
-    monotone, so that computed error bounds the computed error of every
-    row in the cell exactly, with no slack.  Only the rows of the cells
-    whose bound reaches the floor, the candidates, get their errors
-    computed, gathered from ``points`` through ``order``.  The selection
-    among them is kept when it is certified: at least k candidates, and
-    their k-th largest error at or above the floor.  Every other row's
-    error is below its cell's bound, which is below the floor, so then
-    every error that ties or beats the k-th largest is a candidate's, and
-    the candidates' top k are the top k of all.  Previous subset rows
-    always pass: k of them already reach the floor.  At 2x10^5 cut-square
-    points and ``gamma = 5`` about 6% of the rows are candidates, 5% being
-    the subset, plus the G corners.  The result is intp, as
-    ``p_gamma_subset``'s.
-
-    Without ``near``, when a bound is NaN or ``+inf``, or when the
-    certificate fails, every error is computed and ranked, as
-    ``p_gamma_subset`` does.  By the same monotonicity a row whose error
-    is NaN or ``+inf``, or whose partial sum overflows toward it, has such
-    a bound.  A ``near`` that is not an (m, F) array raises ValueError.
-    """
-    points = cells.points
-    n, f = points.shape
-    k = _subset_size(gamma, n)
-    if near is not None:
-        idx = _certified_top_k(cells, coeffs, offset, direction, k, _checked_near(near, f))
-        if idx is not None:
-            return idx
-    return p_gamma_subset(column_errors(points, coeffs, offset, direction), gamma)
-
-
-def _checked_near(near: np.ndarray, f: int) -> np.ndarray:
-    """``near`` as an array, after checking that it holds (m, f) points."""
-    near = np.asarray(near)
-    if near.ndim != 2 or near.shape[1] != f:
-        raise ValueError(f"near must be an (m, {f}) array of points, got shape {near.shape}")
-    return near
-
-
-def _certified_top_k(
-    cells: CellIndex, coeffs: np.ndarray, offset: float, direction: Direction, k: int, near: np.ndarray
+    cells: CellIndex, coeffs: np.ndarray, offset: float, direction: Direction, gamma: float, near: np.ndarray
 ) -> np.ndarray | None:
-    """screened_subset's selection among the candidates, or None where its certificate fails."""
-    f = near.shape[1]
+    """``p_gamma_subset`` of ``column_errors(cells.points, ...)`` from few of the errors, or None.
+
+    ``near`` is an (m, F) array of points, any points, not checked: in
+    training, the previous epoch's subset rows (``Gradients.rows``).  Its
+    floor is the smallest current error of those points.  Each cell's
+    bound is ``column_errors`` at its box's worst corner, each feature at
+    its high where the directional coefficient (``-a`` for LOWER, ``a`` for
+    UPPER) is positive and at its low otherwise.  Every operation there is
+    rounded once, and rounding is monotone, so that computed error bounds
+    the computed error of every row in the cell exactly, with no slack.
+    Only the rows of the cells whose bound reaches the floor, the
+    candidates, get their errors computed, gathered from ``points`` through
+    ``order``.  The selection among them is certified when there are at
+    least k candidates and their k-th largest error is at or above the
+    floor.  Every other row's error is below its cell's bound, which is
+    below the floor, so then every error that ties or beats the k-th
+    largest is a candidate's, and the candidates' top k are the top k of
+    all.  Previous subset rows always pass: k of them already reach the
+    floor.  At 2x10^5 cut-square points and ``gamma = 5`` about 6% of the
+    rows are candidates, 5% being the subset, plus the G corners.  The
+    result is intp, as ``p_gamma_subset``'s.
+
+    None, where a bound is NaN or ``+inf`` or the certificate fails: then
+    no subset is certified, and the caller ranks every error.  By the same
+    monotonicity a row whose error is NaN or ``+inf``, or whose partial sum
+    overflows toward it, has such a bound.
+    """
+    n, f = cells.points.shape
+    k = _subset_size(gamma, n)
     # Each feature at its high where the error rises with it: the worst corner.
     sa = np.negative(coeffs) if direction is Direction.LOWER else coeffs
     corner = cells.corners[np.arange(f) + f * (sa > 0)].T
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflow or a NaN is an answer here, not a fault: a bound that
-        # is not finite sends the epoch to the full pass, and a floor that is
-        # NaN or too high fails the certificate.
+        # is not finite certifies nothing, and a floor that is NaN or too
+        # high fails the certificate.
         bound = column_errors(corner, coeffs, offset, direction)
         if not math.isfinite(bound.max()):
             return None

@@ -29,7 +29,7 @@ from .datamodel import (
     _write_csv,
 )
 from .extract import extract_constraint, violation_rate
-from .loss import CellIndex, _checked_near, _subset_terms, build_cell_index, p_gamma_subset, screened_subset
+from .loss import CellIndex, _subset_terms, build_cell_index, p_gamma_subset, screened_subset
 from .network import (
     EqlNetwork,
     _point_error,
@@ -41,19 +41,29 @@ from .network import (
     initialize,
 )
 
-# The fewest rows, and the most features, at which train screens its
-# epochs by a cell index (see gradients).  Screening changes the cost of
-# an epoch, never its result, so these are speed settings only.  On a
-# 2-vCPU Xeon (NumPy 2.4, one BLAS thread), a 100-epoch fit on cut-square
-# points, index build included, broke even between 5x10^4 and 6.6x10^4
-# rows and took 0.67 of the dense time at 2x10^5; at 2x10^5 rows it broke
-# even at F = 3.  The dense epochs of those measurements selected the
-# subset from the previous epoch's, a warm start that the dense epoch no
-# longer takes, and the index build has since become cheaper (int32 keys,
-# one index per dataset): both move the break-even, but no benchmark
-# workload sits between the gates to measure where, so the gates stay.
+# The fewest rows, and the most features, at which gradients screens an
+# epoch by the dataset's cell index.  Screening changes the cost of an
+# epoch, never its result, so these are speed settings only.  On a 2-vCPU
+# Xeon (NumPy 2.4, one BLAS thread), a 100-epoch fit on cut-square points,
+# index build included, broke even between 5x10^4 and 6.6x10^4 rows and
+# took 0.67 of the dense time at 2x10^5; at 2x10^5 rows it broke even at
+# F = 3.  Where the break-even sits now is ROADMAP item 22.
 SCREEN_MIN_N = 65_536
 SCREEN_MAX_F = 2
+
+# Each screened dataset's cell index.  A Dataset freezes its points, so
+# the index holds for the dataset's life; weak keys drop it with the dataset.
+_CELL_INDEXES: weakref.WeakKeyDictionary[Dataset, CellIndex] = weakref.WeakKeyDictionary()
+
+
+def _cell_index(dataset: Dataset) -> CellIndex | None:
+    """The dataset's cell index where gradients screens it, else None; the first call builds it."""
+    if dataset.n_points >= SCREEN_MIN_N and dataset.n_features <= SCREEN_MAX_F:
+        cells = _CELL_INDEXES.get(dataset)
+        if cells is None:
+            cells = _CELL_INDEXES[dataset] = build_cell_index(dataset.points)
+        return cells
+    return None
 
 
 class DivergenceError(ArithmeticError):
@@ -90,34 +100,35 @@ class Gradients:
 
 
 def gradients(
-    net: EqlNetwork,
-    dataset: Dataset,
-    cfg: LossConfig,
-    near: np.ndarray | None = None,
-    cells: CellIndex | None = None,
+    net: EqlNetwork, dataset: Dataset, cfg: LossConfig, near: np.ndarray | None = None
 ) -> tuple[LossBreakdown, Gradients]:
     """Evaluate the loss and its exact gradient at the current parameters.
 
-    One body serves every epoch.  The percentile subset is
-    :func:`~eqlbounds.loss.p_gamma_subset` of the errors that
-    :func:`forward_batch` gives for ``cfg.direction``; with ``cells``, the
-    dataset's :func:`~eqlbounds.loss.build_cell_index`, it is
-    :func:`~eqlbounds.loss.screened_subset`'s, the same subset, found from
-    only the errors of the cells that can reach it.  Both compute an error
-    by :func:`~eqlbounds.network.column_errors`, whose bits depend on the
-    row alone, so the subset's errors are the same either way.  ``term_e``
-    is ``alpha1`` times the error at the dataset's column means: the errors
-    are affine in the points, so that is their mean, in O(F).  The other
-    terms and ``dz/dpred`` come from the subset's errors, by the code that
-    :func:`~eqlbounds.loss.loss_from_errors` runs, with the subset and the
-    worst-error index held fixed.  So ``cells`` changes the cost, never the
-    result, and a non-finite error outside the subset leaves the loss
-    finite.
+    One body serves every epoch, and it alone chooses how to find the
+    percentile subset, :func:`~eqlbounds.loss.p_gamma_subset` of the errors
+    for ``cfg.direction``.  A dataset of at least ``SCREEN_MIN_N`` rows and
+    at most ``SCREEN_MAX_F`` features has a cell index, which the first
+    call builds (:func:`~eqlbounds.loss.build_cell_index`) and every later
+    call for that ``Dataset`` object reuses.  With the index and ``near``,
+    :func:`~eqlbounds.loss.screened_subset` may certify the subset from only
+    the errors of the cells that can reach it.  Otherwise, and where it
+    certifies nothing, :func:`forward_batch` computes every error and they
+    are ranked.  Both compute an error by
+    :func:`~eqlbounds.network.column_errors`, whose bits depend on the row
+    alone, so the subset and its errors are the same either way.
+    ``term_e`` is ``alpha1`` times the error at the dataset's column means:
+    the errors are affine in the points, so that is their mean, in O(F).
+    The other terms and ``dz/dpred`` come from the subset's errors, by the
+    code that :func:`~eqlbounds.loss.loss_from_errors` runs, with the subset
+    and the worst-error index held fixed.  So screening changes the cost,
+    never the result, and a non-finite error outside the subset leaves the
+    loss finite.
 
     ``near``, an (m, F) array of points such as the previous epoch's
     ``Gradients.rows``, changes no result either: only the screen starts
-    from it, and any other ``near`` raises ``ValueError``.  The gradient is
-    the raw one, also at weights that masking froze at zero; :func:`train`
+    from it, and any other ``near`` raises ``ValueError``, as does a
+    network whose feature count is not the dataset's.  The gradient is the
+    raw one, also at weights that masking froze at zero; :func:`train`
     zeroes those entries itself.  Non-finite values are returned as
     computed; :func:`train` reports them as divergence.
 
@@ -126,20 +137,22 @@ def gradients(
     shared value's share is a multiple of the dataset's column means, so
     no pass over all N points is made for it.
     """
+    if net.n_features != dataset.n_features:
+        raise ValueError(f"points must have shape (N, {net.n_features}), got {dataset.points.shape}")
+    cells = _cell_index(dataset)
     coeffs, offset = collapse_affine(net)
-    if cells is None:
-        if near is not None:
-            _checked_near(near, dataset.n_features)
+    subset = e = None
+    if near is not None:
+        near = _checked_near(near, dataset.n_features)
+        if cells is not None:
+            subset = screened_subset(cells, coeffs, offset, cfg.direction, cfg.gamma, near)
+    if subset is None:
         e = forward_batch(net, dataset, cfg.direction)
         subset = p_gamma_subset(e, cfg.gamma)
-    else:
-        if cells.points is not dataset.points:
-            raise ValueError("cells must be the cell index of this dataset's points")
-        subset = screened_subset(cells, coeffs, offset, cfg.direction, cfg.gamma, near)
     # take, not fancy indexing: at the paper's sizes it is the faster gather.
     rows = dataset.points.take(subset, axis=0)
     # The same bits either way: a row's error depends on that row alone.
-    e_sub = e.take(subset) if cells is None else column_errors(rows, coeffs, offset, cfg.direction)
+    e_sub = column_errors(rows, coeffs, offset, cfg.direction) if e is None else e.take(subset)
     t_e = cfg.alpha1 * _point_error(dataset.column_means, coeffs, offset, cfg.direction)
     breakdown, fill, d_sub = _subset_terms(e_sub, t_e, dataset.n_points, net, cfg)
 
@@ -155,6 +168,14 @@ def gradients(
     return breakdown, Gradients(d_w_in, d_w_out, d_b_out, subset, rows)
 
 
+def _checked_near(near: np.ndarray, f: int) -> np.ndarray:
+    """``near`` as an array, after checking that it holds (m, f) points."""
+    near = np.asarray(near)
+    if near.ndim != 2 or near.shape[1] != f:
+        raise ValueError(f"near must be an (m, {f}) array of points, got shape {near.shape}")
+    return near
+
+
 def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tuple[EqlNetwork, TrainReport]:
     """Run one seeded training run and extract the resulting constraint.
 
@@ -167,18 +188,14 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     zeroed before the step.  So an initial weight drawn as exactly 0.0
     (probability 2**-53 per draw) is frozen from epoch 0 on.  A threshold
     of 0 runs plain descent: no weight is frozen and no mask pass runs.
-    Each epoch's percentile subset rows are handed to the next epoch, and
-    only a screened epoch (below) starts from them.
-
-    A dataset of at least ``SCREEN_MIN_N`` rows and at most
-    ``SCREEN_MAX_F`` features is screened: the first screened fit of a
-    ``Dataset`` object builds its :func:`~eqlbounds.loss.build_cell_index`,
-    every later fit of that object reuses it, and from the second epoch on
-    each epoch computes only the errors of the grid cells that can reach
-    the percentile subset (see :func:`gradients`).  Below the gate nothing
-    is screened.  Every epoch runs the same body, so a screened run writes
-    the same bytes as an unscreened one: the gates choose the speed, not
-    the result.
+    Each epoch's percentile subset rows are handed to the next epoch as
+    ``near``: :func:`gradients`, which every epoch calls, decides whether
+    to screen with them.  At or above the gates (``SCREEN_MIN_N`` rows,
+    ``SCREEN_MAX_F`` features) it builds the dataset's cell index in the
+    first epoch of its first fit, and from the second epoch on it computes
+    only the errors of the grid cells that can reach the percentile
+    subset.  Screening changes the cost of an epoch, never its result, so
+    a screened run writes the same bytes as an unscreened one.
 
     Divergence raises :class:`DivergenceError` with the first epoch whose
     starting parameters or loss are non-finite, with or without masking (a
@@ -197,12 +214,11 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     # One row per epoch, written in place: no LossBreakdown outlives its epoch.
     records = np.empty((train_cfg.epochs, len(LossBreakdown._fields)))
     near = None
-    cells = _cell_index(dataset)
     # A gradient or step that overflows is reported as divergence below, so
     # numpy's overflow warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
-            breakdown, grads = gradients(net, dataset, loss_cfg, near, cells)
+            breakdown, grads = gradients(net, dataset, loss_cfg, near)
             near = grads.rows
             # z is the sum of the four terms, so it is finite exactly when all five are.
             if not math.isfinite(breakdown.z):
@@ -232,21 +248,6 @@ def train(dataset: Dataset, loss_cfg: LossConfig, train_cfg: TrainConfig) -> tup
     rate = violation_rate(constraint, dataset)
     report = TrainReport(_frozen(records), constraint, rate, train_cfg.seed)
     return net, report
-
-
-# Each screened dataset's cell index.  A Dataset freezes its points, so
-# the index holds for the dataset's life; weak keys drop it with the dataset.
-_CELL_INDEXES: weakref.WeakKeyDictionary[Dataset, CellIndex] = weakref.WeakKeyDictionary()
-
-
-def _cell_index(dataset: Dataset) -> CellIndex | None:
-    """The dataset's cell index where train screens it, else None; built by its first screened fit."""
-    if dataset.n_points >= SCREEN_MIN_N and dataset.n_features <= SCREEN_MAX_F:
-        cells = _CELL_INDEXES.get(dataset)
-        if cells is None:
-            cells = _CELL_INDEXES[dataset] = build_cell_index(dataset.points)
-        return cells
-    return None
 
 
 def train_multi(

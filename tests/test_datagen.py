@@ -252,6 +252,15 @@ class TestRegionSpecValidation:
         spec = RegionSpec(box=[[-2.0, 2.0]], quadratic_cap=BallCap([0.0], r))
         assert not spec.membership_mask(np.array([[r]]))[0]
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2,), (1, 2, 2)])
+    @pytest.mark.parametrize("cap", [None, BallCap([0.5, 0.5], 0.5)], ids=["box", "ball-cap"])
+    def test_membership_mask_rejects_points_of_another_shape_naming_both(self, shape, cap):
+        # A one-column array once broadcast against the two-feature box and got a mask.
+        spec = RegionSpec([[0.0, 1.0], [0.0, 1.0]], quadratic_cap=cap)
+        want = re.escape(f"points must have shape (N, 2) for this region, got {shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            spec.membership_mask(np.full(shape, 0.5))
+
     def test_membership_mask_matches_contains(self):
         spec = RegionSpec(
             box=[[-2.0, 2.0], [-2.0, 2.0]],

@@ -1,5 +1,7 @@
 """The package's public surface: what it exports, and what it no longer does."""
 
+import inspect
+
 import eqlbounds
 from eqlbounds import EqlNetwork
 
@@ -67,3 +69,6 @@ def test_public_surface_is_pinned():
     # The network's layout is its arrays' shapes: no primitive type, no default tuple of them.
     assert not hasattr(eqlbounds, "Primitive") and not hasattr(eqlbounds.network, "Primitive")
     assert not hasattr(eqlbounds, "DEFAULT_PRIMITIVES") and not hasattr(eqlbounds.network, "DEFAULT_PRIMITIVES")
+    # gradients looks up the dataset's cell index itself, and the screen certifies a subset or returns None.
+    assert "cells" not in inspect.signature(eqlbounds.gradients).parameters
+    assert not hasattr(eqlbounds.loss, "_certified_top_k")

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -39,7 +40,7 @@ from eqlbounds import (
     train_multi,
     violation_rate,
 )
-from eqlbounds import cli, loss, trainer
+from eqlbounds import cli, loss, network, trainer
 from eqlbounds.datamodel import _load_json
 from eqlbounds.network import collapse_affine_grad
 
@@ -235,13 +236,29 @@ class TestGradients:
         raw_out += cfg.l1 * np.sign(net.w_out) + 2.0 * cfg.l2 * net.w_out
         assert np.array_equal(grads.d_w_in, raw_in) and np.array_equal(grads.d_w_out, raw_out)
 
+    # An index array, the meaning near had before it held points, is among them.
+    @pytest.mark.parametrize("shape", [(15,), (100,), (5, 3), (5, 1), (1, 5, 2), ()])
     @pytest.mark.parametrize("screened", [False, True], ids=["dense", "screened"])
-    def test_near_that_is_not_points_is_rejected_naming_its_shape(self, screened):
+    def test_near_that_is_not_points_is_rejected_naming_its_shape(self, screened, shape, monkeypatch):
+        if screened:
+            monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
         dataset = generate(CUT_SQUARE, 300, seed=0)
-        cells = loss.build_cell_index(dataset.points) if screened else None
         net = initialize(dataset, seed=0)
-        with pytest.raises(ValueError, match=r"^near must be an \(m, 2\) array of points, got shape \(15,\)$"):
-            gradients(net, dataset, LossConfig(), near=np.arange(15), cells=cells)
+        want = re.escape(f"near must be an (m, 2) array of points, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            gradients(net, dataset, LossConfig(), near=np.zeros(shape))
+
+    @pytest.mark.parametrize("f", [1, 3])
+    @pytest.mark.parametrize("screened", [False, True], ids=["dense", "screened"])
+    def test_a_network_of_another_feature_count_is_rejected_naming_both_shapes(self, screened, f, monkeypatch):
+        if screened:
+            monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        dataset = generate(CUT_SQUARE, 300, seed=0)
+        net = EqlNetwork(np.ones((2, f)), np.ones(4), 0.0)
+        # The rows of a previous subset: a screened epoch would start from them.
+        near = dataset.points[:15]
+        with pytest.raises(ValueError, match=rf"^points must have shape \(N, {f}\), got \(300, 2\)$"):
+            gradients(net, dataset, LossConfig(), near)
 
     def test_overflowing_gradient_is_returned_as_computed(self):
         # Predictions stay finite, but the readout gradient overflows.
@@ -661,25 +678,35 @@ class TestScreenedTrain:
     def test_at_the_real_gate(self, cut_squares, seed, direction, monkeypatch):
         dataset = cut_squares[seed]
         assert dataset.n_points >= trainer.SCREEN_MIN_N and dataset.n_features <= trainer.SCREEN_MAX_F
-        computed = []
-        column_errors = loss.column_errors
+        # The rows of every error each epoch computes, wherever it computes them.
+        computed, epochs = [], []
 
-        def counted(points, *args):
-            computed.append(points.shape[0])
-            return column_errors(points, *args)
+        def counted(errors):
+            return lambda rows, *args: computed.append(len(rows)) or errors(rows, *args)
 
-        monkeypatch.setattr(loss, "column_errors", counted)
+        for module in (network, loss, trainer):
+            monkeypatch.setattr(module, "column_errors", counted(module.column_errors))
+        forward_batch, gradients = trainer.forward_batch, trainer.gradients
+        monkeypatch.setattr(trainer, "forward_batch", lambda *args: computed.append("forward_batch") or forward_batch(*args))
+
+        def per_epoch(*args):
+            computed.clear()
+            result = gradients(*args)
+            epochs.append(computed.copy())
+            return result
+
+        monkeypatch.setattr(trainer, "gradients", per_epoch)
         loss_cfg = LossConfig(direction=direction)
         train_cfg = TrainConfig(epochs=20, learning_rate=1e-3, seed=seed)
         got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
         assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
-        # The first epoch computes every error; each later one the errors at
-        # the G cells' worst corners, the k = 10^4 at the previous subset,
-        # then those of the cells that can reach the new one, far fewer than
-        # all 2x10^5.
-        assert computed[0] == dataset.n_points
-        assert len(computed) == 1 + 3 * (train_cfg.epochs - 1)
-        assert max(computed[1:]) < dataset.n_points // 10
+        # forward_batch computes every error once, in the first epoch.  Each
+        # later epoch computes the errors at the G cells' worst corners, the
+        # k = 10^4 at the previous subset, those of the cells that can reach
+        # the new one, then the subset's own, each far fewer than all 2x10^5.
+        assert len(epochs) == train_cfg.epochs
+        assert epochs[0] == ["forward_batch", dataset.n_points]
+        assert all(len(sizes) == 4 and max(sizes) < dataset.n_points // 10 for sizes in epochs[1:])
 
     @pytest.mark.parametrize("mask_threshold", [0.0, 1e-3])
     @pytest.mark.parametrize("direction", list(Direction))
@@ -706,17 +733,22 @@ class TestScreenedTrain:
 
     @staticmethod
     def second_epoch(net, dataset, cfg, cells, monkeypatch):
-        """A cold epoch, then one from its subset, against the dense oracle; returns its breakdown and the full passes."""
+        """A cold epoch, then one from its subset, screened by ``cells``, against the dense oracle.
+
+        Returns the second epoch's breakdown and the sizes of the full passes both epochs ranked.
+        """
+        monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
+        monkeypatch.setitem(trainer._CELL_INDEXES, dataset, cells)
         full_passes = []
-        p_gamma_subset = loss.p_gamma_subset
+        p_gamma_subset = trainer.p_gamma_subset
 
         def spy(e, gamma):
             full_passes.append(e.size)
             return p_gamma_subset(e, gamma)
 
-        monkeypatch.setattr(loss, "p_gamma_subset", spy)
-        near = gradients(net, dataset, cfg, cells=cells)[1].rows
-        breakdown, grads = gradients(net, dataset, cfg, near, cells)
+        monkeypatch.setattr(trainer, "p_gamma_subset", spy)
+        near = gradients(net, dataset, cfg)[1].rows
+        breakdown, grads = gradients(net, dataset, cfg, near)
         want_breakdown, want_grads, want_subset = column_mean_epoch(net.w_in, net.w_out, net.b_out, dataset, cfg)
         assert np.array(tuple(breakdown)).tobytes() == np.array(want_breakdown).tobytes()
         got = (grads.d_w_in.tobytes(), grads.d_w_out.tobytes(), grads.d_b_out.hex(), grads.subset.tobytes())
@@ -781,43 +813,34 @@ class TestScreenedTrain:
         assert got[0] == "diverged"
         assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
 
-    def test_cells_of_other_points_are_rejected(self):
-        dataset = generate(CUT_SQUARE, 300, seed=0)
-        copy = Dataset(dataset.points)
-        cells = loss.build_cell_index(copy.points)
-        net = initialize(dataset, seed=0)
-        with pytest.raises(ValueError, match="^cells must be the cell index of this dataset's points$"):
-            gradients(net, dataset, LossConfig(), cells=cells)
-        gradients(net, copy, LossConfig(), cells=cells)
-
-    def test_a_given_cell_index_is_used_and_none_is_built(self, monkeypatch):
-        # An index the cache already holds for the dataset screens every epoch; train builds none of its own.
+    def test_a_cached_cell_index_is_used_and_none_is_built(self, monkeypatch):
+        # An index the cache already holds for the dataset screens every epoch after the first; none is built.
         monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
         dataset = generate(CUT_SQUARE, 2_000, seed=5)
         cells = loss.build_cell_index(dataset.points)
         monkeypatch.setitem(trainer._CELL_INDEXES, dataset, cells)
         built, given = [], []
         monkeypatch.setattr(trainer, "build_cell_index", lambda points: built.append(points))
-        real = trainer.gradients
+        real = trainer.screened_subset
 
-        def spy(net, dataset, cfg, near, cells):
+        def spy(cells, *args):
             given.append(cells)
-            return real(net, dataset, cfg, near, cells)
+            return real(cells, *args)
 
-        monkeypatch.setattr(trainer, "gradients", spy)
+        monkeypatch.setattr(trainer, "screened_subset", spy)
         loss_cfg, train_cfg = LossConfig(), TrainConfig(epochs=12, learning_rate=1e-3, seed=2)
         got = _outcome(_train_weights, dataset, loss_cfg, train_cfg)
         assert got == _outcome(column_mean_train, dataset, loss_cfg, train_cfg)
         assert built == []
-        assert len(given) == train_cfg.epochs and all(each is cells for each in given)
+        assert len(given) == train_cfg.epochs - 1 and all(each is cells for each in given)
 
     def test_each_screened_epoch_starts_from_the_previous_subset_rows(self, monkeypatch):
         monkeypatch.setattr(trainer, "SCREEN_MIN_N", 1)
         calls = []
         real = trainer.gradients
 
-        def spy(net, dataset, cfg, near, cells):
-            breakdown, grads = real(net, dataset, cfg, near, cells)
+        def spy(net, dataset, cfg, near):
+            breakdown, grads = real(net, dataset, cfg, near)
             calls.append((near, grads))
             return breakdown, grads
 
